@@ -41,9 +41,12 @@ def _fail(message: str, code: int = 1):
 # ---------------------------------------------------------------------------
 # flags
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
+def _add_kind_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", choices=("features", "distances", "edges"),
                    default="features", help="how to interpret the input files")
+
+
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delimiter", default=",", help="matrix delimiter (default ',')")
     p.add_argument("--header", action="store_true",
                    help="skip one header line when reading matrices")
@@ -64,7 +67,7 @@ def _add_dissimilarity_flags(p: argparse.ArgumentParser) -> None:
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     # defaults stay None so explicitly passed flags can override a JSON config
     p.add_argument("--dim", type=int, default=None, help="embedding dimension")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", type=float, default=None,
                    help="matching penalty")
     p.add_argument("--epsilon", type=float, default=None,
                    help="initial entropic regularization")
@@ -88,7 +91,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="restart-level parallelism (default 1)")
 
 
-_CONFIG_KEYS = {
+# JSON config key, which is also the flag's argparse dest -> JointConfig field
+_CONFIG_FIELDS = {
     "dim": "dim",
     "lambda": "lam",
     "epsilon": "epsilon0",
@@ -102,23 +106,20 @@ _CONFIG_KEYS = {
     "lambda_anneal": "lambda_anneal",
 }
 
-_FLAG_TO_FIELD = {
-    "dim": "dim",
-    "lam": "lam",
-    "epsilon": "epsilon0",
-    "alpha": "alpha",
-    "iters": "outer_iters",
-    "inner_smacof": "inner_smacof_iters",
-    "inner_wp": "inner_wp_iters",
-    "restarts": "restarts",
-    "seed": "seed",
-    "gw_init": "gw_init",
-    "lambda_anneal": "lambda_anneal",
-}
+
+def _seed(args: argparse.Namespace, doc: dict | None = None) -> int:
+    """Seed precedence: --seed flag > config file > $JOINTSCALE_SEED > 0."""
+    if args.seed is not None:
+        return args.seed
+    if doc and "seed" in doc:
+        return doc["seed"]
+    env_seed = os.environ.get("JOINTSCALE_SEED")
+    return int(env_seed) if env_seed is not None else 0
 
 
-def _build_config(args: argparse.Namespace, **overrides) -> JointConfig:
-    cfg = JointConfig()
+def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
+    """JointConfig from ``defaults``, then the config file, then the flags."""
+    cfg = JointConfig(**defaults)
     doc = {}
     if args.config:
         try:
@@ -126,20 +127,15 @@ def _build_config(args: argparse.Namespace, **overrides) -> JointConfig:
         except (OSError, json.JSONDecodeError) as exc:
             _fail(f"config file {args.config}: {exc}")
         for key, value in doc.items():
-            field_name = _CONFIG_KEYS.get(key)
+            field_name = _CONFIG_FIELDS.get(key)
             if field_name is None:
                 _fail(f"config file {args.config}: unknown key {key!r}")
             setattr(cfg, field_name, value)
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    for key, field_name in _CONFIG_FIELDS.items():
+        value = getattr(args, key)
         if value is not None:
             setattr(cfg, field_name, value)
-    if getattr(args, "seed", None) is None and "seed" not in doc:
-        env_seed = os.environ.get("JOINTSCALE_SEED")
-        if env_seed is not None:
-            cfg.seed = int(env_seed)
-    for key, value in overrides.items():
-        setattr(cfg, key, value)
+    cfg.seed = _seed(args, doc)
     cfg.validate()
     return cfg
 
@@ -237,26 +233,19 @@ def _prepare_out(args) -> Path:
     return out
 
 
-def _effective_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env_seed = os.environ.get("JOINTSCALE_SEED")
-    return int(env_seed) if env_seed is not None else 0
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_embed(args) -> int:
     out = _prepare_out(args)
-    manifest = _Manifest(out, args.argv, _effective_seed(args))
+    seed = _seed(args)
+    manifest = _Manifest(out, args.argv, seed)
     manifest.add_input(args.input)
     d = _load_dissimilarity(args.input, args)
     w = _weights_for(d, args)
     dim = args.dim if args.dim is not None else 2
     if dim < 1:
         _fail(f"--dim must be >= 1, got {dim}")
-    seed = _effective_seed(args)
     scale = jointmds._init_scale(d, d)
     z0 = random_embedding(d.shape[0], dim, seed, scale)
     tol = jointmds.INNER_RTOL * stress(z0, d, w)
@@ -283,7 +272,7 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def _write_joint_outputs(args, out, manifest, result, d1, d2) -> None:
+def _write_joint_outputs(args, out, manifest, result) -> None:
     fileio.write_embedding(manifest.add_output(out / "z1.csv"), result.z1,
                            delimiter=args.delimiter)
     fileio.write_embedding(manifest.add_output(out / "z2.csv"), result.z2,
@@ -331,23 +320,22 @@ def _print_metrics(doc: dict) -> None:
                 print(f"{key}: {value:.4f}")
 
 
-def cmd_joint(args) -> int:
+def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
+              write_matches: bool = False) -> tuple[jointmds.JointResult, dict]:
+    """Shared body of ``joint`` and ``match``: load, solve, write every output."""
     out = _prepare_out(args)
-    cfg = _build_config(args)
     manifest = _Manifest(out, args.argv, cfg.seed)
-    manifest.add_input(args.input1)
-    manifest.add_input(args.input2)
-    d1 = _load_dissimilarity(args.input1, args)
-    d2 = _load_dissimilarity(args.input2, args)
+    manifest.add_input(path1)
+    manifest.add_input(path2)
+    d1 = _load_dissimilarity(path1, args)
+    d2 = _load_dissimilarity(path2, args)
     w1 = _weights_for(d1, args)
     w2 = _weights_for(d2, args)
-    labels1 = labels2 = None
-    if args.labels1:
-        manifest.add_input(args.labels1)
-        labels1 = fileio.read_labels(args.labels1)
-    if args.labels2:
-        manifest.add_input(args.labels2)
-        labels2 = fileio.read_labels(args.labels2)
+    labels = [None, None]
+    for k, path in enumerate(label_paths):
+        if path:
+            manifest.add_input(path)
+            labels[k] = fileio.read_labels(path)
 
     def on_outer(restart, iteration, objective):
         _log("info", "outer iteration", restart=restart, iter=iteration,
@@ -355,14 +343,23 @@ def cmd_joint(args) -> int:
 
     result = jointmds.solve(d1, d2, w1, w2, cfg, threads=args.threads,
                             on_outer=on_outer)
-    _write_joint_outputs(args, out, manifest, result, d1, d2)
-    doc = _joint_metrics(args, manifest, out, result, labels1, labels2)
+    _write_joint_outputs(args, out, manifest, result)
+    if write_matches:
+        fileio.write_labels(manifest.add_output(out / "matches.csv"),
+                            jointmds.match_argmax(result.p))
+    doc = _joint_metrics(args, manifest, out, result, *labels)
     manifest.doc["config"] = cfg.__dict__
     manifest.doc["summary"] = {
         "final_objective": result.final_objective,
         "restart_index": result.restart_index,
     }
     manifest.write()
+    return result, doc
+
+
+def cmd_joint(args) -> int:
+    result, doc = _run_pair(args, _build_config(args), args.input1, args.input2,
+                            (args.labels1, args.labels2))
     print(f"joint embedding done; final objective {result.final_objective:.6g} "
           f"(restart {result.restart_index})")
     _print_metrics(doc)
@@ -370,41 +367,9 @@ def cmd_joint(args) -> int:
 
 
 def cmd_match(args) -> int:
-    args.kind = "edges"
-    out = _prepare_out(args)
-    if args.weight_exponent is None:
-        args.weight_exponent = 4.0
-    overrides = {}
-    if args.gw_init is None:
-        overrides["gw_init"] = True
-    if args.lambda_anneal is None:
-        overrides["lambda_anneal"] = True
-    cfg = _build_config(args, **overrides)
-    manifest = _Manifest(out, args.argv, cfg.seed)
-    manifest.add_input(args.edges1)
-    manifest.add_input(args.edges2)
-    d1 = _load_dissimilarity(args.edges1, args)
-    d2 = _load_dissimilarity(args.edges2, args)
-    w1 = _weights_for(d1, args)
-    w2 = _weights_for(d2, args)
-
-    def on_outer(restart, iteration, objective):
-        _log("info", "outer iteration", restart=restart, iter=iteration,
-             objective=objective)
-
-    result = jointmds.solve(d1, d2, w1, w2, cfg, threads=args.threads,
-                            on_outer=on_outer)
-    _write_joint_outputs(args, out, manifest, result, d1, d2)
-    matches = jointmds.match_argmax(result.p)
-    fileio.write_labels(manifest.add_output(out / "matches.csv"), matches)
-    doc = _joint_metrics(args, manifest, out, result, None, None)
-    manifest.doc["config"] = cfg.__dict__
-    manifest.doc["summary"] = {
-        "final_objective": result.final_objective,
-        "restart_index": result.restart_index,
-    }
-    manifest.write()
-    print(f"matched {d1.shape[0]} x {d2.shape[0]} nodes; "
+    cfg = _build_config(args, gw_init=True, lambda_anneal=True)
+    result, doc = _run_pair(args, cfg, args.edges1, args.edges2, write_matches=True)
+    print(f"matched {result.z1.shape[0]} x {result.z2.shape[0]} nodes; "
           f"final objective {result.final_objective:.6g}")
     _print_metrics(doc)
     return 0
@@ -492,7 +457,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gen(args) -> int:
     out = _prepare_out(args)
-    seed = _effective_seed(args)
+    seed = _seed(args)
     spec = synthdata.GenSpec(kind=args.kind, n=args.n, p1=args.p1, p2=args.p2,
                              noise_sigma=args.noise_sigma, seed=seed)
     manifest = _Manifest(out, args.argv, seed)
@@ -524,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="metric MDS of a single dataset")
     p.add_argument("input", help="input file")
+    _add_kind_flag(p)
     _add_io_flags(p)
     _add_dissimilarity_flags(p)
     p.add_argument("--dim", type=int, default=None)
@@ -534,6 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("joint", help="joint embedding and correspondence recovery")
     p.add_argument("input1")
     p.add_argument("input2")
+    _add_kind_flag(p)
     _add_io_flags(p)
     _add_dissimilarity_flags(p)
     _add_config_flags(p)
@@ -554,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None,
                    help="true match file (index per row) or 'identity'")
     p.add_argument("--sparse-coupling", action="store_true")
-    p.set_defaults(func=cmd_match)
+    p.set_defaults(func=cmd_match, kind="edges", weight_exponent=4.0)
 
     p = sub.add_parser("eval", help="compute metrics from saved files")
     _add_io_flags(p)

@@ -5,9 +5,9 @@ Gromov-Wasserstein warm start for the coupling, then outer iterations that
 alternate (i) entropic alignment of the two embeddings, (ii) rotation of the
 first embedding, and (iii) a joint majorization pass on the coupled block
 instance.  The entropic regularization decays geometrically across outer
-iterations; the matching penalty optionally ramps up when the coupling was
-warm started.  Restarts differ only in their seed and the smallest final
-objective wins.
+iterations; the matching penalty ramps up over the first half of the run
+when ``lambda_anneal`` is set.  Restarts differ only in their seed and the
+smallest final objective wins.
 """
 
 from __future__ import annotations
@@ -158,7 +158,6 @@ def _run_restart(
     ramp_iters = math.ceil(cfg.outer_iters / 2)
     epsilon = cfg.epsilon0
     trace: list[float] = []
-    identity = np.eye(cfg.dim)
     potentials = None
     eps_prev = None
     for t in range(1, cfg.outer_iters + 1):
@@ -177,21 +176,24 @@ def _run_restart(
         z1 = z1 @ rotation
 
         lam_t = cfg.lam
-        if cfg.lambda_anneal and cfg.gw_init:
+        if cfg.lambda_anneal:
             lam_t = cfg.lam * min(1.0, t / ramp_iters)
 
+        # the inner run's last stress is the coupled objective at the rotation
+        # already absorbed into z1 (block-stress identity)
         if lam_t > 0:
             blocks = assemble_joint(d1, d2, w1, w2, coupling, lam_t, z1, z2)
-            z_tilde, _ = _relative_smacof(
+            z_tilde, report = _relative_smacof(
                 blocks.d_tilde, blocks.w_tilde, blocks.z_tilde, cfg.inner_smacof_iters
             )
             z1, z2 = z_tilde[: blocks.n1], z_tilde[blocks.n1 :]
+            objective = FULL_MATRIX_FACTOR * report.per_iteration[-1]
         else:
             # zero penalty decouples the block problem into the two datasets
-            z1, _ = _relative_smacof(d1, w1, z1, cfg.inner_smacof_iters, v1_pinv)
-            z2, _ = _relative_smacof(d2, w2, z2, cfg.inner_smacof_iters, v2_pinv)
+            z1, r1 = _relative_smacof(d1, w1, z1, cfg.inner_smacof_iters, v1_pinv)
+            z2, r2 = _relative_smacof(d2, w2, z2, cfg.inner_smacof_iters, v2_pinv)
+            objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
 
-        objective = joint_objective(z1, z2, d1, d2, w1, w2, coupling, identity, lam_t)
         trace.append(objective)
         if on_outer is not None:
             on_outer(restart, t, objective)

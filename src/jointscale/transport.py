@@ -254,23 +254,18 @@ def wasserstein_procrustes(
 
     Returns
     -------
-    (coupling, rotation), plus an info dict with the per-round objective
-    trace and final scaling potentials when ``log`` is set.
+    (coupling, rotation), plus an info dict holding the final scaling
+    potentials under ``"potentials"`` when ``log`` is set.
     """
+    if inner_iters < 1:
+        raise InvalidInput(f"inner_iters must be >= 1, got {inner_iters}")
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     if z1.shape[1] != z2.shape[1]:
         raise InvalidInput("embeddings must share the target dimension")
-    d = z1.shape[1]
-    rotation = np.eye(d)
-    coupling = p0
-    if inner_iters == 0:
-        if log:
-            return coupling, rotation, {"objective_trace": [], "potentials": warm_start}
-        return coupling, rotation
+    rotation = np.eye(z1.shape[1])
     if p0 is not None:
         rotation = orthogonal_procrustes(z1, p0, z2)
-    trace = []
     potentials = warm_start
     for _ in range(inner_iters):
         coupling, info = sinkhorn(
@@ -284,12 +279,8 @@ def wasserstein_procrustes(
         )
         potentials = (info["u"], info["v"])
         rotation = orthogonal_procrustes(z1, coupling, z2)
-        trace.append(
-            float(np.sum(coupling * cost_matrix(z1 @ rotation, z2)))
-            - epsilon * entropy(coupling)
-        )
     if log:
-        return coupling, rotation, {"objective_trace": trace, "potentials": potentials}
+        return coupling, rotation, {"potentials": potentials}
     return coupling, rotation
 
 

@@ -183,6 +183,17 @@ class TestMatch:
         assert "self-loops" in captured.err
         assert (out / "matches.csv").exists()
 
+    def test_config_file_overrides_match_defaults(self, tmp_path):
+        e1 = tmp_path / "g1.txt"
+        fileio.write_edge_list(e1, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 2, "restarts": 1, "gw_init": False}))
+        out = tmp_path / "out"
+        assert run_cli(["match", e1, e1, "--config", cfg, "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["gw_init"] is False        # from JSON
+        assert config["lambda_anneal"] is True   # match default
+
     def test_disconnected_graph_reports_components(self, tmp_path, capsys):
         e1 = tmp_path / "g1.txt"
         fileio.write_edge_list(e1, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -191,6 +202,13 @@ class TestMatch:
                         "--out", out])
         assert code != 0
         assert "components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["match", "g1.txt", "g2.txt"], ["eval"]])
+def test_kind_flag_rejected(tmp_path, command):
+    # match always reads edge lists and eval reads no dissimilarity input
+    with pytest.raises(SystemExit):
+        run_cli(command + ["--kind", "features", "--out", tmp_path / "o"])
 
 
 class TestEval:
@@ -277,3 +295,16 @@ class TestSeedEnvFallback:
         assert run_cli(["embed", src, "--dim", "2", "--seed", "21",
                         "--out", out_flag]) == 0
         assert (out_env / "embedding.csv").read_bytes() == (out_flag / "embedding.csv").read_bytes()
+
+    def test_config_seed_beats_env(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        src = write_points(tmp_path / "x.csv", rng.standard_normal((8, 2)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iters": 2, "restarts": 1, "seed": 5}))
+        monkeypatch.setenv("JOINTSCALE_SEED", "21")
+        assert run_cli(["joint", src, src, "--config", cfg, "--out", tmp_path / "c"]) == 0
+        assert run_cli(["joint", src, src, "--config", cfg, "--seed", "8",
+                        "--out", tmp_path / "f"]) == 0
+        seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["seed"]
+                 for name in ("c", "f")]
+        assert seeds == [5, 8]

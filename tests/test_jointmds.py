@@ -182,6 +182,27 @@ class TestSolve:
         increases = np.diff(np.array(res.objective_trace))
         assert increases.max(initial=-np.inf) <= 1e-6
 
+    @pytest.mark.parametrize("lam", [0.1, 0.0])
+    def test_final_objective_is_joint_objective(self, lam):
+        rng = np.random.default_rng(14)
+        d1 = pairwise_euclidean(rng.standard_normal((20, 3)))
+        d2 = pairwise_euclidean(rng.standard_normal((16, 3)))
+        w1, w2 = uniform_weight_matrix(20), uniform_weight_matrix(16)
+        res = solve(d1, d2, w1, w2, JointConfig(lam=lam, outer_iters=4, restarts=1))
+        direct = joint_objective(res.z1, res.z2, d1, d2, w1, w2, res.p, np.eye(2), lam)
+        assert res.final_objective == res.objective_trace[-1]
+        assert abs(res.final_objective - direct) <= 1e-12 * direct
+
+    def test_lambda_anneal_without_gw_init(self):
+        rng = np.random.default_rng(15)
+        d = pairwise_euclidean(rng.standard_normal((15, 2)))
+        w = uniform_weight_matrix(15)
+        cfg = JointConfig(outer_iters=4, restarts=1, seed=0, gw_init=False)
+        constant = solve(d, d, w, w, cfg)
+        cfg.lambda_anneal = True
+        ramped = solve(d, d, w, w, cfg)
+        assert ramped.objective_trace != constant.objective_trace
+
     def test_marginals_hold_on_final_coupling(self):
         rng = np.random.default_rng(10)
         d1 = pairwise_euclidean(rng.standard_normal((15, 2)))

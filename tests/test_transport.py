@@ -15,6 +15,7 @@ from jointscale import (
     sinkhorn,
     wasserstein_procrustes,
 )
+from jointscale.transport import entropy
 
 
 def haar_orthogonal(d, rng):
@@ -172,23 +173,32 @@ class TestWassersteinProcrustes:
         p, _ = wasserstein_procrustes(z1, z2, m, eps, 10, p0=p0)
         assert np.mean(match_argmax(p) == perm) >= 0.95
 
-    def test_zero_rounds_is_noop(self):
+    def test_zero_rounds_rejected(self):
         rng = np.random.default_rng(9)
         z1 = rng.standard_normal((5, 2))
         z2 = rng.standard_normal((6, 2))
         p0 = np.full((5, 6), 1 / 30)
-        p, o = wasserstein_procrustes(z1, z2, Marginals.uniform(5, 6), 1.0, 0, p0=p0)
-        assert p is p0
-        assert np.array_equal(o, np.eye(2))
+        with pytest.raises(InvalidInput):
+            wasserstein_procrustes(z1, z2, Marginals.uniform(5, 6), 1.0, 0, p0=p0)
 
     def test_objective_trace_non_increasing(self):
+        # one round at a time, each started from the previous coupling and
+        # potentials, is the same computation as 12 rounds in one call
         rng = np.random.default_rng(10)
         z1 = rng.standard_normal((25, 3))
         z2 = rng.standard_normal((20, 3))
         m = Marginals.uniform(25, 20)
-        _, _, info = wasserstein_procrustes(z1, z2, m, 0.5, 12, log=True)
-        trace = np.array(info["objective_trace"])
+        eps = 0.5
+        p, potentials, trace = None, None, []
+        for _ in range(12):
+            p, o, info = wasserstein_procrustes(z1, z2, m, eps, 1, p0=p,
+                                                warm_start=potentials, log=True)
+            potentials = info["potentials"]
+            trace.append(float(np.sum(p * cost_matrix(z1 @ o, z2))) - eps * entropy(p))
         assert np.all(np.diff(trace) <= 1e-8)
+        p_all, o_all = wasserstein_procrustes(z1, z2, m, eps, 12)
+        assert np.array_equal(p, p_all)
+        assert np.array_equal(o, o_all)
 
 
 class TestEntropicGW:
