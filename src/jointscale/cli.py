@@ -10,6 +10,7 @@ carries JSON-lines logs; standard output carries the human-readable summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -107,6 +108,29 @@ _CONFIG_FIELDS = {
 }
 
 
+# JointConfig field -> its annotated type name ("int", "float" or "bool")
+_FIELD_TYPES = {f.name: getattr(f.type, "__name__", f.type)
+                for f in dataclasses.fields(JointConfig)}
+
+
+def _config_value(key: str, value, path: str):
+    """A config-file value checked against its JointConfig field type.
+
+    Integers are accepted for float fields; booleans are accepted only for
+    bool fields, not as integers.
+    """
+    kind = _FIELD_TYPES[_CONFIG_FIELDS[key]]
+    if kind == "bool":
+        valid = isinstance(value, bool)
+    elif kind == "int":
+        valid = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not valid:
+        _fail(f"config file {path}: {key!r} must be {kind}, got {value!r}")
+    return float(value) if kind == "float" else value
+
+
 def _seed(args: argparse.Namespace, doc: dict | None = None) -> int:
     """Seed precedence: --seed flag > config file > $JOINTSCALE_SEED > 0."""
     if args.seed is not None:
@@ -126,11 +150,13 @@ def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             _fail(f"config file {args.config}: {exc}")
+        if not isinstance(doc, dict):
+            _fail(f"config file {args.config}: expected a JSON object")
         for key, value in doc.items():
             field_name = _CONFIG_FIELDS.get(key)
             if field_name is None:
                 _fail(f"config file {args.config}: unknown key {key!r}")
-            setattr(cfg, field_name, value)
+            setattr(cfg, field_name, _config_value(key, value, args.config))
     for key, field_name in _CONFIG_FIELDS.items():
         value = getattr(args, key)
         if value is not None:
@@ -348,10 +374,18 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         fileio.write_labels(manifest.add_output(out / "matches.csv"),
                             jointmds.match_argmax(result.p))
     doc = _joint_metrics(args, manifest, out, result, *labels)
+    at_budget = {
+        "sinkhorn_at_budget": result.sinkhorn_at_budget,
+        "smacof_init_at_budget": result.smacof_init_at_budget,
+    }
+    if any(at_budget.values()):
+        _log("warning", "solver subproblems stopped at their iteration budget",
+             restart=result.restart_index, **at_budget)
     manifest.doc["config"] = cfg.__dict__
     manifest.doc["summary"] = {
         "final_objective": result.final_objective,
         "restart_index": result.restart_index,
+        **at_budget,
     }
     manifest.write()
     return result, doc

@@ -78,7 +78,13 @@ class JointConfig:
 
 @dataclass
 class JointResult:
-    """Winning restart: aligned embeddings, coupling, and objective history."""
+    """One restart's aligned embeddings, coupling, and objective history.
+
+    ``sinkhorn_at_budget`` counts the restart's transport solves that
+    stopped at their iteration budget short of the marginal tolerance, and
+    ``smacof_init_at_budget`` its initial per-dataset majorization runs that
+    stopped at ``INIT_SMACOF_MAX_ITER``.
+    """
 
     z1: np.ndarray
     z2: np.ndarray
@@ -86,6 +92,8 @@ class JointResult:
     objective_trace: list[float] = field(default_factory=list)
     final_objective: float = math.inf
     restart_index: int = 0
+    sinkhorn_at_budget: int = 0
+    smacof_init_at_budget: int = 0
 
 
 def joint_objective(
@@ -149,8 +157,9 @@ def _run_restart(
     gw_coupling=None, on_outer=None
 ) -> JointResult:
     z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
-    z1, _ = _relative_smacof(d1, w1, z1, INIT_SMACOF_MAX_ITER, v1_pinv)
-    z2, _ = _relative_smacof(d2, w2, z2, INIT_SMACOF_MAX_ITER, v2_pinv)
+    z1, r1 = _relative_smacof(d1, w1, z1, INIT_SMACOF_MAX_ITER, v1_pinv)
+    z2, r2 = _relative_smacof(d2, w2, z2, INIT_SMACOF_MAX_ITER, v2_pinv)
+    smacof_init_at_budget = (not r1.converged) + (not r2.converged)
 
     marginals = Marginals.uniform(d1.shape[0], d2.shape[0])
     coupling = gw_coupling
@@ -160,6 +169,7 @@ def _run_restart(
     trace: list[float] = []
     potentials = None
     eps_prev = None
+    sinkhorn_at_budget = 0
     for t in range(1, cfg.outer_iters + 1):
         floor = EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2)))
         eps_eff = max(epsilon, floor)
@@ -172,6 +182,7 @@ def _run_restart(
             sinkhorn_tol=WP_SINKHORN_TOL, warm_start=potentials, log=True,
         )
         potentials = wp_info["potentials"]
+        sinkhorn_at_budget += wp_info["sinkhorn_at_budget"]
         eps_prev = eps_eff
         z1 = z1 @ rotation
 
@@ -199,7 +210,8 @@ def _run_restart(
             on_outer(restart, t, objective)
         epsilon = cfg.alpha * epsilon
 
-    return JointResult(z1, z2, coupling, trace, trace[-1], restart)
+    return JointResult(z1, z2, coupling, trace, trace[-1], restart,
+                       sinkhorn_at_budget, smacof_init_at_budget)
 
 
 def solve(

@@ -1,13 +1,19 @@
 """Entropic optimal transport and orthogonal alignment.
 
-Sinkhorn iterations run entirely in the log domain: the multiplicative
-scaling form underflows once the regularization is small relative to the
-cost scale.  The orthogonal factor is recovered from a d x d SVD, and the
-two are alternated to align point sets with unknown correspondences.
+Sinkhorn iterations run as stabilized scaling (Schmitzer 2019): multiplicative
+updates of two scaling vectors on a Gibbs kernel that already carries the
+current log potentials, two matrix-vector products per iteration.  Once a
+scaling leaves [1/ABSORB, ABSORB] it is absorbed into the log potentials and
+the kernel is rebuilt, so the kernel stays representable however small the
+regularization; an iteration whose kernel products under- or overflow anyway
+(a stale warm start, say) is redone in the log domain.  The orthogonal factor
+is recovered from a d x d SVD, and the two are alternated to align point
+sets with unknown correspondences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +41,10 @@ GW_OUTER_ITERS = 50
 # potentials are first run in at a geometrically decaying epsilon
 WARMUP_SPREAD_FACTOR = 10.0
 WARMUP_STAGE_ITERS = 100
+
+# the scalings are folded into the log potentials, and the kernel rebuilt,
+# once one of them leaves [1/ABSORB, ABSORB]
+ABSORB = 1e3
 
 
 @dataclass(frozen=True)
@@ -89,6 +99,13 @@ def _lse_cols(m: np.ndarray) -> np.ndarray:
     return safe + np.log(np.exp(m - safe[None, :]).sum(axis=0))
 
 
+def _kernel(mk: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stabilized Gibbs kernel exp(mk + u (+) v)."""
+    k = mk + u[:, None]
+    k += v[None, :]
+    return np.exp(k, out=k)
+
+
 def sinkhorn(
     c: np.ndarray,
     m: Marginals,
@@ -98,11 +115,18 @@ def sinkhorn(
     log: bool = False,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
 ):
-    """Entropic optimal transport by log-domain matrix scaling.
+    """Entropic optimal transport by stabilized matrix scaling.
 
     Solves min_P <P, C> - epsilon * H(P) over couplings with marginals
     ``m``.  Each iteration updates both scaling potentials and stops once
     the L1 marginal violation (rows plus columns) falls below ``tol``.
+    The updates are multiplicative on the kernel exp(-C/epsilon + u (+) v)
+    of the current log potentials u, v; the scalings are absorbed into u, v
+    when they leave [1/ABSORB, ABSORB], and an iteration whose kernel
+    products under- or overflow is redone in the log domain.  Both give
+    the same iterates as a log-domain loop up to rounding.  With zero
+    entries in the marginals every iteration after the first runs in the
+    log domain.
     When ``epsilon`` is small against the cost spread and no warm start is
     given, the potentials are first run in at geometrically decaying
     regularization; the fixed point solved for is unchanged.
@@ -118,8 +142,12 @@ def sinkhorn(
     max_iter, tol : int, float
         Iteration budget at the target epsilon and L1 marginal tolerance.
     log : bool
-        Also return a dict with the log-domain coupling, potentials, dual
-        trace, marginal violation and iteration counts.
+        Also return a dict with the log-domain coupling
+        (``"log_coupling"``), the log potentials (``"u"``, ``"v"``), the L1
+        marginal violation of the returned coupling, the iteration counts at
+        the target epsilon and in the warm-up (``"iterations"``,
+        ``"warmup_iterations"``) and whether the violation is below ``tol``
+        (``"converged"``).
     warm_start : (u, v), optional
         Log-domain scaling potentials to start from, e.g. from a previous
         call on a nearby cost.
@@ -146,29 +174,46 @@ def sinkhorn(
         log_a = np.log(a)
         log_b = np.log(b)
 
-    def scale(eps, u, v, budget, trace=None):
-        # After each v update the column sums equal b exactly, so convergence
-        # is tracked on the row sums; exp(u + lse_rows(mk + v)) gives them
-        # without materializing the coupling, and the logsumexp is reused by
-        # the following u update.
-        mk = -c / eps
-        violation = np.inf
-        iterations = 0
-        lse_r = _lse_rows(mk + v[None, :])
-        for iterations in range(1, budget + 1):
-            u = log_a - lse_r
-            v = log_b - _lse_cols(mk + u[:, None])
-            lse_r = _lse_rows(mk + v[None, :])
-            row_sums = np.exp(u + lse_r)
-            violation = float(np.abs(row_sums - a).sum())
-            if trace is not None:
-                # dual ascent value of the entropic problem; non-decreasing
-                trace.append(eps * (float(u @ a) + float(v @ b) - float(row_sums.sum())))
-            if not np.isfinite(violation):
-                raise NumericalFailure("sinkhorn scaling produced non-finite marginals")
-            if violation < tol:
-                break
-        return u, v, violation, iterations
+    def scale(eps, u, v, budget):
+        # Multiplicative scaling on the stabilized kernel K = exp(mk + u (+) v):
+        # the iterate's log potentials are u + log sa and v + log sb.  After
+        # each sb update the column sums equal b exactly, so convergence is
+        # tracked on the row sums sa * (K @ sb), whose second factor also
+        # gives the next sa: two matrix-vector products per iteration.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mk = -c / eps
+            k = _kernel(mk, u, v)
+            kb = k.sum(axis=1)
+            sa, sb = np.ones_like(a), np.ones_like(b)
+            violation = np.inf
+            iterations = 0
+            for iterations in range(1, budget + 1):
+                sa = a / kb
+                sb_next = b / (k.T @ sa)
+                kb = k @ sb_next
+                violation = float(np.abs(sa * kb - a).sum())
+                if math.isfinite(violation):
+                    sb = sb_next
+                else:
+                    # the kernel under- or overflowed (stale warm start, tiny
+                    # epsilon): redo this iteration in the log domain
+                    u = log_a - _lse_rows(mk + (v + np.log(sb))[None, :])
+                    v = log_b - _lse_cols(mk + u[:, None])
+                    sa, sb = np.ones_like(a), np.ones_like(b)
+                    k = _kernel(mk, u, v)
+                    kb = k.sum(axis=1)
+                    violation = float(np.abs(kb - a).sum())
+                    if not math.isfinite(violation):
+                        raise NumericalFailure("sinkhorn scaling produced non-finite marginals")
+                if violation < tol:
+                    break
+                if (sa.max() > ABSORB or sa.min() < 1.0 / ABSORB
+                        or sb.max() > ABSORB or sb.min() < 1.0 / ABSORB):
+                    u, v = u + np.log(sa), v + np.log(sb)
+                    sa, sb = np.ones_like(a), np.ones_like(b)
+                    k = _kernel(mk, u, v)
+                    kb = k.sum(axis=1)
+            return u + np.log(sa), v + np.log(sb), violation, iterations
 
     warmup_iterations = 0
     if warm_start is not None:
@@ -186,8 +231,7 @@ def sinkhorn(
             u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
             eps_run = eps_next
 
-    dual_trace: list[float] = []
-    u, v, _, iterations = scale(epsilon, u, v, max_iter, dual_trace)
+    u, v, _, iterations = scale(epsilon, u, v, max_iter)
     log_p = -c / epsilon + u[:, None] + v[None, :]
     p = np.exp(log_p)
     violation = float(
@@ -200,7 +244,6 @@ def sinkhorn(
             "log_coupling": log_p,
             "u": u,
             "v": v,
-            "dual_trace": dual_trace,
             "marginal_violation": violation,
             "iterations": iterations,
             "warmup_iterations": warmup_iterations,
@@ -254,8 +297,10 @@ def wasserstein_procrustes(
 
     Returns
     -------
-    (coupling, rotation), plus an info dict holding the final scaling
-    potentials under ``"potentials"`` when ``log`` is set.
+    (coupling, rotation), plus an info dict when ``log`` is set: the final
+    scaling potentials under ``"potentials"`` and, under
+    ``"sinkhorn_at_budget"``, how many rounds' transport solves stopped at
+    ``sinkhorn_max_iter`` short of ``sinkhorn_tol``.
     """
     if inner_iters < 1:
         raise InvalidInput(f"inner_iters must be >= 1, got {inner_iters}")
@@ -267,6 +312,7 @@ def wasserstein_procrustes(
     if p0 is not None:
         rotation = orthogonal_procrustes(z1, p0, z2)
     potentials = warm_start
+    at_budget = 0
     for _ in range(inner_iters):
         coupling, info = sinkhorn(
             cost_matrix(z1 @ rotation, z2),
@@ -278,9 +324,11 @@ def wasserstein_procrustes(
             warm_start=potentials,
         )
         potentials = (info["u"], info["v"])
+        at_budget += not info["converged"]
         rotation = orthogonal_procrustes(z1, coupling, z2)
     if log:
-        return coupling, rotation, {"potentials": potentials}
+        return coupling, rotation, {"potentials": potentials,
+                                    "sinkhorn_at_budget": at_budget}
     return coupling, rotation
 
 

@@ -1,9 +1,10 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
-from jointscale import fileio, pairwise_euclidean
+from jointscale import fileio, jointmds, pairwise_euclidean
 from jointscale.cli import main
 
 
@@ -134,6 +135,72 @@ class TestJoint:
         assert manifest["config"]["outer_iters"] == 3  # from JSON
         z1 = fileio.read_embedding(out / "z1.csv")
         assert z1.shape == (8, 2)
+
+    @pytest.mark.parametrize("entry", [
+        {"seed": "5"}, {"dim": "2"}, {"restarts": 2.0}, {"seed": True},
+        {"lambda": "0.1"}, {"epsilon": False},
+        {"gw_init": 1}, {"lambda_anneal": "true"},
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, entry):
+        src = write_points(tmp_path / "x.csv", np.eye(4))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        code = run_cli(["joint", src, src, "--config", cfg, "--out", tmp_path / "out"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["level"] == "error"
+        assert repr(next(iter(entry))) in record["message"]
+
+    def test_config_not_an_object_rejected(self, tmp_path, capsys):
+        src = write_points(tmp_path / "x.csv", np.eye(4))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[2, 3]")
+        code = run_cli(["joint", src, src, "--config", cfg, "--out", tmp_path / "out"])
+        assert code == 1
+        assert "JSON object" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_config_int_accepted_for_float(self, tmp_path):
+        src = write_points(tmp_path / "x.csv", np.eye(4))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda": 1, "iters": 2, "restarts": 1,
+                                   "gw_init": True}))
+        out = tmp_path / "out"
+        assert run_cli(["joint", src, src, "--config", cfg, "--out", out]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["lam"] == 1.0 and isinstance(config["lam"], float)
+        assert config["gw_init"] is True
+
+    def test_subproblems_at_budget_reported(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(7)
+        src = write_points(tmp_path / "x.csv", rng.standard_normal((12, 3)))
+        argv = ["joint", src, src, "--iters", "2", "--inner-wp", "2",
+                "--restarts", "1", "--seed", "0"]
+
+        def run(name):
+            out = tmp_path / name
+            assert run_cli(argv + ["--out", out]) == 0
+            records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+            summary = json.loads((out / "manifest.json").read_text())["summary"]
+            return out, summary, [r for r in records if r["level"] == "warning"]
+
+        out, summary, warnings = run("normal")
+        assert summary["sinkhorn_at_budget"] == 0
+        assert summary["smacof_init_at_budget"] == 0
+        assert warnings == []
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes",
+                            functools.partial(jointmds.wasserstein_procrustes,
+                                              sinkhorn_max_iter=1))
+        starved, summary, warnings = run("starved")
+        assert summary["sinkhorn_at_budget"] == 4
+        assert len(warnings) == 1
+        assert warnings[0]["sinkhorn_at_budget"] == 4
+        assert warnings[0]["smacof_init_at_budget"] == summary["smacof_init_at_budget"]
+        for path in (out, starved):
+            keys = {tuple(sorted(json.loads(line)))
+                    for line in (path / "trace.jsonl").read_text().splitlines()}
+            assert keys == {("iter", "objective")}
 
 
 class TestMatch:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,23 @@ class TestSolve:
                           gw_init=True, lambda_anneal=True)
         res = solve(d, d, w, w, cfg)
         assert res.p.shape == (15, 15)
+
+    def test_counts_subproblems_at_budget(self, monkeypatch):
+        # one Sinkhorn iteration per transport solve and one initial Guttman
+        # step per dataset stop every one of them at its budget
+        rng = np.random.default_rng(16)
+        d = pairwise_euclidean(rng.standard_normal((15, 2)))
+        w = uniform_weight_matrix(15)
+        cfg = JointConfig(outer_iters=3, inner_wp_iters=2, restarts=2, seed=0)
+        normal = solve(d, d, w, w, cfg)
+        assert normal.sinkhorn_at_budget == 0
+        assert normal.smacof_init_at_budget == 0
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes",
+                            functools.partial(wasserstein_procrustes, sinkhorn_max_iter=1))
+        monkeypatch.setattr(jointmds, "INIT_SMACOF_MAX_ITER", 1)
+        starved = solve(d, d, w, w, cfg)
+        assert starved.sinkhorn_at_budget == cfg.outer_iters * cfg.inner_wp_iters
+        assert starved.smacof_init_at_budget == 2
 
     def test_invalid_weights_shape(self):
         rng = np.random.default_rng(13)

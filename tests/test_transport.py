@@ -2,6 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from jointscale import (
     InvalidInput,
@@ -15,12 +16,64 @@ from jointscale import (
     sinkhorn,
     wasserstein_procrustes,
 )
+from jointscale import transport
 from jointscale.transport import entropy
 
 
 def haar_orthogonal(d, rng):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
+
+
+def log_domain_sinkhorn(c, m, eps, max_iter, tol, warm_start=None):
+    """Plain log-domain Sinkhorn with the same warm-up and stopping rule.
+
+    The oracle for the kernel-domain loop: returns the coupling and the
+    iteration count at the target epsilon.
+    """
+    with np.errstate(divide="ignore"):
+        log_a, log_b = np.log(m.a), np.log(m.b)
+
+    def scale(eps_run, u, v, budget):
+        mk = -c / eps_run
+        used = 0
+        for used in range(1, budget + 1):
+            u = log_a - logsumexp(mk + v[None, :], axis=1)
+            v = log_b - logsumexp(mk + u[:, None], axis=0)
+            rows = np.exp(u + logsumexp(mk + v[None, :], axis=1))
+            if np.abs(rows - m.a).sum() < tol:
+                break
+        return u, v, used
+
+    if warm_start is not None:
+        u, v = warm_start
+    else:
+        u, v = np.zeros(c.shape[0]), np.zeros(c.shape[1])
+        eps_run = float(c.max() - c.min()) / transport.WARMUP_SPREAD_FACTOR
+        while eps_run > eps:
+            u, v, _ = scale(eps_run, u, v, transport.WARMUP_STAGE_ITERS)
+            eps_next = max(eps_run / 2.0, eps)
+            u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
+            eps_run = eps_next
+    u, v, used = scale(eps, u, v, max_iter)
+    return np.exp(-c / eps + u[:, None] + v[None, :]), used
+
+
+def counting(monkeypatch, name):
+    """Replace ``transport.<name>`` by a wrapper that counts its calls."""
+    calls = []
+    real = getattr(transport, name)
+
+    def wrapper(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(transport, name, wrapper)
+    return calls
+
+
+def marginal_violation(p, m):
+    return np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum()
 
 
 class TestMarginals:
@@ -87,10 +140,21 @@ class TestSinkhorn:
         assert np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum() <= 1e-9
 
     def test_dual_trace_monotone(self):
+        # the entropic dual eps (u.a + v.b - sum P) after k iterations from a
+        # fixed start, replayed for every k up to convergence, never decreases
         rng = np.random.default_rng(2)
         c = rng.random((6, 6))
-        _, info = sinkhorn(c, Marginals.uniform(6, 6), 0.05, tol=1e-12, log=True)
-        trace = np.array(info["dual_trace"])
+        m = Marginals.uniform(6, 6)
+        eps = 0.05
+        zeros = (np.zeros(6), np.zeros(6))
+        _, info = sinkhorn(c, m, eps, tol=1e-12, log=True, warm_start=zeros)
+        trace = []
+        for k in range(1, info["iterations"] + 1):
+            p, info_k = sinkhorn(c, m, eps, max_iter=k, tol=1e-12, log=True,
+                                 warm_start=zeros)
+            assert info_k["iterations"] == k
+            trace.append(eps * (info_k["u"] @ m.a + info_k["v"] @ m.b - p.sum()))
+        assert len(trace) > 100
         assert np.all(np.diff(trace) >= -1e-10)
 
     def test_transpose_symmetry(self):
@@ -105,6 +169,90 @@ class TestSinkhorn:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(InvalidInput):
             sinkhorn(np.zeros((2, 2)), Marginals.uniform(2, 2), 0.0)
+
+    def test_matches_log_domain_oracle_warm_started(self, monkeypatch):
+        # the call pattern of Wasserstein-Procrustes: potentials of a nearby cost
+        rng = np.random.default_rng(20)
+        c = rng.random((40, 40))
+        m = Marginals.uniform(40, 40)
+        _, prev = sinkhorn(c + 0.01 * rng.random((40, 40)), m, 0.01, tol=1e-9, log=True)
+        fallbacks = counting(monkeypatch, "_lse_cols")
+        p, info = sinkhorn(c, m, 0.01, tol=1e-9, log=True,
+                           warm_start=(prev["u"], prev["v"]))
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.01, transport.SINKHORN_MAX_ITER,
+                                                 1e-9, (prev["u"], prev["v"]))
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+        assert not fallbacks
+
+    def test_matches_log_domain_oracle_cold_start(self):
+        rng = np.random.default_rng(21)
+        c = rng.random((30, 30))
+        m = Marginals.uniform(30, 30)
+        p, info = sinkhorn(c, m, 0.02, max_iter=20_000, tol=1e-9, log=True)
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.02, 20_000, 1e-9)
+        assert info["warmup_iterations"] > 0
+        assert info["converged"]
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+
+    def test_matches_log_domain_oracle_rectangular(self):
+        rng = np.random.default_rng(22)
+        c = 3.0 * rng.random((25, 45))
+        m = Marginals(rng.dirichlet(np.ones(25)), rng.dirichlet(np.ones(45)))
+        p, info = sinkhorn(c, m, 0.05, max_iter=20_000, tol=1e-10, log=True)
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.05, 20_000, 1e-10)
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+
+    def test_zero_mass_matches_log_domain_oracle(self):
+        rng = np.random.default_rng(23)
+        c = rng.random((8, 6))
+        a = np.full(8, 1 / 6)
+        a[[2, 5]] = 0.0
+        m = Marginals(a, np.full(6, 1 / 6))
+        p, info = sinkhorn(c, m, 0.1, tol=1e-10, log=True)
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.1, transport.SINKHORN_MAX_ITER,
+                                                 1e-10)
+        assert info["converged"]
+        assert np.all(p[[2, 5]] == 0.0)
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+
+    def test_stale_warm_start_falls_back_to_log_domain(self, monkeypatch):
+        # potentials of another cost, one spread lower, at epsilon = 1e-3 x
+        # spread leave the kernel underflowed until log-domain steps repair it
+        rng = np.random.default_rng(24)
+        c_old, c = rng.random((20, 20)), 1.0 + rng.random((20, 20))
+        m = Marginals.uniform(20, 20)
+        eps = 1e-3 * float(c.max() - c.min())
+        _, stale = sinkhorn(c_old, m, eps, max_iter=100_000, tol=1e-6, log=True)
+        fallbacks = counting(monkeypatch, "_lse_cols")
+        p, info = sinkhorn(c, m, eps, max_iter=100_000, tol=1e-4, log=True,
+                           warm_start=(stale["u"], stale["v"]))
+        assert fallbacks
+        assert info["converged"]
+        assert marginal_violation(p, m) <= 1e-4
+        oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-4,
+                                                 (stale["u"], stale["v"]))
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+
+    def test_absorbing_run_meets_tolerance(self, monkeypatch):
+        # from zero potentials at epsilon = spread / 100 the potentials travel
+        # far beyond log(ABSORB), so the scalings are folded in along the way
+        rng = np.random.default_rng(25)
+        c = rng.random((30, 30))
+        m = Marginals.uniform(30, 30)
+        eps = 0.01 * float(c.max() - c.min())
+        kernels = counting(monkeypatch, "_kernel")
+        fallbacks = counting(monkeypatch, "_lse_cols")
+        p, info = sinkhorn(c, m, eps, max_iter=50_000, tol=1e-9, log=True,
+                           warm_start=(np.zeros(30), np.zeros(30)))
+        assert len(kernels) > 1
+        assert not fallbacks
+        assert info["converged"]
+        assert marginal_violation(p, m) <= 1e-9
 
     def test_non_finite_cost_rejected(self):
         with pytest.raises(InvalidInput):
@@ -180,6 +328,16 @@ class TestWassersteinProcrustes:
         p0 = np.full((5, 6), 1 / 30)
         with pytest.raises(InvalidInput):
             wasserstein_procrustes(z1, z2, Marginals.uniform(5, 6), 1.0, 0, p0=p0)
+
+    def test_reports_rounds_at_budget(self):
+        rng = np.random.default_rng(26)
+        z1 = rng.standard_normal((12, 2))
+        z2 = rng.standard_normal((10, 2))
+        m = Marginals.uniform(12, 10)
+        *_, info = wasserstein_procrustes(z1, z2, m, 0.01, 3, sinkhorn_max_iter=1, log=True)
+        assert info["sinkhorn_at_budget"] == 3
+        *_, info = wasserstein_procrustes(z1, z2, m, 1.0, 3, sinkhorn_tol=1e-6, log=True)
+        assert info["sinkhorn_at_budget"] == 0
 
     def test_objective_trace_non_increasing(self):
         # one round at a time, each started from the previous coupling and
