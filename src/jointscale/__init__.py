@@ -34,6 +34,7 @@ from .smacof import (
     StressReport,
     assemble_joint,
     guttman_transform,
+    joint_smacof,
     random_embedding,
     smacof,
     stress,
@@ -74,6 +75,7 @@ __all__ = [
     "v_matrix_pinv",
     "guttman_transform",
     "smacof",
+    "joint_smacof",
     "assemble_joint",
     "Marginals",
     "cost_matrix",

@@ -23,7 +23,7 @@ from . import __version__, dissimilarity as ds, fileio, jointmds, metrics as mt
 from . import synthdata
 from .errors import JointScaleError
 from .jointmds import JointConfig
-from .smacof import random_embedding, smacof, stress
+from .smacof import random_embedding
 
 PROG = "jointscale"
 
@@ -138,7 +138,12 @@ def _seed(args: argparse.Namespace, doc: dict | None = None) -> int:
     if doc and "seed" in doc:
         return doc["seed"]
     env_seed = os.environ.get("JOINTSCALE_SEED")
-    return int(env_seed) if env_seed is not None else 0
+    if env_seed is None:
+        return 0
+    try:
+        return int(env_seed)
+    except ValueError:
+        _fail(f"$JOINTSCALE_SEED must be an integer, got {env_seed!r}")
 
 
 def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
@@ -274,8 +279,7 @@ def cmd_embed(args) -> int:
         _fail(f"--dim must be >= 1, got {dim}")
     scale = jointmds._init_scale(d, d)
     z0 = random_embedding(d.shape[0], dim, seed, scale)
-    tol = jointmds.INNER_RTOL * stress(z0, d, w)
-    z, report = smacof(d, w, z0, tol=tol, max_iter=args.max_iter)
+    z, report = jointmds._relative_smacof(d, w, z0, args.max_iter)
     fileio.write_embedding(manifest.add_output(out / "embedding.csv"), z,
                            delimiter=args.delimiter)
     fileio.write_trace(
@@ -386,6 +390,9 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         "final_objective": result.final_objective,
         "restart_index": result.restart_index,
         **at_budget,
+        # stopping at the inner budget is by design, so no warning for these
+        "joint_guttman_steps": result.joint_guttman_steps,
+        "joint_smacof_at_budget": result.joint_smacof_at_budget,
     }
     manifest.write()
     return result, doc

@@ -4,10 +4,11 @@ One restart runs: independent stress majorization per dataset, an optional
 Gromov-Wasserstein warm start for the coupling, then outer iterations that
 alternate (i) entropic alignment of the two embeddings, (ii) rotation of the
 first embedding, and (iii) a joint majorization pass on the coupled block
-instance.  The entropic regularization decays geometrically across outer
-iterations; the matching penalty ramps up over the first half of the run
-when ``lambda_anneal`` is set.  Restarts differ only in their seed and the
-smallest final objective wins.
+instance (``joint_smacof``, which never builds that instance).  The entropic
+regularization decays geometrically across outer iterations; the matching
+penalty ramps up over the first half of the run when ``lambda_anneal`` is
+set.  Restarts differ only in their seed and the smallest final objective
+wins.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ import numpy as np
 
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
-from .smacof import (
-    FULL_MATRIX_FACTOR,
-    assemble_joint,
-    smacof,
-    stress,
-    v_matrix_pinv,
-)
+from .smacof import FULL_MATRIX_FACTOR, _smacof, joint_smacof, stress, v_matrix_pinv
+
+# unused here; bench/tracing.py wraps these names on this module
+from .smacof import assemble_joint, smacof  # noqa: F401
 from .transport import Marginals, cost_matrix, entropic_gw, wasserstein_procrustes
 
 __all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "match_argmax"]
@@ -83,7 +81,11 @@ class JointResult:
     ``sinkhorn_at_budget`` counts the restart's transport solves that
     stopped at their iteration budget short of the marginal tolerance, and
     ``smacof_init_at_budget`` its initial per-dataset majorization runs that
-    stopped at ``INIT_SMACOF_MAX_ITER``.
+    stopped at ``INIT_SMACOF_MAX_ITER``.  ``joint_guttman_steps`` counts the
+    Guttman steps of the majorization passes inside the outer loop, and
+    ``joint_smacof_at_budget`` those passes that stopped at
+    ``inner_smacof_iters``, which is by design and not a warning.  At a zero
+    matching penalty a pass is two per-dataset runs, each counted.
     """
 
     z1: np.ndarray
@@ -94,6 +96,8 @@ class JointResult:
     restart_index: int = 0
     sinkhorn_at_budget: int = 0
     smacof_init_at_budget: int = 0
+    joint_guttman_steps: int = 0
+    joint_smacof_at_budget: int = 0
 
 
 def joint_objective(
@@ -148,8 +152,7 @@ def _initial_embeddings(
 
 
 def _relative_smacof(d, w, z0, max_iter, v_pinv=None):
-    tol = INNER_RTOL * stress(z0, d, w)
-    return smacof(d, w, z0, tol=tol, max_iter=max_iter, v_pinv=v_pinv)
+    return _smacof(d, w, z0, max_iter, v_pinv, rtol=INNER_RTOL)
 
 
 def _run_restart(
@@ -170,6 +173,7 @@ def _run_restart(
     potentials = None
     eps_prev = None
     sinkhorn_at_budget = 0
+    reports = []
     for t in range(1, cfg.outer_iters + 1):
         floor = EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2)))
         eps_eff = max(epsilon, floor)
@@ -193,17 +197,16 @@ def _run_restart(
         # the inner run's last stress is the coupled objective at the rotation
         # already absorbed into z1 (block-stress identity)
         if lam_t > 0:
-            blocks = assemble_joint(d1, d2, w1, w2, coupling, lam_t, z1, z2)
-            z_tilde, report = _relative_smacof(
-                blocks.d_tilde, blocks.w_tilde, blocks.z_tilde, cfg.inner_smacof_iters
-            )
-            z1, z2 = z_tilde[: blocks.n1], z_tilde[blocks.n1 :]
+            z1, z2, report = joint_smacof(d1, d2, w1, w2, coupling, lam_t, z1, z2,
+                                          INNER_RTOL, cfg.inner_smacof_iters)
             objective = FULL_MATRIX_FACTOR * report.per_iteration[-1]
+            reports.append(report)
         else:
             # zero penalty decouples the block problem into the two datasets
             z1, r1 = _relative_smacof(d1, w1, z1, cfg.inner_smacof_iters, v1_pinv)
             z2, r2 = _relative_smacof(d2, w2, z2, cfg.inner_smacof_iters, v2_pinv)
             objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
+            reports += [r1, r2]
 
         trace.append(objective)
         if on_outer is not None:
@@ -211,7 +214,9 @@ def _run_restart(
         epsilon = cfg.alpha * epsilon
 
     return JointResult(z1, z2, coupling, trace, trace[-1], restart,
-                       sinkhorn_at_budget, smacof_init_at_budget)
+                       sinkhorn_at_budget, smacof_init_at_budget,
+                       sum(r.iterations_used for r in reports),
+                       sum(not r.converged for r in reports))
 
 
 def solve(

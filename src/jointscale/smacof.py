@@ -6,7 +6,17 @@ sum is exactly ``FULL_MATRIX_FACTOR`` times this value; reported numbers
 state which convention they use.
 
 Each majorization step is a Guttman transform Z -> V^+ B(Z) Z, which never
-increases the stress (sandwich inequality).
+increases the stress (sandwich inequality).  ``smacof`` iterates it on one
+dataset.  ``joint_smacof`` iterates it on the coupled two-dataset instance
+without building that instance: its cross dissimilarities are zero, so
+B(Z) Z is computed block by block, and the coupling P enters only through
+
+    V~ = [[V1 + lam diag(P 1), -lam P], [-lam P^T, V2 + lam diag(P^T 1)]],
+
+whose pseudo-inverse is taken once per call.  Both share one B(Z) Z kernel,
+one stopping loop and one Laplacian pseudo-inverse, (V + J/n)^{-1} - J/n by
+Cholesky factorization.  ``assemble_joint`` builds the dense block instance
+and stays as the reference the structured iteration is tested against.
 """
 
 from __future__ import annotations
@@ -14,10 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateWeights, InvalidInput
+from .errors import DegenerateWeights, InvalidInput, NumericalFailure
 
 __all__ = [
     "FULL_MATRIX_FACTOR",
@@ -28,6 +39,7 @@ __all__ = [
     "v_matrix_pinv",
     "guttman_transform",
     "smacof",
+    "joint_smacof",
     "assemble_joint",
 ]
 
@@ -100,6 +112,46 @@ def stress(z: np.ndarray, d: np.ndarray, w: np.ndarray) -> float:
     return _stress_from_dist(cdist(z, z), d, w)
 
 
+def _sym(w: np.ndarray) -> np.ndarray:
+    return 0.5 * (w + w.T)
+
+
+def _laplacian(sym_w: np.ndarray, out: np.ndarray) -> None:
+    """Write the weighted Laplacian of symmetric weights ``sym_w`` into ``out``."""
+    np.negative(sym_w, out=out)
+    np.fill_diagonal(out, 0.0)
+    np.fill_diagonal(out, -out.sum(axis=1))
+
+
+def _laplacian_pinv(v: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse (V + J/n)^{-1} - J/n of a connected graph's Laplacian ``v``.
+
+    V + J/n is symmetric positive definite, so it is inverted through its
+    Cholesky factor (LAPACK ``potrf`` + ``potri``).  ``v`` is overwritten.
+
+    Raises
+    ------
+    NumericalFailure
+        If V + J/n is not numerically positive definite.
+    """
+    n = v.shape[0]
+    v += 1.0 / n
+    # v is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK factors and inverts in place
+    inv, info = lapack.dpotrf(v.T, lower=1, overwrite_a=1)
+    if info == 0:
+        inv, info = lapack.dpotri(inv, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalFailure(
+            f"Cholesky inverse of the {n}x{n} weighted Laplacian failed (LAPACK info {info})"
+        )
+    # potri fills the lower triangle and leaves the strict upper one zero
+    np.fill_diagonal(inv, 0.5 * np.diagonal(inv))
+    inv = inv + inv.T
+    inv -= 1.0 / n
+    return inv
+
+
 def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of the weighted Laplacian V.
 
@@ -111,6 +163,8 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
     ------
     DegenerateWeights
         If the graph of nonzero weights is disconnected (V has rank < n-1).
+    NumericalFailure
+        If V + J/n is not numerically positive definite.
     """
     w = np.asarray(w, dtype=float)
     n = w.shape[0]
@@ -123,19 +177,19 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
         raise DegenerateWeights(
             f"weight graph has {n_comp} components; the MDS subproblem decouples"
         )
-    v = -0.5 * (w + w.T)
-    np.fill_diagonal(v, 0.0)
-    np.fill_diagonal(v, -v.sum(axis=1))
-    j_over_n = np.full((n, n), 1.0 / n)
-    return np.linalg.inv(v + j_over_n) - j_over_n
+    v = _sym(w)
+    _laplacian(v, out=v)
+    return _laplacian_pinv(v)
 
 
-def _transform(z, d, sym_w, v_pinv, dist):
-    ratio = np.divide(d, dist, out=np.zeros_like(d), where=dist > 0)
-    b_off = -sym_w * ratio
-    np.fill_diagonal(b_off, 0.0)
-    bz = b_off @ z - b_off.sum(axis=1)[:, None] * z
-    return v_pinv @ bz
+def _b_times(wd: np.ndarray, z: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """B(Z) Z from ``wd`` = w * d (symmetric weights) and ``dist`` = cdist(z, z).
+
+    b_ij = -w_ij d_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
+    points coincide, and each row of B sums to zero.
+    """
+    ratio = np.divide(wd, dist, out=np.zeros_like(wd), where=dist > 0)
+    return ratio.sum(axis=1)[:, None] * z - ratio @ z
 
 
 def guttman_transform(
@@ -147,7 +201,46 @@ def guttman_transform(
     distinct and b_ij = 0 when they coincide.
     """
     z, d, w = _check_shapes(z, d, w)
-    return _transform(z, d, 0.5 * (w + w.T), v_pinv, cdist(z, z))
+    return v_pinv @ _b_times(_sym(w) * d, z, cdist(z, z))
+
+
+def _majorize(evaluate, step, z, max_iter: int, tol: float = 0.0, rtol: float = 0.0):
+    """Guttman steps from ``z`` until the stress drop falls below tol + rtol * start stress.
+
+    ``evaluate(z)`` returns the stress of ``z`` and the distances it was
+    computed from; ``step(z, dist)`` returns the next configuration.
+    """
+    value, dist = evaluate(z)
+    trajectory = [value]
+    threshold = tol + rtol * value
+    converged = False
+    for _ in range(max_iter):
+        z = step(z, dist)
+        value, dist = evaluate(z)
+        trajectory.append(value)
+        if trajectory[-2] - value < threshold:
+            converged = True
+            break
+    return z, StressReport(trajectory, len(trajectory) - 1, converged)
+
+
+def _smacof(d, w, z0, max_iter: int, v_pinv=None, tol: float = 0.0, rtol: float = 0.0):
+    """``smacof`` with an absolute (``tol``) or start-relative (``rtol``) stop."""
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
+    z, d, w = _check_shapes(z0, d, w)
+    if v_pinv is None:
+        v_pinv = v_matrix_pinv(w)
+    wd = _sym(w) * d
+
+    def evaluate(z):
+        dist = cdist(z, z)
+        return _stress_from_dist(dist, d, w), dist
+
+    def step(z, dist):
+        return v_pinv @ _b_times(wd, z, dist)
+
+    return _majorize(evaluate, step, z, max_iter, tol, rtol)
 
 
 def smacof(
@@ -181,25 +274,101 @@ def smacof(
     """
     if tol < 0:
         raise InvalidInput(f"tol must be >= 0, got {tol}")
+    return _smacof(d, w, z0, max_iter, v_pinv, tol=tol)
+
+
+def joint_smacof(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    w1: np.ndarray,
+    w2: np.ndarray,
+    p: np.ndarray,
+    lam: float,
+    z1: np.ndarray,
+    z2: np.ndarray,
+    rtol: float = 0.0,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, StressReport]:
+    """Guttman iterations on the block instance of ``assemble_joint``, without building it.
+
+    The steps and stress values are those of ``smacof`` on the assembled
+    instance.  Its cross dissimilarities are zero, so B(Z) Z is computed
+    block by block from ``cdist(z1, z1)`` and ``cdist(z2, z2)``, and the
+    coupling enters through V~, whose pseudo-inverse is taken once per call.
+    The reported stress is the block stress
+
+        stress(z1, d1, w1) + stress(z2, d2, w2) + lam * <P, C(z1, z2)>
+
+    with C the squared Euclidean distances, i.e. ``joint_objective`` at the
+    identity rotation divided by ``FULL_MATRIX_FACTOR``.
+
+    Parameters
+    ----------
+    d1, d2, w1, w2 : ndarray
+        Per-dataset dissimilarities and weights; each weight graph must be
+        connected (``v_matrix_pinv`` checks this).
+    p : ndarray of shape (n1, n2)
+        Nonnegative coupling with at least one positive entry.
+    lam : float
+        Matching penalty, > 0 (at 0 the instance decouples into one
+        ``smacof`` run per dataset).
+    z1, z2 : ndarray
+        Start configurations in a common dimension.
+    rtol : float
+        Stop when the stress drop of a step falls below ``rtol`` times the
+        start stress.
+    max_iter : int
+        Iteration budget.
+
+    Raises
+    ------
+    InvalidInput
+        On mismatched shapes, ``lam <= 0`` or a negative or zero coupling.
+    NumericalFailure
+        If V~ + J/n is not numerically positive definite.
+    """
+    z1, d1, w1 = _check_shapes(z1, d1, w1)
+    z2, d2, w2 = _check_shapes(z2, d2, w2)
+    if z1.shape[1] != z2.shape[1]:
+        raise InvalidInput("embeddings must share the target dimension")
+    if not lam > 0:
+        raise InvalidInput(f"lambda must be > 0, got {lam}")
+    if rtol < 0:
+        raise InvalidInput(f"rtol must be >= 0, got {rtol}")
     if max_iter < 1:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
-    z, d, w = _check_shapes(z0, d, w)
-    if v_pinv is None:
-        v_pinv = v_matrix_pinv(w)
-    sym_w = 0.5 * (w + w.T)
-    dist = cdist(z, z)
-    trajectory = [_stress_from_dist(dist, d, w)]
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        z = _transform(z, d, sym_w, v_pinv, dist)
-        dist = cdist(z, z)
-        trajectory.append(_stress_from_dist(dist, d, w))
-        iterations += 1
-        if trajectory[-2] - trajectory[-1] < tol:
-            converged = True
-            break
-    return z, StressReport(trajectory, iterations, converged)
+    n1, n2 = z1.shape[0], z2.shape[0]
+    p = np.asarray(p, dtype=float)
+    if p.shape != (n1, n2):
+        raise InvalidInput(f"coupling shape {p.shape} does not match ({n1}, {n2})")
+    if p.min() < 0 or not p.any():
+        # a zero coupling leaves V~ singular, which Cholesky need not detect
+        raise InvalidInput("coupling must be nonnegative with a positive entry")
+
+    sym1, sym2 = _sym(w1), _sym(w2)
+    v = np.empty((n1 + n2, n1 + n2))
+    _laplacian(sym1, out=v[:n1, :n1])
+    _laplacian(sym2, out=v[n1:, n1:])
+    v[:n1, n1:] = -lam * p
+    v[n1:, :n1] = v[:n1, n1:].T
+    diag = np.arange(n1 + n2)
+    v[diag, diag] += lam * np.concatenate([p.sum(axis=1), p.sum(axis=0)])
+    v_pinv = _laplacian_pinv(v)
+    wd1, wd2 = sym1 * d1, sym2 * d2
+
+    def evaluate(z):
+        dist1, dist2 = cdist(z[0], z[0]), cdist(z[1], z[1])
+        cross = float(np.einsum("ij,ij->", p, cdist(z[0], z[1], "sqeuclidean")))
+        value = _stress_from_dist(dist1, d1, w1) + _stress_from_dist(dist2, d2, w2)
+        return value + lam * cross, (dist1, dist2)
+
+    def step(z, dist):
+        z_new = v_pinv @ np.vstack([_b_times(wd1, z[0], dist[0]),
+                                    _b_times(wd2, z[1], dist[1])])
+        return z_new[:n1], z_new[n1:]
+
+    (z1, z2), report = _majorize(evaluate, step, (z1, z2), max_iter, rtol=rtol)
+    return z1, z2, report
 
 
 def assemble_joint(

@@ -188,6 +188,14 @@ class TestJoint:
         out, summary, warnings = run("normal")
         assert summary["sinkhorn_at_budget"] == 0
         assert summary["smacof_init_at_budget"] == 0
+        assert 2 <= summary["joint_guttman_steps"] <= 2 * 50
+        assert 0 <= summary["joint_smacof_at_budget"] <= 2
+        assert warnings == []
+        # joint passes stopping at their inner budget are counted, not warned about
+        argv += ["--inner-smacof", "1"]
+        inner, summary, warnings = run("inner")
+        assert summary["joint_guttman_steps"] == 2
+        assert summary["joint_smacof_at_budget"] == 2
         assert warnings == []
         monkeypatch.setattr(jointmds, "wasserstein_procrustes",
                             functools.partial(jointmds.wasserstein_procrustes,
@@ -197,7 +205,7 @@ class TestJoint:
         assert len(warnings) == 1
         assert warnings[0]["sinkhorn_at_budget"] == 4
         assert warnings[0]["smacof_init_at_budget"] == summary["smacof_init_at_budget"]
-        for path in (out, starved):
+        for path in (out, inner, starved):
             keys = {tuple(sorted(json.loads(line)))
                     for line in (path / "trace.jsonl").read_text().splitlines()}
             assert keys == {("iter", "objective")}
@@ -375,3 +383,18 @@ class TestSeedEnvFallback:
         seeds = [json.loads((tmp_path / name / "manifest.json").read_text())["seed"]
                  for name in ("c", "f")]
         assert seeds == [5, 8]
+
+    @pytest.mark.parametrize("command", [
+        ["gen", "--kind", "swiss_roll", "--n", "10", "--p1", "3", "--p2", "3"],
+        ["embed", "x.csv"],
+    ])
+    def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch, command):
+        write_points(tmp_path / "x.csv", np.eye(4))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("JOINTSCALE_SEED", "abc")
+        assert run_cli(command + ["--out", tmp_path / "o"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["level"] == "error"
+        assert "JOINTSCALE_SEED" in record["message"]

@@ -1,7 +1,9 @@
 import functools
+import importlib
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from jointscale import (
     FULL_MATRIX_FACTOR,
@@ -132,10 +134,13 @@ class TestSolve:
                   jointmds.EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2))))
         _, rot = wasserstein_procrustes(z1, z2, m, eps, cfg.inner_wp_iters,
                                         sinkhorn_tol=jointmds.WP_SINKHORN_TOL)
-        z1f, _ = jointmds._relative_smacof(d1, w1, z1 @ rot, cfg.inner_smacof_iters)
-        z2f, _ = jointmds._relative_smacof(d2, w2, z2, cfg.inner_smacof_iters)
+        z1f, r1 = jointmds._relative_smacof(d1, w1, z1 @ rot, cfg.inner_smacof_iters)
+        z2f, r2 = jointmds._relative_smacof(d2, w2, z2, cfg.inner_smacof_iters)
         assert np.array_equal(res.z1, z1f)
         assert np.array_equal(res.z2, z2f)
+        # at zero penalty the pass is two runs, both counted
+        assert res.joint_guttman_steps == r1.iterations_used + r2.iterations_used
+        assert res.joint_smacof_at_budget == (not r1.converged) + (not r2.converged)
 
     def test_seed_determinism_bitwise(self):
         rng = np.random.default_rng(6)
@@ -250,12 +255,33 @@ class TestSolve:
         normal = solve(d, d, w, w, cfg)
         assert normal.sinkhorn_at_budget == 0
         assert normal.smacof_init_at_budget == 0
+        assert cfg.outer_iters <= normal.joint_guttman_steps
+        assert normal.joint_guttman_steps <= cfg.outer_iters * cfg.inner_smacof_iters
         monkeypatch.setattr(jointmds, "wasserstein_procrustes",
                             functools.partial(wasserstein_procrustes, sinkhorn_max_iter=1))
         monkeypatch.setattr(jointmds, "INIT_SMACOF_MAX_ITER", 1)
+        cfg.inner_smacof_iters = 1
         starved = solve(d, d, w, w, cfg)
         assert starved.sinkhorn_at_budget == cfg.outer_iters * cfg.inner_wp_iters
         assert starved.smacof_init_at_budget == 2
+        assert starved.joint_guttman_steps == cfg.outer_iters
+        assert starved.joint_smacof_at_budget == cfg.outer_iters
+
+    def test_weight_connectivity_checked_once_per_dataset(self, monkeypatch):
+        # the joint passes need no connectivity check of their own
+        smacof_module = importlib.import_module("jointscale.smacof")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return connected_components(*args, **kwargs)
+
+        monkeypatch.setattr(smacof_module, "connected_components", counting)
+        rng = np.random.default_rng(17)
+        d = pairwise_euclidean(rng.standard_normal((12, 2)))
+        w = uniform_weight_matrix(12)
+        solve(d, d, w, w, JointConfig(outer_iters=5, restarts=2, seed=0))
+        assert len(calls) == 2
 
     def test_invalid_weights_shape(self):
         rng = np.random.default_rng(13)

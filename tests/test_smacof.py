@@ -5,9 +5,13 @@ from jointscale import (
     FULL_MATRIX_FACTOR,
     DegenerateWeights,
     InvalidInput,
+    NumericalFailure,
     assemble_joint,
     guttman_transform,
+    joint_objective,
+    joint_smacof,
     pairwise_euclidean,
+    power_weight_matrix,
     random_embedding,
     smacof,
     stress,
@@ -104,9 +108,14 @@ class TestVMatrixPinv:
         w = rng.random((8, 8))
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 0.0)
-        v = -w.copy()
-        np.fill_diagonal(v, w.sum(axis=1))
-        assert np.abs(v_matrix_pinv(w) - np.linalg.pinv(v)).max() < 1e-8
+        # plus 1/d^4 weights spanning several orders of magnitude, and n = 1
+        wide = power_weight_matrix(pairwise_euclidean(rng.standard_normal((40, 3))), 4.0)
+        for w in (w, wide, np.zeros((1, 1))):
+            v = -w.copy()
+            np.fill_diagonal(v, w.sum(axis=1))
+            pinv = v_matrix_pinv(w)
+            assert np.array_equal(pinv, pinv.T)
+            assert np.abs(pinv - np.linalg.pinv(v)).max() < 1e-8 * max(1.0, np.abs(pinv).max())
 
     def test_disconnected_weights_rejected(self):
         w = np.zeros((4, 4))
@@ -241,3 +250,71 @@ class TestAssembleJoint:
 
     def test_full_matrix_factor_is_two(self):
         assert FULL_MATRIX_FACTOR == 2.0
+
+
+def coupled_instance(seed, n1=23, n2=17, dim=2):
+    """Unequal sizes, 1/d^4 weights and a non-uniform coupling."""
+    rng = np.random.default_rng(seed)
+    d1 = pairwise_euclidean(rng.standard_normal((n1, 3)))
+    d2 = pairwise_euclidean(rng.standard_normal((n2, 3)))
+    w1, w2 = power_weight_matrix(d1, 4.0), power_weight_matrix(d2, 4.0)
+    p = rng.random((n1, n2)) ** 3
+    p /= p.sum()
+    z1 = rng.standard_normal((n1, dim))
+    z2 = rng.standard_normal((n2, dim))
+    return d1, d2, w1, w2, p, z1, z2
+
+
+class TestJointSmacof:
+    RTOL = 1e-9
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_trajectory_never_increases(self, lam, seed):
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(seed)
+        _, _, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 80)
+        drops = np.diff(report.per_iteration)
+        assert drops.max() <= 1e-12 * report.per_iteration[0]
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    # the first run stops at its budget, the second converges after ~110 steps
+    @pytest.mark.parametrize("seed,rtol", [(3, 1e-9), (8, 1e-6)])
+    def test_matches_dense_block_instance(self, lam, seed, rtol):
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(seed)
+        blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+        tol = rtol * stress(blocks.z_tilde, blocks.d_tilde, blocks.w_tilde)
+        z_dense, dense = smacof(blocks.d_tilde, blocks.w_tilde, blocks.z_tilde,
+                                tol=tol, max_iter=300)
+        s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, rtol, 300)
+        assert report.iterations_used == dense.iterations_used
+        assert report.converged == dense.converged
+        expected = np.array(dense.per_iteration)
+        assert np.abs(np.array(report.per_iteration) - expected).max() <= 1e-10 * expected.min()
+        z = np.vstack([s1, s2])
+        assert np.abs(z - z_dense).max() <= 1e-9 * np.abs(z_dense).max()
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    def test_last_value_is_joint_objective(self, lam):
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(5)
+        z1, z2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, self.RTOL, 40)
+        direct = joint_objective(z1, z2, d1, d2, w1, w2, p, np.eye(2), lam)
+        assert abs(FULL_MATRIX_FACTOR * report.per_iteration[-1] - direct) <= 1e-12 * direct
+
+    def test_invalid_parameters(self):
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(6, n1=5, n2=4)
+        with pytest.raises(InvalidInput):
+            joint_smacof(d1, d2, w1, w2, p, 0.0, z1, z2)
+        with pytest.raises(InvalidInput):
+            joint_smacof(d1, d2, w1, w2, p.T, 0.5, z1, z2)
+        with pytest.raises(InvalidInput):
+            joint_smacof(d1, d2, w1, w2, np.zeros_like(p), 0.5, z1, z2)
+        with pytest.raises(InvalidInput):
+            joint_smacof(d1, d2, w1, w2, p, 0.5, z1, z2[:, :1])
+        with pytest.raises(InvalidInput):
+            joint_smacof(d1, d2, w1, w2, p, 0.5, z1, z2, max_iter=0)
+
+    def test_indefinite_laplacian_raises(self):
+        # negative weights make V~ + J/n indefinite: a typed error, not a result
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(7, n1=6, n2=5)
+        with pytest.raises(NumericalFailure):
+            joint_smacof(d1, d2, -w1, w2, p, 0.5, z1, z2)
