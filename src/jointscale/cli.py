@@ -174,10 +174,10 @@ def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
-def _load_dissimilarity(path: str, args) -> np.ndarray:
-    """Input file -> validated dissimilarity matrix, per the --kind pipeline."""
+def _load_dissimilarity(path: str, args, data: bytes) -> np.ndarray:
+    """Input file and its bytes -> validated dissimilarity matrix, per the --kind pipeline."""
     if args.kind == "edges":
-        edges, n = fileio.read_edge_list(path)
+        edges, n = fileio.read_edge_list(path, data=data)
         kept = [(i, j, w) for i, j, w in edges if i != j]
         if len(kept) < len(edges):
             _log("warning", "dropped self-loops", path=str(path),
@@ -186,7 +186,8 @@ def _load_dissimilarity(path: str, args) -> np.ndarray:
         mode = "inverse-weight" if args.graph == "inv" else "hop"
         d = ds.graph_dissimilarity(adj, mode=mode)
     else:
-        m = fileio.read_matrix(path, delimiter=args.delimiter, header=args.header)
+        m = fileio.read_matrix(path, delimiter=args.delimiter, header=args.header,
+                               data=data)
         if args.kind == "features":
             d = ds.pairwise_euclidean(m)
         else:
@@ -243,8 +244,11 @@ class _Manifest:
 
         self.doc["versions"]["scipy"] = scipy.__version__
 
-    def add_input(self, path) -> None:
-        self.doc["inputs"][str(path)] = fileio.sha256_file(path)
+    def add_input(self, path) -> bytes:
+        """Read ``path`` once: record the SHA-256 of its bytes and return them to parse."""
+        data = fileio.read_bytes(path)
+        self.doc["inputs"][str(path)] = fileio.sha256_bytes(data)
+        return data
 
     def add_output(self, path) -> Path:
         self.doc["outputs"].append(str(path))
@@ -271,8 +275,7 @@ def cmd_embed(args) -> int:
     out = _prepare_out(args)
     seed = _seed(args)
     manifest = _Manifest(out, args.argv, seed)
-    manifest.add_input(args.input)
-    d = _load_dissimilarity(args.input, args)
+    d = _load_dissimilarity(args.input, args, manifest.add_input(args.input))
     w = _weights_for(d, args)
     dim = args.dim if args.dim is not None else 2
     if dim < 1:
@@ -355,17 +358,15 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     """Shared body of ``joint`` and ``match``: load, solve, write every output."""
     out = _prepare_out(args)
     manifest = _Manifest(out, args.argv, cfg.seed)
-    manifest.add_input(path1)
-    manifest.add_input(path2)
-    d1 = _load_dissimilarity(path1, args)
-    d2 = _load_dissimilarity(path2, args)
+    d1 = _load_dissimilarity(path1, args, manifest.add_input(path1))
+    d2 = _load_dissimilarity(path2, args, manifest.add_input(path2))
     w1 = _weights_for(d1, args)
     w2 = _weights_for(d2, args)
-    labels = [None, None]
-    for k, path in enumerate(label_paths):
-        if path:
-            manifest.add_input(path)
-            labels[k] = fileio.read_labels(path)
+    by_path: dict = {}
+    for path in label_paths:
+        if path and path not in by_path:
+            by_path[path] = fileio.read_labels(path, data=manifest.add_input(path))
+    labels = [by_path.get(path) for path in label_paths]
 
     def on_outer(restart, iteration, objective):
         _log("info", "outer iteration", restart=restart, iter=iteration,
@@ -423,21 +424,22 @@ def cmd_eval(args) -> int:
     for name in ("z1", "z2"):
         path = getattr(args, name)
         if path:
-            manifest.add_input(path)
-            loaded[name] = fileio.read_embedding(path, delimiter=args.delimiter)
+            loaded[name] = fileio.read_embedding(path, delimiter=args.delimiter,
+                                                 data=manifest.add_input(path))
     for name in ("d1", "d2"):
         path = getattr(args, name)
         if path:
-            manifest.add_input(path)
             loaded[name] = fileio.read_matrix(path, delimiter=args.delimiter,
-                                              header=args.header)
+                                              header=args.header,
+                                              data=manifest.add_input(path))
     coupling = None
     if args.coupling:
-        manifest.add_input(args.coupling)
+        data = manifest.add_input(args.coupling)
         if args.sparse_coupling or args.coupling.endswith(".txt"):
-            coupling = fileio.read_coupling_triplets(args.coupling)
+            coupling = fileio.read_coupling_triplets(args.coupling, data=data)
         else:
-            coupling = fileio.read_matrix(args.coupling, delimiter=args.delimiter)
+            coupling = fileio.read_matrix(args.coupling, delimiter=args.delimiter,
+                                          data=data)
     labels1 = fileio.read_labels(args.labels1) if args.labels1 else None
     labels2 = fileio.read_labels(args.labels2) if args.labels2 else None
     truth = None

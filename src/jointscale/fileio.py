@@ -1,13 +1,21 @@
 """Readers and writers for matrices, edge lists, labels, couplings and traces.
 
 Numeric values are written with 17 significant digits so a write/read round
-trip reproduces float64 values exactly.
+trip reproduces float64 values exactly.  Each reader takes the path and,
+optionally, the file's bytes already read with ``read_bytes``: a caller that
+also hashes an input with ``sha256_bytes`` then reads it once.  Readers parse
+those bytes, decompressed first when the path ends in ``.gz``, ``.bz2`` or
+``.xz``; hashes are those of the bytes on disk.
 """
 
 from __future__ import annotations
 
+import bz2
+import gzip
 import hashlib
+import io
 import json
+import lzma
 import os
 from pathlib import Path
 
@@ -29,25 +37,54 @@ __all__ = [
     "write_coupling_triplets",
     "write_trace",
     "write_json",
+    "read_bytes",
+    "sha256_bytes",
     "sha256_file",
 ]
 
 FLOAT_FMT = "%.17g"
 SPARSE_DROP = 1e-12
 
+_DECOMPRESS = {".gz": gzip.decompress, ".bz2": bz2.decompress, ".xz": lzma.decompress}
 
-def read_matrix(path, delimiter: str = ",", header: bool = False) -> np.ndarray:
+
+def read_bytes(path) -> bytes:
+    """The whole content of ``path``."""
+    path = Path(path)
+    try:
+        return path.read_bytes()
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
+
+
+def _content(path: Path, data: bytes | None) -> bytes:
+    """The bytes a reader parses: ``data`` (else the file's), decompressed by suffix."""
+    data = read_bytes(path) if data is None else data
+    decompress = _DECOMPRESS.get(path.suffix)
+    if decompress is None:
+        return data
+    try:
+        return decompress(data)
+    except (OSError, EOFError, ValueError, lzma.LZMAError) as exc:
+        raise InvalidInput(f"{path}: cannot decompress: {exc}") from exc
+
+
+def _text(path: Path, data: bytes | None) -> str:
+    return _content(path, data).decode()
+
+
+def read_matrix(path, delimiter: str = ",", header: bool = False,
+                data: bytes | None = None) -> np.ndarray:
     """Dense matrix from a delimited text file; one row per line."""
     path = Path(path)
     try:
-        data = np.loadtxt(path, delimiter=delimiter, skiprows=1 if header else 0, ndmin=2)
-    except OSError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
+        m = np.loadtxt(io.BytesIO(_content(path, data)), delimiter=delimiter,
+                       skiprows=1 if header else 0, ndmin=2)
     except ValueError as exc:
         raise InvalidInput(f"{path}: parse error: {exc}") from exc
-    if data.size == 0:
+    if m.size == 0:
         raise InvalidInput(f"{path}: empty matrix")
-    return data
+    return m
 
 
 def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
@@ -62,9 +99,9 @@ def write_embedding(path, z: np.ndarray, delimiter: str = ",") -> None:
             fh.write(delimiter.join([str(i)] + [FLOAT_FMT % v for v in row]) + "\n")
 
 
-def read_embedding(path, delimiter: str = ",") -> np.ndarray:
+def read_embedding(path, delimiter: str = ",", data: bytes | None = None) -> np.ndarray:
     """Read an embedding CSV written by :func:`write_embedding`."""
-    m = read_matrix(path, delimiter=delimiter)
+    m = read_matrix(path, delimiter=delimiter, data=data)
     if m.shape[1] < 2 or not np.array_equal(m[:, 0], np.arange(m.shape[0])):
         raise InvalidInput(
             f"{path}: expected an embedding file with a leading row-index column"
@@ -72,7 +109,7 @@ def read_embedding(path, delimiter: str = ",") -> np.ndarray:
     return m[:, 1:]
 
 
-def read_edge_list(path) -> tuple[list[tuple[int, int, float]], int]:
+def read_edge_list(path, data: bytes | None = None) -> tuple[list[tuple[int, int, float]], int]:
     """Whitespace-delimited ``i j [weight]`` lines with 0-based node ids.
 
     Returns the edges (self-loops included; callers decide) and the node
@@ -81,10 +118,7 @@ def read_edge_list(path) -> tuple[list[tuple[int, int, float]], int]:
     path = Path(path)
     edges: list[tuple[int, int, float]] = []
     max_id = -1
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
+    lines = _text(path, data).splitlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -112,12 +146,12 @@ def write_edge_list(path, edges) -> None:
             fh.write(f"{i} {j} {FLOAT_FMT % w}\n")
 
 
-def read_labels(path) -> np.ndarray:
+def read_labels(path, data: bytes | None = None) -> np.ndarray:
     """One integer label per line."""
     path = Path(path)
     try:
-        labels = np.loadtxt(path, dtype=int, ndmin=1)
-    except (OSError, ValueError) as exc:
+        labels = np.loadtxt(io.BytesIO(_content(path, data)), dtype=int, ndmin=1)
+    except ValueError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
     return labels
 
@@ -143,9 +177,9 @@ def write_coupling_triplets(path, p: np.ndarray, drop: float = SPARSE_DROP) -> N
             fh.write(f"{i} {j} {FLOAT_FMT % p[i, j]}\n")
 
 
-def read_coupling_triplets(path) -> np.ndarray:
+def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _text(path, data).splitlines()
     shape = None
     entries = []
     for lineno, line in enumerate(lines, start=1):
@@ -186,9 +220,10 @@ def write_json(path, doc) -> None:
     os.replace(tmp, path)
 
 
+def sha256_bytes(data: bytes) -> str:
+    """Hex SHA-256 digest of ``data``, as recorded for inputs in a manifest."""
+    return hashlib.sha256(data).hexdigest()
+
+
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return sha256_bytes(read_bytes(path))

@@ -6,10 +6,26 @@ sum is exactly ``FULL_MATRIX_FACTOR`` times this value; reported numbers
 state which convention they use.
 
 Each majorization step is a Guttman transform Z -> V^+ B(Z) Z, which never
-increases the stress (sandwich inequality).  ``smacof`` iterates it on one
-dataset.  ``joint_smacof`` iterates it on the coupled two-dataset instance
-without building that instance: its cross dissimilarities are zero, so
-B(Z) Z is computed block by block, and the coupling P enters only through
+increases the stress (sandwich inequality).  A step makes one n x n
+distance pass: w * d is divided by the distances in place, and the row
+sums of that ratio and one product with Z give B(Z) Z.  The stress of Z
+comes from the same pass through the SMACOF identity
+
+    stress(Z) = eta_d^2 + eta^2(Z) - 2 rho(Z),
+
+with eta_d^2 = sum_{i<j} w_ij d_ij^2 computed once per run,
+rho(Z) = <Z, B(Z) Z>, and eta^2(Z) = sum_{i<j} w_ij ||z_i - z_j||^2 taken
+from the weight row sums and W Z (de Leeuw 1977; Borg & Groenen 2005,
+ch. 8).  B(Z) is built from sym(w * d), so the identity holds for
+asymmetric d and w too.  Its values carry an absolute error of a few
+machine epsilons times eta_d^2, visible only near zero stress.  ``stress``
+sums the squared residuals directly and is the reference the identity is
+tested against.
+
+``smacof`` iterates the step on one dataset.  ``joint_smacof`` iterates it
+on the coupled two-dataset instance without building that instance: its
+cross dissimilarities are zero, so B(Z) Z is computed block by block, and
+the coupling P enters only through
 
     V~ = [[V1 + lam diag(P 1), -lam P], [-lam P^T, V2 + lam diag(P^T 1)]],
 
@@ -50,6 +66,9 @@ FULL_MATRIX_FACTOR = 2.0
 DEFAULT_TOL = 1e-6
 DEFAULT_MAX_ITER = 300
 
+# rows per block when the Cholesky inverse is mirrored into a full matrix
+_SYM_BLOCK = 128
+
 
 @dataclass
 class StressReport:
@@ -57,7 +76,10 @@ class StressReport:
 
     ``per_iteration[0]`` is the stress of the initial configuration;
     subsequent entries follow each Guttman transform.  The sequence is
-    non-increasing up to roundoff.
+    non-increasing up to roundoff.  Values come from the SMACOF identity
+    eta_d^2 + eta^2 - 2 rho, so their absolute error is a few machine
+    epsilons times eta_d^2 = sum_{i<j} w_ij d_ij^2; near a realizable
+    instance that error dominates, and values are clamped at 0.
     """
 
     per_iteration: list[float]
@@ -127,7 +149,8 @@ def _laplacian_pinv(v: np.ndarray) -> np.ndarray:
     """Pseudo-inverse (V + J/n)^{-1} - J/n of a connected graph's Laplacian ``v``.
 
     V + J/n is symmetric positive definite, so it is inverted through its
-    Cholesky factor (LAPACK ``potrf`` + ``potri``).  ``v`` is overwritten.
+    Cholesky factor (LAPACK ``potrf`` + ``potri``).  ``v`` is overwritten
+    and returned as the result, so no second n x n array is made.
 
     Raises
     ------
@@ -145,9 +168,15 @@ def _laplacian_pinv(v: np.ndarray) -> np.ndarray:
         raise NumericalFailure(
             f"Cholesky inverse of the {n}x{n} weighted Laplacian failed (LAPACK info {info})"
         )
-    # potri fills the lower triangle and leaves the strict upper one zero
-    np.fill_diagonal(inv, 0.5 * np.diagonal(inv))
-    inv = inv + inv.T
+    # potri fills the lower triangle of the Fortran-order result, which is the
+    # upper one of its C-order transpose; mirror it in row blocks
+    inv = inv.T
+    for r0 in range(0, n, _SYM_BLOCK):
+        r1 = min(r0 + _SYM_BLOCK, n)
+        inv[r0:r1, :r0] = inv[:r0, r0:r1].T
+        block = inv[r0:r1, r0:r1]
+        lower = np.tril_indices(r1 - r0, -1)
+        block[lower] = block.T[lower]
     inv -= 1.0 / n
     return inv
 
@@ -182,14 +211,50 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
     return _laplacian_pinv(v)
 
 
-def _b_times(wd: np.ndarray, z: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """B(Z) Z from ``wd`` = w * d (symmetric weights) and ``dist`` = cdist(z, z).
+def _b_times(wd: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """B(Z) Z from ``wd`` = sym(w * d), in one distance pass.
 
-    b_ij = -w_ij d_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
+    b_ij = -wd_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
     points coincide, and each row of B sums to zero.
     """
-    ratio = np.divide(wd, dist, out=np.zeros_like(wd), where=dist > 0)
-    return ratio.sum(axis=1)[:, None] * z - ratio @ z
+    ratio = cdist(z, z)
+    np.fill_diagonal(ratio, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(wd, ratio, out=ratio)
+        rows = ratio.sum(axis=1)
+        if not np.isfinite(rows).all():
+            # coincident points divide by zero; their b_ij is 0
+            ratio[~np.isfinite(ratio)] = 0.0
+            rows = ratio.sum(axis=1)
+    return rows[:, None] * z - ratio @ z
+
+
+def _squared_norms(z: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", z, z)
+
+
+def _evaluator(d: np.ndarray, w: np.ndarray):
+    """``evaluate(z) -> (stress(z, d, w), B(Z) Z)``.
+
+    The stress is eta_d^2 + eta^2(Z) - 2 <Z, B(Z) Z>, exact for any d and w
+    because B(Z) is built from sym(w * d), the part of w * d the distances
+    see.  With s the mean of w's row and column sums,
+    eta^2(Z) = sum_i s_i ||z_i||^2 - <Z, W Z>, which drops w's diagonal as
+    the stress does.
+    """
+    wd = w * d
+    eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
+    # in place: numpy buffers the overlapping transpose
+    wd += wd.T
+    wd *= 0.5
+    s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+
+    def evaluate(z):
+        bz = _b_times(wd, z)
+        eta = s @ _squared_norms(z) - np.vdot(z, w @ z)
+        return float(eta_d + eta - 2.0 * np.vdot(z, bz)), bz
+
+    return evaluate
 
 
 def guttman_transform(
@@ -197,28 +262,31 @@ def guttman_transform(
 ) -> np.ndarray:
     """One majorization step V^+ B(Z) Z.
 
-    B(Z) uses b_ij = w_ij d_ij / ||z_i - z_j|| when the embedded points are
-    distinct and b_ij = 0 when they coincide.
+    B(Z) uses b_ij = -(w_ij d_ij + w_ji d_ji) / (2 ||z_i - z_j||) when the
+    embedded points are distinct and b_ij = 0 when they coincide.
     """
     z, d, w = _check_shapes(z, d, w)
-    return v_pinv @ _b_times(_sym(w) * d, z, cdist(z, z))
+    return v_pinv @ _b_times(_sym(w * d), z)
 
 
-def _majorize(evaluate, step, z, max_iter: int, tol: float = 0.0, rtol: float = 0.0):
+def _majorize(evaluate, v_pinv, z, max_iter: int, tol: float = 0.0, rtol: float = 0.0):
     """Guttman steps from ``z`` until the stress drop falls below tol + rtol * start stress.
 
-    ``evaluate(z)`` returns the stress of ``z`` and the distances it was
-    computed from; ``step(z, dist)`` returns the next configuration.
+    ``evaluate(z)`` returns the stress of ``z`` and B(Z) Z; the next
+    configuration is ``v_pinv @ B(Z) Z``.  The stop compares the values as
+    computed; the trajectory clamps them at 0, below which only roundoff
+    of the identity can take them.
     """
-    value, dist = evaluate(z)
-    trajectory = [value]
-    threshold = tol + rtol * value
+    value, bz = evaluate(z)
+    trajectory = [max(value, 0.0)]
+    threshold = tol + rtol * trajectory[0]
     converged = False
     for _ in range(max_iter):
-        z = step(z, dist)
-        value, dist = evaluate(z)
-        trajectory.append(value)
-        if trajectory[-2] - value < threshold:
+        z = v_pinv @ bz
+        previous = value
+        value, bz = evaluate(z)
+        trajectory.append(max(value, 0.0))
+        if previous - value < threshold:
             converged = True
             break
     return z, StressReport(trajectory, len(trajectory) - 1, converged)
@@ -231,16 +299,7 @@ def _smacof(d, w, z0, max_iter: int, v_pinv=None, tol: float = 0.0, rtol: float 
     z, d, w = _check_shapes(z0, d, w)
     if v_pinv is None:
         v_pinv = v_matrix_pinv(w)
-    wd = _sym(w) * d
-
-    def evaluate(z):
-        dist = cdist(z, z)
-        return _stress_from_dist(dist, d, w), dist
-
-    def step(z, dist):
-        return v_pinv @ _b_times(wd, z, dist)
-
-    return _majorize(evaluate, step, z, max_iter, tol, rtol)
+    return _majorize(_evaluator(d, w), v_pinv, z, max_iter, tol, rtol)
 
 
 def smacof(
@@ -260,7 +319,10 @@ def smacof(
     z0 : ndarray of shape (n, dim)
         Start configuration.
     tol : float
-        Stop when stress(Z_{t-1}) - stress(Z_t) < tol.
+        Stop when stress(Z_{t-1}) - stress(Z_t) < tol.  The stress values
+        carry an absolute error of a few machine epsilons times
+        sum_{i<j} w_ij d_ij^2 (see ``StressReport``), so ``tol = 0`` stops
+        once the drop falls to that floor.
     max_iter : int
         Iteration budget.
     v_pinv : ndarray, optional
@@ -293,14 +355,16 @@ def joint_smacof(
 
     The steps and stress values are those of ``smacof`` on the assembled
     instance.  Its cross dissimilarities are zero, so B(Z) Z is computed
-    block by block from ``cdist(z1, z1)`` and ``cdist(z2, z2)``, and the
+    block by block from one distance pass over each dataset, and the
     coupling enters through V~, whose pseudo-inverse is taken once per call.
     The reported stress is the block stress
 
         stress(z1, d1, w1) + stress(z2, d2, w2) + lam * <P, C(z1, z2)>
 
     with C the squared Euclidean distances, i.e. ``joint_objective`` at the
-    identity rotation divided by ``FULL_MATRIX_FACTOR``.
+    identity rotation divided by ``FULL_MATRIX_FACTOR``.  Each dataset's
+    stress comes from the SMACOF identity, and the cross term from
+    a . ||z1||^2 + b . ||z2||^2 - 2 <Z1, P Z2> with a = P 1, b = P^T 1.
 
     Parameters
     ----------
@@ -345,30 +409,27 @@ def joint_smacof(
         # a zero coupling leaves V~ singular, which Cholesky need not detect
         raise InvalidInput("coupling must be nonnegative with a positive entry")
 
-    sym1, sym2 = _sym(w1), _sym(w2)
+    a, b = p.sum(axis=1), p.sum(axis=0)
     v = np.empty((n1 + n2, n1 + n2))
-    _laplacian(sym1, out=v[:n1, :n1])
-    _laplacian(sym2, out=v[n1:, n1:])
+    _laplacian(_sym(w1), out=v[:n1, :n1])
+    _laplacian(_sym(w2), out=v[n1:, n1:])
     v[:n1, n1:] = -lam * p
     v[n1:, :n1] = v[:n1, n1:].T
     diag = np.arange(n1 + n2)
-    v[diag, diag] += lam * np.concatenate([p.sum(axis=1), p.sum(axis=0)])
+    v[diag, diag] += lam * np.concatenate([a, b])
     v_pinv = _laplacian_pinv(v)
-    wd1, wd2 = sym1 * d1, sym2 * d2
+    evaluate1, evaluate2 = _evaluator(d1, w1), _evaluator(d2, w2)
 
     def evaluate(z):
-        dist1, dist2 = cdist(z[0], z[0]), cdist(z[1], z[1])
-        cross = float(np.einsum("ij,ij->", p, cdist(z[0], z[1], "sqeuclidean")))
-        value = _stress_from_dist(dist1, d1, w1) + _stress_from_dist(dist2, d2, w2)
-        return value + lam * cross, (dist1, dist2)
+        z1, z2 = z[:n1], z[n1:]
+        value1, bz1 = evaluate1(z1)
+        value2, bz2 = evaluate2(z2)
+        # <P, C(z1, z2)> with ||z1_i - z2_j||^2 expanded, so no n1 x n2 cost matrix
+        cross = a @ _squared_norms(z1) + b @ _squared_norms(z2) - 2.0 * np.vdot(z1, p @ z2)
+        return value1 + value2 + lam * float(cross), np.vstack([bz1, bz2])
 
-    def step(z, dist):
-        z_new = v_pinv @ np.vstack([_b_times(wd1, z[0], dist[0]),
-                                    _b_times(wd2, z[1], dist[1])])
-        return z_new[:n1], z_new[n1:]
-
-    (z1, z2), report = _majorize(evaluate, step, (z1, z2), max_iter, rtol=rtol)
-    return z1, z2, report
+    z, report = _majorize(evaluate, v_pinv, np.vstack([z1, z2]), max_iter, rtol=rtol)
+    return z[:n1], z[n1:], report
 
 
 def assemble_joint(

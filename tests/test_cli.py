@@ -1,4 +1,7 @@
+import builtins
 import functools
+import gzip
+import io
 import json
 
 import numpy as np
@@ -46,6 +49,18 @@ class TestEmbed:
             assert run_cli(["embed", src, "--dim", "2", "--seed", "7",
                             "--out", out]) == 0
         assert (out1 / "embedding.csv").read_bytes() == (out2 / "embedding.csv").read_bytes()
+
+    def test_compressed_input(self, tmp_path):
+        plain = write_points(tmp_path / "x.csv",
+                             np.random.default_rng(8).standard_normal((12, 3)))
+        packed = tmp_path / "x.csv.gz"
+        packed.write_bytes(gzip.compress(plain.read_bytes()))
+        outs = [tmp_path / "plain", tmp_path / "packed"]
+        for src, out in zip((plain, packed), outs):
+            assert run_cli(["embed", src, "--dim", "2", "--seed", "3", "--out", out]) == 0
+        assert (outs[0] / "embedding.csv").read_bytes() == (outs[1] / "embedding.csv").read_bytes()
+        manifest = json.loads((outs[1] / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(packed): fileio.sha256_file(packed)}
 
     def test_geodesic_flag(self, tmp_path):
         theta = np.linspace(0, 2 * np.pi, 24, endpoint=False)
@@ -107,6 +122,34 @@ class TestJoint:
                         "--seed", "0", "--out", out]) == 0
         metrics = json.loads((out / "metrics.json").read_text())
         assert "transfer_accuracy" in metrics
+
+    def test_each_input_read_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(6)
+        s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((12, 3)))
+        s2 = write_points(tmp_path / "x2.csv", rng.standard_normal((12, 4)))
+        labels = tmp_path / "l.csv"
+        fileio.write_labels(labels, rng.integers(0, 2, 12))
+        inputs = [str(s1), str(s2), str(labels)]
+        opened = []
+
+        def counting(real_open):
+            def counting_open(file, *args, **kwargs):
+                if str(file) in inputs:
+                    opened.append(str(file))
+                return real_open(file, *args, **kwargs)
+            return counting_open
+
+        # pathlib opens files through io.open, np.loadtxt through its
+        # datasource, and other code through open
+        for module in (io, builtins, np.lib._datasource):
+            monkeypatch.setattr(module, "open", counting(module.open))
+        out = tmp_path / "out"
+        assert run_cli(["joint", s1, s2, "--iters", "2", "--restarts", "1",
+                        "--labels1", labels, "--labels2", labels, "--out", out]) == 0
+        monkeypatch.undo()
+        assert sorted(opened) == sorted(inputs)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {path: fileio.sha256_file(path) for path in inputs}
 
     def test_sparse_coupling_output(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -1,3 +1,7 @@
+import bz2
+import gzip
+import lzma
+
 import numpy as np
 import pytest
 
@@ -130,3 +134,41 @@ class TestLabelsAndTrace:
         assert fileio.sha256_file(path) == (
             "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
         )
+
+    def test_sha256_bytes_matches_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        path.write_bytes(b"hello")
+        assert fileio.sha256_bytes(path.read_bytes()) == fileio.sha256_file(path)
+
+
+class TestCompressedInputs:
+    """Every reader decompresses .gz/.bz2/.xz, whether it reads the file or is given its bytes."""
+
+    @pytest.mark.parametrize("suffix, compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+    ])
+    def test_readers_decompress_by_suffix(self, tmp_path, suffix, compress):
+        m = np.random.default_rng(4).standard_normal((5, 3))
+        plain = tmp_path / "m.csv"
+        fileio.write_matrix(plain, m)
+        packed = tmp_path / ("m.csv" + suffix)
+        packed.write_bytes(compress(plain.read_bytes()))
+        labels = tmp_path / ("l.csv" + suffix)
+        labels.write_bytes(compress(b"0\n2\n1\n"))
+        edges = tmp_path / ("e.txt" + suffix)
+        edges.write_bytes(compress(b"0 1\n1 2 0.5\n"))
+        for data in (None, "bytes"):
+            def given(path):
+                return None if data is None else fileio.read_bytes(path)
+            assert np.array_equal(fileio.read_matrix(packed, data=given(packed)), m)
+            assert np.array_equal(fileio.read_labels(labels, data=given(labels)), [0, 2, 1])
+            assert fileio.read_edge_list(edges, data=given(edges)) == (
+                [(0, 1, 1.0), (1, 2, 0.5)], 3)
+        # the hash is that of the bytes on disk
+        assert fileio.sha256_file(packed) == fileio.sha256_bytes(packed.read_bytes())
+
+    def test_corrupt_archive_is_invalid_input(self, tmp_path):
+        path = tmp_path / "m.csv.gz"
+        path.write_bytes(b"1,2\n3,4\n")
+        with pytest.raises(InvalidInput, match="m.csv.gz"):
+            fileio.read_matrix(path)

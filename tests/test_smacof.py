@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from jointscale import (
     uniform_weight_matrix,
     v_matrix_pinv,
 )
+from jointscale.smacof import _SYM_BLOCK
 
 
 def brute_force_stress(z, d, w):
@@ -110,7 +113,11 @@ class TestVMatrixPinv:
         np.fill_diagonal(w, 0.0)
         # plus 1/d^4 weights spanning several orders of magnitude, and n = 1
         wide = power_weight_matrix(pairwise_euclidean(rng.standard_normal((40, 3))), 4.0)
-        for w in (w, wide, np.zeros((1, 1))):
+        # more than two row blocks of the in-place symmetrization, the last partial
+        big = rng.random((2 * _SYM_BLOCK + 45,) * 2)
+        big = 0.5 * (big + big.T)
+        np.fill_diagonal(big, 0.0)
+        for w in (w, wide, big, np.zeros((1, 1))):
             v = -w.copy()
             np.fill_diagonal(v, w.sum(axis=1))
             pinv = v_matrix_pinv(w)
@@ -166,6 +173,77 @@ class TestGuttmanTransform:
         assert np.abs(out.mean(axis=0)).max() <= 1e-10
 
 
+def dense_b_times(z, d, w):
+    """B(Z) Z from the explicit matrix: b_ij = -sym(w * d)_ij / ||z_i - z_j||, 0 where z_i = z_j."""
+    n = z.shape[0]
+    b = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            dist = np.linalg.norm(z[i] - z[j])
+            if i != j and dist > 0:
+                b[i, j] = -0.5 * (w[i, j] * d[i, j] + w[j, i] * d[j, i]) / dist
+        b[i, i] = -b[i].sum()
+    return b @ z
+
+
+class TestStressIdentity:
+    """The loop's stress comes from eta_d^2 + eta^2 - 2 rho; ``stress`` is the oracle."""
+
+    def test_matches_stress_along_trajectory(self):
+        rng = np.random.default_rng(20)
+        n = 13
+        d = pairwise_euclidean(rng.standard_normal((n, 3)))
+        # nonzero diagonals and asymmetric weights: the stress ignores both
+        d[np.diag_indices(n)] = rng.random(n)
+        w = rng.random((n, n))
+        z0 = rng.standard_normal((n, 2))
+        for k in range(1, 16):
+            z, report = smacof(d, w, z0, tol=0.0, max_iter=k)
+            assert report.iterations_used == k
+            for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
+                expected = stress(at, d, w)
+                assert abs(value - expected) <= 1e-12 * expected
+
+    def test_asymmetric_dissimilarities(self):
+        # the identity and the step both use sym(w * d), so they stay exact
+        # and the trajectory non-increasing for an asymmetric d
+        rng = np.random.default_rng(22)
+        n = 11
+        d = pairwise_euclidean(rng.standard_normal((n, 3))) * rng.uniform(0.5, 1.5, (n, n))
+        w = rng.random((n, n))
+        z0 = rng.standard_normal((n, 2))
+        vp = v_matrix_pinv(w)
+        expected = vp @ dense_b_times(z0, d, w)
+        step = guttman_transform(z0, d, w, vp)
+        assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+        for k in (1, 4, 12):
+            z, report = smacof(d, w, z0, tol=0.0, max_iter=k)
+            for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
+                expected = stress(at, d, w)
+                assert abs(value - expected) <= 1e-12 * expected
+        assert np.all(np.diff(report.per_iteration) <= 1e-12 * report.per_iteration[0])
+
+    def test_coincident_points_give_zero_b(self):
+        rng = np.random.default_rng(21)
+        n = 9
+        d = pairwise_euclidean(rng.standard_normal((n, 2)))
+        w = rng.random((n, n))
+        z = rng.standard_normal((n, 2))
+        z[4] = z[1]
+        z[7] = z[1]
+        vp = v_matrix_pinv(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = guttman_transform(z, d, w, vp)
+            z1, report = smacof(d, w, z, tol=0.0, max_iter=1)
+        expected = vp @ dense_b_times(z, d, w)
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.array_equal(z1, out)
+        start = stress(z, d, w)
+        assert abs(report.per_iteration[0] - start) <= 1e-12 * start
+
+
 class TestSmacof:
     def test_collinear_points_exact_1d(self):
         # 1-D stress has ordering local minima; this seed starts in the
@@ -174,7 +252,7 @@ class TestSmacof:
         w = uniform_weight_matrix(3)
         z0 = random_embedding(3, 1, seed=4, scale=1.0)
         _, report = smacof(d, w, z0, tol=0.0, max_iter=500)
-        assert report.per_iteration[-1] <= 1e-10
+        assert 0.0 <= report.per_iteration[-1] <= 1e-10
 
     def test_realizable_instance_relative_stress(self):
         rng = np.random.default_rng(13)
@@ -185,6 +263,8 @@ class TestSmacof:
         iu = np.triu_indices(50, k=1)
         denom = float(np.sum(w[iu] * d[iu] ** 2))
         assert report.per_iteration[-1] / denom <= 1e-8
+        # the identity's roundoff near zero stress is clamped, never negative
+        assert min(report.per_iteration) >= 0.0
 
     def test_exact_start_converges_fast(self):
         rng = np.random.default_rng(14)
@@ -194,6 +274,17 @@ class TestSmacof:
         _, report = smacof(d, w, z, tol=1e-9, max_iter=100)
         assert report.converged
         assert report.iterations_used <= 2
+
+    def test_exact_start_reports_nonnegative_stress(self):
+        # on these seeds the identity's roundoff puts the start stress just below 0
+        for seed in (1, 2, 6):
+            x = np.random.default_rng(seed).standard_normal((30, 2))
+            d = pairwise_euclidean(x)
+            w = uniform_weight_matrix(30)
+            _, report = smacof(d, w, x, tol=0.0, max_iter=5)
+            iu = np.triu_indices(30, k=1)
+            floor = 1e-13 * float(np.sum(w[iu] * d[iu] ** 2))
+            assert all(0.0 <= v <= floor for v in report.per_iteration)
 
     def test_monotone_trajectory(self):
         rng = np.random.default_rng(15)
@@ -296,9 +387,13 @@ class TestJointSmacof:
     @pytest.mark.parametrize("lam", [0.05, 0.7])
     def test_last_value_is_joint_objective(self, lam):
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(5)
-        z1, z2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, self.RTOL, 40)
-        direct = joint_objective(z1, z2, d1, d2, w1, w2, p, np.eye(2), lam)
-        assert abs(FULL_MATRIX_FACTOR * report.per_iteration[-1] - direct) <= 1e-12 * direct
+        # short budgets check the start and early steps, 40 a converged run
+        for max_iter in (1, 2, 3, 5, 8, 40):
+            s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, self.RTOL, max_iter)
+            for value, (a, b) in ((report.per_iteration[0], (z1, z2)),
+                                  (report.per_iteration[-1], (s1, s2))):
+                direct = joint_objective(a, b, d1, d2, w1, w2, p, np.eye(2), lam)
+                assert abs(FULL_MATRIX_FACTOR * value - direct) <= 1e-12 * direct
 
     def test_invalid_parameters(self):
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(6, n1=5, n2=4)
