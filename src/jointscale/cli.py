@@ -206,13 +206,22 @@ def _weights_for(d: np.ndarray, args) -> np.ndarray:
     return ds.uniform_weight_matrix(d.shape[0])
 
 
-def _resolve_truth(spec: str, n: int) -> np.ndarray:
+def _resolve_truth(spec: str, n: int, manifest: _Manifest) -> np.ndarray:
     if spec == "identity":
         return np.arange(n)
-    truth = fileio.read_match_indices(spec)
+    truth = fileio.read_match_indices(spec, data=manifest.add_input(spec))
     if truth.shape != (n,):
         _fail(f"truth file {spec} has {truth.shape[0]} entries, expected {n}")
     return truth
+
+
+def _read_labels(manifest: _Manifest, paths) -> list:
+    """Labels per path (None where absent); a path given twice is read once."""
+    by_path: dict = {}
+    for path in paths:
+        if path and path not in by_path:
+            by_path[path] = fileio.read_labels(path, data=manifest.add_input(path))
+    return [by_path.get(path) for path in paths]
 
 
 def _truth_matrix(truth: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -326,7 +335,7 @@ def _joint_metrics(args, manifest, out, result, labels1, labels2) -> dict:
     doc: dict = {"params": {"knn_k": 5, "topk": [3, 5]}}
     n1, n2 = result.z1.shape[0], result.z2.shape[0]
     if args.truth is not None:
-        truth = _resolve_truth(args.truth, n1)
+        truth = _resolve_truth(args.truth, n1, manifest)
         if n1 == n2:
             doc["foscttm"] = mt.foscttm(result.z1, result.z2[truth])
         t = _truth_matrix(truth, n1, n2)
@@ -362,11 +371,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     d2 = _load_dissimilarity(path2, args, manifest.add_input(path2))
     w1 = _weights_for(d1, args)
     w2 = _weights_for(d2, args)
-    by_path: dict = {}
-    for path in label_paths:
-        if path and path not in by_path:
-            by_path[path] = fileio.read_labels(path, data=manifest.add_input(path))
-    labels = [by_path.get(path) for path in label_paths]
+    labels = _read_labels(manifest, label_paths)
 
     def on_outer(restart, iteration, objective):
         _log("info", "outer iteration", restart=restart, iter=iteration,
@@ -382,6 +387,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     at_budget = {
         "sinkhorn_at_budget": result.sinkhorn_at_budget,
         "smacof_init_at_budget": result.smacof_init_at_budget,
+        "gw_sinkhorn_at_budget": result.gw_sinkhorn_at_budget,
     }
     if any(at_budget.values()):
         _log("warning", "solver subproblems stopped at their iteration budget",
@@ -394,6 +400,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         # stopping at the inner budget is by design, so no warning for these
         "joint_guttman_steps": result.joint_guttman_steps,
         "joint_smacof_at_budget": result.joint_smacof_at_budget,
+        "sinkhorn_newton_steps": result.sinkhorn_newton_steps,
     }
     manifest.write()
     return result, doc
@@ -440,8 +447,7 @@ def cmd_eval(args) -> int:
         else:
             coupling = fileio.read_matrix(args.coupling, delimiter=args.delimiter,
                                           data=data)
-    labels1 = fileio.read_labels(args.labels1) if args.labels1 else None
-    labels2 = fileio.read_labels(args.labels2) if args.labels2 else None
+    labels1, labels2 = _read_labels(manifest, (args.labels1, args.labels2))
     truth = None
     if args.truth:
         n_rows = None
@@ -451,7 +457,7 @@ def cmd_eval(args) -> int:
             n_rows = coupling.shape[0]
         if n_rows is None:
             _fail("--truth needs --z1 or --coupling to determine the row count")
-        truth = _resolve_truth(args.truth, n_rows)
+        truth = _resolve_truth(args.truth, n_rows, manifest)
 
     doc: dict = {"params": {"knn_k": args.knn}}
     skipped: dict = {}

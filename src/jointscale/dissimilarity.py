@@ -112,14 +112,13 @@ def knn_graph(d: np.ndarray, k: int) -> NeighborGraph:
     n = d.shape[0]
     if not 1 <= k < n:
         raise InvalidInput(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    edges: set[tuple[int, int]] = set()
-    idx = np.arange(n)
-    for i in range(n):
-        order = np.lexsort((idx, d[i]))  # distance then index; self has distance 0
-        neighbors = [j for j in order if j != i][:k]
-        for j in neighbors:
-            edges.add((min(i, j), max(i, j)))
-    return NeighborGraph(n=n, edges=[(i, j, float(d[i, j])) for i, j in sorted(edges)])
+    ranked = d.copy()
+    np.fill_diagonal(ranked, np.inf)  # self goes last, behind any zero-distance duplicate
+    # a stable sort breaks distance ties by the lower index
+    nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
+    pairs = np.sort(np.column_stack((np.repeat(np.arange(n), k), nearest.ravel())), axis=1)
+    pairs = np.unique(pairs, axis=0)
+    return NeighborGraph(n=n, edges=[(int(i), int(j), float(d[i, j])) for i, j in pairs])
 
 
 def _bridge_components(g: NeighborGraph, source: np.ndarray) -> NeighborGraph:

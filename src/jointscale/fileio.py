@@ -160,9 +160,9 @@ def write_labels(path, labels) -> None:
     np.savetxt(path, np.asarray(labels, dtype=int), fmt="%d")
 
 
-def read_match_indices(path) -> np.ndarray:
+def read_match_indices(path, data: bytes | None = None) -> np.ndarray:
     """Ground-truth match: line i holds the matched column index of row i."""
-    idx = read_labels(path)
+    idx = read_labels(path, data=data)
     if np.any(idx < 0):
         raise InvalidInput(f"{path}: match indices must be nonnegative")
     return idx

@@ -86,6 +86,11 @@ class JointResult:
     ``joint_smacof_at_budget`` those passes that stopped at
     ``inner_smacof_iters``, which is by design and not a warning.  At a zero
     matching penalty a pass is two per-dataset runs, each counted.
+    ``sinkhorn_newton_steps`` counts the Newton steps that finished the
+    restart's transport solves.  ``gw_sinkhorn_at_budget`` counts the
+    Gromov-Wasserstein warm start's Sinkhorn solves that stopped at their
+    budget; that warm start is shared, so every restart carries the same
+    count.
     """
 
     z1: np.ndarray
@@ -98,6 +103,8 @@ class JointResult:
     smacof_init_at_budget: int = 0
     joint_guttman_steps: int = 0
     joint_smacof_at_budget: int = 0
+    sinkhorn_newton_steps: int = 0
+    gw_sinkhorn_at_budget: int = 0
 
 
 def joint_objective(
@@ -157,7 +164,7 @@ def _relative_smacof(d, w, z0, max_iter, v_pinv=None):
 
 def _run_restart(
     d1, d2, w1, w2, cfg: JointConfig, restart: int, v1_pinv, v2_pinv,
-    gw_coupling=None, on_outer=None
+    gw_coupling=None, gw_at_budget=0, on_outer=None
 ) -> JointResult:
     z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
     z1, r1 = _relative_smacof(d1, w1, z1, INIT_SMACOF_MAX_ITER, v1_pinv)
@@ -172,7 +179,7 @@ def _run_restart(
     trace: list[float] = []
     potentials = None
     eps_prev = None
-    sinkhorn_at_budget = 0
+    sinkhorn_at_budget = newton_steps = 0
     reports = []
     for t in range(1, cfg.outer_iters + 1):
         floor = EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2)))
@@ -187,6 +194,7 @@ def _run_restart(
         )
         potentials = wp_info["potentials"]
         sinkhorn_at_budget += wp_info["sinkhorn_at_budget"]
+        newton_steps += wp_info["newton_steps"]
         eps_prev = eps_eff
         z1 = z1 @ rotation
 
@@ -216,7 +224,8 @@ def _run_restart(
     return JointResult(z1, z2, coupling, trace, trace[-1], restart,
                        sinkhorn_at_budget, smacof_init_at_budget,
                        sum(r.iterations_used for r in reports),
-                       sum(not r.converged for r in reports))
+                       sum(not r.converged for r in reports),
+                       newton_steps, gw_at_budget)
 
 
 def solve(
@@ -260,16 +269,18 @@ def solve(
     v1_pinv = v_matrix_pinv(w1)
     v2_pinv = v_matrix_pinv(w2)
 
-    gw_coupling = None
+    gw_coupling, gw_at_budget = None, 0
     if cfg.gw_init:
         # deterministic in the inputs, hence shared across restarts
         gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
-        gw_coupling = entropic_gw(d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
+        gw_coupling, gw_info = entropic_gw(
+            d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps, log=True)
+        gw_at_budget = gw_info["sinkhorn_at_budget"]
 
     def run(restart: int):
         try:
             return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                gw_coupling, on_outer)
+                                gw_coupling, gw_at_budget, on_outer)
         except NumericalFailure as exc:
             return exc
 

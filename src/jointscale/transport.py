@@ -6,9 +6,13 @@ current log potentials, two matrix-vector products per iteration.  Once a
 scaling leaves [1/ABSORB, ABSORB] it is absorbed into the log potentials and
 the kernel is rebuilt, so the kernel stays representable however small the
 regularization; an iteration whose kernel products under- or overflow anyway
-(a stale warm start, say) is redone in the log domain.  The orthogonal factor
-is recovered from a d x d SVD, and the two are alternated to align point
-sets with unknown correspondences.
+(a stale warm start, say) is redone in the log domain.  A solve whose scaling
+stalls at the target regularization is finished by Newton steps on the dual
+(Brauer, Clason, Lorenz & Wirth 2017): they start once the scaling loop has
+made about as many matrix-vector products as one dense Newton solve costs,
+and hand the rest of the budget back to scaling if a factorization or line
+search fails.  The orthogonal factor is recovered from a d x d SVD, and the
+two are alternated to align point sets with unknown correspondences.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 from scipy.spatial.distance import cdist
 from scipy.special import xlogy
 
@@ -45,6 +50,17 @@ WARMUP_STAGE_ITERS = 100
 # the scalings are folded into the log potentials, and the kernel rebuilt,
 # once one of them leaves [1/ABSORB, ABSORB]
 ABSORB = 1e3
+
+# Newton steps on the dual may start after no fewer scaling iterations than
+# this; each step uses as much of the iteration budget as the wait before it
+NEWTON_MIN_START = 100
+# Armijo fraction of the predicted dual ascent a Newton step must achieve,
+# and the shortest step tried before the line search counts as failed
+ARMIJO_FRACTION = 1e-4
+MIN_NEWTON_STEP = 2.0**-30
+# ridge, relative to the largest diagonal entry, added to a Hessian that a
+# near-permutation coupling has left numerically singular
+NEWTON_RIDGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -106,6 +122,81 @@ def _kernel(mk: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.exp(k, out=k)
 
 
+def newton_start(n: int, m: int) -> int:
+    """Scaling iterations an n x m solve makes before Newton steps may start.
+
+    A Cholesky factorization of the (n+m-1)-square dual Hessian costs about
+    (n+m)^3 / 6 multiply-adds, as many as (n+m)^3 / (6nm) products with the
+    n x m kernel; the wait is that many iterations, at least
+    ``NEWTON_MIN_START``.  It depends on the problem's size only.
+    """
+    return max(NEWTON_MIN_START, (n + m) ** 3 // (6 * n * m))
+
+
+def _factor(hess, diagonal):
+    """Cholesky factor of the dual Hessian (lower triangle filled).
+
+    A coupling close to a permutation leaves directions whose curvature is
+    the mass of its near-zero entries, below rounding; the factorization is
+    then retried once with ``NEWTON_RIDGE`` times the largest diagonal entry
+    added, which shortens the step along those directions only.  The ridge
+    shapes the step, not the solution.  Raises ``LinAlgError`` if both fail.
+    """
+    try:
+        return linalg.cho_factor(hess, lower=True, check_finite=False)
+    except linalg.LinAlgError:
+        idx = np.arange(diagonal.size)
+        hess[idx, idx] = diagonal + NEWTON_RIDGE * diagonal.max()
+        return linalg.cho_factor(hess, lower=True, check_finite=False)
+
+
+def _newton(mk, a, b, u, v, tol, max_steps):
+    """Damped Newton ascent on the dual a.u + b.v - sum exp(mk + u (+) v).
+
+    The last entry of ``v`` stays pinned, which removes the dual's one flat
+    direction (u + s, v - s) and leaves the Hessian
+    [[diag(P1), P], [P^T, diag(P^T 1)]] positive definite.  Each step is
+    backtracked until it gains at least ``ARMIJO_FRACTION`` of the predicted
+    ascent.  Stops once the L1 marginal violation (rows plus columns) is
+    below ``tol``, after ``max_steps`` steps, or when a factorization or
+    line search fails; returns the potentials, their violation and the
+    number of steps taken.
+    """
+    n = a.size
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _kernel(mk, u, v)
+        while True:
+            rows, cols = p.sum(axis=1), p.sum(axis=0)
+            violation = float(np.abs(rows - a).sum() + np.abs(cols - b).sum())
+            if violation < tol or steps == max_steps:
+                return u, v, violation, steps
+            grad = np.concatenate((a - rows, (b - cols)[:-1]))
+            diagonal = np.concatenate((rows, cols[:-1]))
+            hess = np.diag(diagonal)  # the lower triangle is all the factorization reads
+            hess[n:, :n] = p[:, :-1].T
+            try:
+                factor = _factor(hess, diagonal)
+            except linalg.LinAlgError:
+                return u, v, violation, steps
+            delta = linalg.cho_solve(factor, grad, check_finite=False)
+            du, dv = delta[:n], np.append(delta[n:], 0.0)
+            ascent = float(grad @ delta)
+            if not (math.isfinite(ascent) and ascent > 0):
+                return u, v, violation, steps
+            # the dual's change, with expm1 so it stays exact as steps shrink
+            linear = float(a @ du + b @ dv)
+            t = 1.0
+            while t * linear - float(np.sum(p * np.expm1(t * np.add.outer(du, dv)))) \
+                    < ARMIJO_FRACTION * t * ascent:
+                t *= 0.5
+                if t < MIN_NEWTON_STEP:
+                    return u, v, violation, steps
+            u, v = u + t * du, v + t * dv
+            p = _kernel(mk, u, v)
+            steps += 1
+
+
 def sinkhorn(
     c: np.ndarray,
     m: Marginals,
@@ -130,6 +221,14 @@ def sinkhorn(
     When ``epsilon`` is small against the cost spread and no warm start is
     given, the potentials are first run in at geometrically decaying
     regularization; the fixed point solved for is unchanged.
+    A solve still short of ``tol`` after ``newton_start(n, n')`` iterations
+    at the target epsilon is finished by damped Newton steps on the dual
+    (see ``_newton``), each of which uses ``newton_start(n, n')`` iterations
+    of the budget; a budget below two such shares takes no Newton step.  If
+    a factorization fails even with a ridge (see ``_factor``), or a line
+    search fails, scaling resumes from the Newton iterate for the rest of
+    the budget.  Marginals with zero entries make the Hessian singular and
+    never take the Newton path.
 
     Parameters
     ----------
@@ -144,9 +243,10 @@ def sinkhorn(
     log : bool
         Also return a dict with the log-domain coupling
         (``"log_coupling"``), the log potentials (``"u"``, ``"v"``), the L1
-        marginal violation of the returned coupling, the iteration counts at
-        the target epsilon and in the warm-up (``"iterations"``,
-        ``"warmup_iterations"``) and whether the violation is below ``tol``
+        marginal violation of the returned coupling, the scaling iteration
+        counts at the target epsilon and in the warm-up (``"iterations"``,
+        ``"warmup_iterations"``), the Newton steps taken
+        (``"newton_steps"``) and whether the violation is below ``tol``
         (``"converged"``).
     warm_start : (u, v), optional
         Log-domain scaling potentials to start from, e.g. from a previous
@@ -231,7 +331,23 @@ def sinkhorn(
             u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
             eps_run = eps_next
 
-    u, v, _, iterations = scale(epsilon, u, v, max_iter)
+    # Newton steps need positive marginals, else the Hessian is singular
+    start = newton_start(a.size, b.size)
+    newton_steps = 0
+    max_steps = (max_iter - start) // start if a.min() > 0 and b.min() > 0 else 0
+    if max_steps > 0:
+        u, v, violation, iterations = scale(epsilon, u, v, start)
+        if violation >= tol:
+            u, v, violation, newton_steps = _newton(-c / epsilon, a, b, u, v, tol,
+                                                    max_steps)
+            remaining = max_iter - start * (1 + newton_steps)
+            if violation >= tol and remaining > 0:
+                # Newton stopped short (a failed factorization or line search,
+                # or its share of the budget spent): scaling takes the rest
+                u, v, _, more = scale(epsilon, u, v, remaining)
+                iterations += more
+    else:
+        u, v, _, iterations = scale(epsilon, u, v, max_iter)
     log_p = -c / epsilon + u[:, None] + v[None, :]
     p = np.exp(log_p)
     violation = float(
@@ -247,6 +363,7 @@ def sinkhorn(
             "marginal_violation": violation,
             "iterations": iterations,
             "warmup_iterations": warmup_iterations,
+            "newton_steps": newton_steps,
             "converged": violation < tol,
         }
         return p, info
@@ -298,9 +415,10 @@ def wasserstein_procrustes(
     Returns
     -------
     (coupling, rotation), plus an info dict when ``log`` is set: the final
-    scaling potentials under ``"potentials"`` and, under
-    ``"sinkhorn_at_budget"``, how many rounds' transport solves stopped at
-    ``sinkhorn_max_iter`` short of ``sinkhorn_tol``.
+    scaling potentials under ``"potentials"``, under
+    ``"sinkhorn_at_budget"`` how many rounds' transport solves stopped at
+    ``sinkhorn_max_iter`` short of ``sinkhorn_tol``, and under
+    ``"newton_steps"`` the Newton steps those solves took.
     """
     if inner_iters < 1:
         raise InvalidInput(f"inner_iters must be >= 1, got {inner_iters}")
@@ -312,7 +430,7 @@ def wasserstein_procrustes(
     if p0 is not None:
         rotation = orthogonal_procrustes(z1, p0, z2)
     potentials = warm_start
-    at_budget = 0
+    at_budget = newton_steps = 0
     for _ in range(inner_iters):
         coupling, info = sinkhorn(
             cost_matrix(z1 @ rotation, z2),
@@ -325,10 +443,12 @@ def wasserstein_procrustes(
         )
         potentials = (info["u"], info["v"])
         at_budget += not info["converged"]
+        newton_steps += info["newton_steps"]
         rotation = orthogonal_procrustes(z1, coupling, z2)
     if log:
         return coupling, rotation, {"potentials": potentials,
-                                    "sinkhorn_at_budget": at_budget}
+                                    "sinkhorn_at_budget": at_budget,
+                                    "newton_steps": newton_steps}
     return coupling, rotation
 
 
@@ -339,13 +459,18 @@ def entropic_gw(
     epsilon: float,
     outer_iters: int = GW_OUTER_ITERS,
     tol: float = 1e-9,
-) -> np.ndarray:
+    sinkhorn_max_iter: int = SINKHORN_MAX_ITER,
+    log: bool = False,
+):
     """Entropic Gromov-Wasserstein coupling between two dissimilarity matrices.
 
     Mirror-descent iterations with squared difference loss: each step builds
     the gradient cost of <L(d1, d2) x P, P> at the current coupling,
     proximally regularized by the KL to the current iterate, and re-projects
-    with Sinkhorn.  Starts from the product coupling.
+    with Sinkhorn (at most ``sinkhorn_max_iter`` iterations).  Starts from
+    the product coupling.  With ``log`` set, also returns a dict whose
+    ``"sinkhorn_at_budget"`` counts the Sinkhorn solves that stopped at
+    their budget short of their tolerance.
     """
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
@@ -358,16 +483,21 @@ def entropic_gw(
     coupling = np.outer(a, b)
     log_coupling = np.log(coupling)
     potentials = None
+    at_budget = 0
     for _ in range(outer_iters):
         grad = const - 2.0 * d1 @ coupling @ d2
         # KL-proximal (mirror) step keeps iterates sharp at small epsilon
         cost = grad - epsilon * log_coupling
         cost -= cost.min()
-        new, info = sinkhorn(cost, m, epsilon, log=True, warm_start=potentials)
+        new, info = sinkhorn(cost, m, epsilon, max_iter=sinkhorn_max_iter, log=True,
+                             warm_start=potentials)
+        at_budget += not info["converged"]
         delta = float(np.abs(new - coupling).sum())
         coupling = new
         log_coupling = info["log_coupling"]
         potentials = (info["u"], info["v"])
         if delta < tol:
             break
+    if log:
+        return coupling, {"sinkhorn_at_budget": at_budget}
     return coupling

@@ -186,6 +186,9 @@ def test_criterion_8_graph_self_matching():
                              inner_wp_iters=5, inner_smacof_iters=25, restarts=2,
                              seed=seed, gw_init=True, lambda_anneal=True)
         res = js.solve(d1, d2, w1, w2, cfg)
+        # every transport solve, warm start included, meets its tolerance
+        assert res.sinkhorn_at_budget == 0
+        assert res.gw_sinkhorn_at_budget == 0
         truth = np.zeros((100, 100), dtype=int)
         truth[np.arange(100), perm] = 1
         scores.append(js.node_correctness(res.p, truth))

@@ -151,6 +151,31 @@ class TestJoint:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == {path: fileio.sha256_file(path) for path in inputs}
 
+    @pytest.mark.parametrize("command", ["joint", "eval"])
+    def test_manifest_lists_every_metric_input(self, tmp_path, command):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((10, 2))
+        z1, z2 = tmp_path / "z1.csv", tmp_path / "z2.csv"
+        write = write_points if command == "joint" else fileio.write_embedding
+        write(z1, x)
+        write(z2, x)
+        l1, l2, truth = tmp_path / "l1.csv", tmp_path / "l2.csv", tmp_path / "truth.csv"
+        fileio.write_labels(l1, rng.integers(0, 2, 10))
+        fileio.write_labels(l2, rng.integers(0, 2, 10))
+        fileio.write_labels(truth, np.arange(10))
+        out = tmp_path / "out"
+        if command == "joint":
+            argv = ["joint", z1, z2, "--iters", "2", "--restarts", "1"]
+        else:
+            argv = ["eval", "--z1", z1, "--z2", z2]
+        assert run_cli(argv + ["--labels1", l1, "--labels2", l2, "--truth", truth,
+                               "--out", out]) == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert {"foscttm", "transfer_accuracy"} <= set(metrics)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(path): fileio.sha256_file(path)
+                                      for path in (z1, z2, l1, l2, truth)}
+
     def test_sparse_coupling_output(self, tmp_path):
         rng = np.random.default_rng(5)
         d = pairwise_euclidean(rng.standard_normal((10, 2)))
@@ -231,6 +256,8 @@ class TestJoint:
         out, summary, warnings = run("normal")
         assert summary["sinkhorn_at_budget"] == 0
         assert summary["smacof_init_at_budget"] == 0
+        assert summary["gw_sinkhorn_at_budget"] == 0
+        assert summary["sinkhorn_newton_steps"] >= 0
         assert 2 <= summary["joint_guttman_steps"] <= 2 * 50
         assert 0 <= summary["joint_smacof_at_budget"] <= 2
         assert warnings == []
@@ -248,7 +275,16 @@ class TestJoint:
         assert len(warnings) == 1
         assert warnings[0]["sinkhorn_at_budget"] == 4
         assert warnings[0]["smacof_init_at_budget"] == summary["smacof_init_at_budget"]
-        for path in (out, inner, starved):
+        assert warnings[0]["gw_sinkhorn_at_budget"] == 0
+        # a starved Gromov-Wasserstein warm start is counted and warned about
+        monkeypatch.setattr(jointmds, "entropic_gw",
+                            functools.partial(jointmds.entropic_gw, sinkhorn_max_iter=1))
+        argv += ["--gw-init"]
+        gw, summary, warnings = run("gw")
+        assert summary["gw_sinkhorn_at_budget"] > 0
+        assert len(warnings) == 1
+        assert warnings[0]["gw_sinkhorn_at_budget"] == summary["gw_sinkhorn_at_budget"]
+        for path in (out, inner, starved, gw):
             keys = {tuple(sorted(json.loads(line)))
                     for line in (path / "trace.jsonl").read_text().splitlines()}
             assert keys == {("iter", "objective")}

@@ -67,6 +67,28 @@ class TestKnnGraph:
         assert (0, 1, 0.0) in g.edges
         assert all(i != j for i, j, _ in g.edges)
 
+    @staticmethod
+    def loop_knn_edges(d, k):
+        """Reference: per row, sort by distance then index and skip self."""
+        edges = set()
+        idx = np.arange(d.shape[0])
+        for i in range(d.shape[0]):
+            order = np.lexsort((idx, d[i]))
+            for j in [j for j in order if j != i][:k]:
+                edges.add((min(i, int(j)), max(i, int(j))))
+        return [(i, j, float(d[i, j])) for i, j in sorted(edges)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7])
+    def test_matches_row_loop(self, k):
+        # duplicated and tied points: the diagonal ties with other zeros and
+        # equal distances must fall to the lower index
+        rng = np.random.default_rng(3)
+        x = rng.integers(0, 3, size=(12, 2)).astype(float)
+        x = np.vstack([x, x[:4], rng.standard_normal((6, 2))])
+        d = pairwise_euclidean(x)
+        assert np.sum(d == 0) > d.shape[0]
+        assert knn_graph(d, k).edges == self.loop_knn_edges(d, k)
+
     def test_k_too_large(self):
         d = pairwise_euclidean(np.array([[0.0], [1.0]]))
         with pytest.raises(InvalidInput):

@@ -12,6 +12,7 @@ from jointscale import (
     Marginals,
     assemble_joint,
     cost_matrix,
+    entropic_gw,
     foscttm,
     joint_objective,
     match_argmax,
@@ -266,6 +267,47 @@ class TestSolve:
         assert starved.smacof_init_at_budget == 2
         assert starved.joint_guttman_steps == cfg.outer_iters
         assert starved.joint_smacof_at_budget == cfg.outer_iters
+
+    def test_counts_newton_steps(self, monkeypatch):
+        steps = []
+
+        def recording(*args, **kwargs):
+            out = wasserstein_procrustes(*args, **kwargs)
+            steps.append(out[2]["newton_steps"])
+            return out
+
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes", recording)
+        rng = np.random.default_rng(19)
+        d = pairwise_euclidean(rng.standard_normal((20, 2)))
+        w = uniform_weight_matrix(20)
+        res = solve(d, d, w, w, JointConfig(outer_iters=40, restarts=1, seed=0))
+        assert len(steps) == 40
+        assert res.sinkhorn_newton_steps == sum(steps) > 0
+
+    def test_counts_gw_solves_at_budget(self, monkeypatch):
+        # one Sinkhorn iteration per warm-start solve stops each at its budget;
+        # the shared warm start's count reaches every restart's result
+        rng = np.random.default_rng(18)
+        d = pairwise_euclidean(rng.standard_normal((15, 2)))
+        w = uniform_weight_matrix(15)
+        cfg = JointConfig(outer_iters=2, restarts=2, seed=0, gw_init=True)
+        assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
+        starved = functools.partial(entropic_gw, sinkhorn_max_iter=1)
+        gw_eps = jointmds.GW_EPSILON_FRACTION * 2 * float(np.mean(d**2))
+        _, info = starved(d, d, Marginals.uniform(15, 15), gw_eps, log=True)
+        assert info["sinkhorn_at_budget"] > 0
+        results, real = [], jointmds._run_restart
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(jointmds, "entropic_gw", starved)
+        monkeypatch.setattr(jointmds, "_run_restart", recording)
+        solve(d, d, w, w, cfg)
+        assert [r.gw_sinkhorn_at_budget for r in results] == [info["sinkhorn_at_budget"]] * 2
+        cfg.gw_init = False
+        assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
 
     def test_weight_connectivity_checked_once_per_dataset(self, monkeypatch):
         # the joint passes need no connectivity check of their own

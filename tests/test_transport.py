@@ -76,6 +76,27 @@ def marginal_violation(p, m):
     return np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum()
 
 
+@pytest.fixture
+def scaling_only(monkeypatch):
+    """Keep every solve on the scaling loop: Newton steps never fit the budget."""
+    monkeypatch.setattr(transport, "NEWTON_MIN_START", 10**9)
+
+
+def cloud_costs(n, m, seed):
+    """Cost between two noisy copies of a point cloud, a nearby earlier cost, marginals.
+
+    The call pattern of Wasserstein-Procrustes: the earlier cost's potentials
+    warm-start the solve on the current one.
+    """
+    rng = np.random.default_rng(seed)
+    z1, z2 = rng.standard_normal((n, 2)), rng.standard_normal((m, 2))
+    k = min(n, m)
+    z2[:k] = z1[:k] + 0.1 * rng.standard_normal((k, 2))
+    earlier = cost_matrix(z1 + 0.01 * rng.standard_normal((n, 2)), z2)
+    marginals = Marginals(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m)))
+    return cost_matrix(z1, z2), earlier, marginals
+
+
 class TestMarginals:
     def test_uniform(self):
         m = Marginals.uniform(4, 5)
@@ -139,7 +160,7 @@ class TestSinkhorn:
         assert info["converged"]
         assert np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum() <= 1e-9
 
-    def test_dual_trace_monotone(self):
+    def test_dual_trace_monotone(self, scaling_only):
         # the entropic dual eps (u.a + v.b - sum P) after k iterations from a
         # fixed start, replayed for every k up to convergence, never decreases
         rng = np.random.default_rng(2)
@@ -170,7 +191,7 @@ class TestSinkhorn:
         with pytest.raises(InvalidInput):
             sinkhorn(np.zeros((2, 2)), Marginals.uniform(2, 2), 0.0)
 
-    def test_matches_log_domain_oracle_warm_started(self, monkeypatch):
+    def test_matches_log_domain_oracle_warm_started(self, monkeypatch, scaling_only):
         # the call pattern of Wasserstein-Procrustes: potentials of a nearby cost
         rng = np.random.default_rng(20)
         c = rng.random((40, 40))
@@ -185,7 +206,7 @@ class TestSinkhorn:
         assert info["iterations"] == iterations
         assert not fallbacks
 
-    def test_matches_log_domain_oracle_cold_start(self):
+    def test_matches_log_domain_oracle_cold_start(self, scaling_only):
         rng = np.random.default_rng(21)
         c = rng.random((30, 30))
         m = Marginals.uniform(30, 30)
@@ -196,7 +217,7 @@ class TestSinkhorn:
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
 
-    def test_matches_log_domain_oracle_rectangular(self):
+    def test_matches_log_domain_oracle_rectangular(self, scaling_only):
         rng = np.random.default_rng(22)
         c = 3.0 * rng.random((25, 45))
         m = Marginals(rng.dirichlet(np.ones(25)), rng.dirichlet(np.ones(45)))
@@ -219,7 +240,7 @@ class TestSinkhorn:
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
 
-    def test_stale_warm_start_falls_back_to_log_domain(self, monkeypatch):
+    def test_stale_warm_start_falls_back_to_log_domain(self, monkeypatch, scaling_only):
         # potentials of another cost, one spread lower, at epsilon = 1e-3 x
         # spread leave the kernel underflowed until log-domain steps repair it
         rng = np.random.default_rng(24)
@@ -257,6 +278,148 @@ class TestSinkhorn:
     def test_non_finite_cost_rejected(self):
         with pytest.raises(InvalidInput):
             sinkhorn(np.array([[np.inf, 0.0], [0.0, 1.0]]), Marginals.uniform(2, 2), 1.0)
+
+
+class TestSinkhornNewton:
+    """Newton steps on the dual that finish a solve whose scaling stalled."""
+
+    @staticmethod
+    def warm_started(c, earlier, m, eps, tol):
+        _, prev = sinkhorn(earlier, m, eps, max_iter=100_000, tol=tol, log=True)
+        assert prev["converged"]
+        return prev["u"], prev["v"]
+
+    @pytest.mark.parametrize("case", ["square", "rectangular"])
+    def test_matches_long_log_domain_run(self, case):
+        if case == "square":
+            # uniform costs at epsilon = spread / 100: scaling needs ~1400 steps
+            rng = np.random.default_rng(0)
+            c = rng.random((40, 40))
+            earlier, m = c + 0.01 * rng.random((40, 40)), Marginals.uniform(40, 40)
+            eps = 1e-2 * float(c.max() - c.min())
+        else:
+            c, earlier, m = cloud_costs(15, 25, 0)
+            eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        assert info["newton_steps"] > 0
+        assert info["iterations"] == transport.newton_start(*c.shape)
+        assert info["converged"]
+        assert marginal_violation(p, m) < 1e-11
+        oracle, iterations = log_domain_sinkhorn(c, m, eps, 20_000, 1e-13, warm)
+        assert iterations < 20_000
+        assert np.abs(p - oracle).sum() <= 1e-10
+
+    def test_stale_warm_start(self, monkeypatch):
+        # potentials of a cost one spread lower underflow the kernel; the
+        # log-domain repair and then Newton steps still reach the solution
+        c, earlier, m = cloud_costs(15, 25, 0)
+        spread = float(c.max() - c.min())
+        eps = 1e-3 * spread
+        stale = self.warm_started(earlier - spread, earlier - spread, m, eps, 1e-11)
+        fallbacks = counting(monkeypatch, "_lse_cols")
+        p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=stale)
+        assert fallbacks
+        assert info["newton_steps"] > 0
+        assert info["converged"]
+        assert marginal_violation(p, m) < 1e-11
+        oracle, _ = log_domain_sinkhorn(c, m, eps, 20_000, 1e-13, stale)
+        assert np.abs(p - oracle).sum() <= 1e-10
+
+    def test_singular_hessian_retried_with_ridge(self, monkeypatch):
+        # at epsilon = spread / 1000 the coupling of a uniform random cost is
+        # so close to a permutation that its Hessian fails to factor; the
+        # ridged retry still converges, to a fixed point of the log-domain map
+        rng = np.random.default_rng(20)
+        c = rng.random((20, 20))
+        m = Marginals.uniform(20, 20)
+        eps = 1e-3 * float(c.max() - c.min())
+        failures, real = [], transport.linalg.cho_factor
+
+        def recording(hess, **kwargs):
+            try:
+                return real(hess, **kwargs)
+            except transport.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        monkeypatch.setattr(transport.linalg, "cho_factor", recording)
+        p, info = sinkhorn(c, m, eps, tol=1e-9, log=True)
+        assert failures
+        assert info["newton_steps"] > 0
+        assert info["converged"]
+        assert marginal_violation(p, m) < 1e-9
+        step, _ = log_domain_sinkhorn(c, m, eps, 1, 0.0, (info["u"], info["v"]))
+        assert np.abs(step - p).sum() <= 1e-9
+
+    def test_zero_mass_keeps_scaling_path(self):
+        # the Hessian is singular with empty rows: scaling alone, as before
+        rng = np.random.default_rng(23)
+        c = rng.random((8, 6))
+        a = np.full(8, 1 / 6)
+        a[[2, 5]] = 0.0
+        m = Marginals(a, np.full(6, 1 / 6))
+        zeros = (np.zeros(8), np.zeros(6))
+        p, info = sinkhorn(c, m, 0.05, tol=1e-10, log=True, warm_start=zeros)
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.05, transport.SINKHORN_MAX_ITER,
+                                                 1e-10, zeros)
+        assert info["iterations"] > transport.newton_start(8, 6)
+        assert info["newton_steps"] == 0
+        assert info["converged"]
+        assert np.all(p[[2, 5]] == 0.0)
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
+
+    @pytest.mark.parametrize("failure", ["factorization", "line search"])
+    def test_failure_falls_back_to_scaling(self, monkeypatch, failure):
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        if failure == "factorization":
+            def singular(*args, **kwargs):
+                raise transport.linalg.LinAlgError("forced")
+            monkeypatch.setattr(transport.linalg, "cho_factor", singular)
+        else:
+            # no step can gain a million times its predicted ascent
+            monkeypatch.setattr(transport, "ARMIJO_FRACTION", 1e6)
+        p, info = sinkhorn(c, m, eps, max_iter=20_000, tol=1e-11, log=True,
+                           warm_start=warm)
+        assert info["newton_steps"] == 0
+        assert info["converged"]
+        assert marginal_violation(p, m) < 1e-11
+        oracle, iterations = log_domain_sinkhorn(c, m, eps, 20_000, 1e-11, warm)
+        assert info["iterations"] == iterations
+        assert np.abs(p - oracle).sum() <= 1e-12
+
+    def test_dual_never_decreases(self):
+        # replayed with room for k Newton steps, k = 0, 1, ..., the dual
+        # eps (u.a + v.b - sum P) of the returned potentials never decreases
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        start = transport.newton_start(15, 25)
+        _, full = sinkhorn(c, m, eps, tol=1e-14, log=True, warm_start=warm)
+        trace = []
+        for k in range(full["newton_steps"] + 1):
+            p, info = sinkhorn(c, m, eps, max_iter=start * (k + 1), tol=1e-14, log=True,
+                               warm_start=warm)
+            assert info["iterations"] == start
+            assert info["newton_steps"] == k
+            trace.append(eps * (info["u"] @ m.a + info["v"] @ m.b - p.sum()))
+        assert len(trace) >= 3
+        assert np.all(np.diff(trace) >= -1e-12)
+
+    def test_budget_below_two_starts_takes_no_newton_step(self):
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        budget = 2 * transport.newton_start(15, 25) - 1
+        p, info = sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, log=True,
+                           warm_start=warm)
+        oracle, iterations = log_domain_sinkhorn(c, m, eps, budget, 1e-14, warm)
+        assert info["newton_steps"] == 0
+        assert info["iterations"] == iterations == budget
+        assert np.abs(p - oracle).sum() <= 1e-12
 
 
 class TestOrthogonalProcrustes:
@@ -338,6 +501,22 @@ class TestWassersteinProcrustes:
         assert info["sinkhorn_at_budget"] == 3
         *_, info = wasserstein_procrustes(z1, z2, m, 1.0, 3, sinkhorn_tol=1e-6, log=True)
         assert info["sinkhorn_at_budget"] == 0
+
+    def test_reports_newton_steps(self, monkeypatch):
+        steps, real = [], transport.sinkhorn
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            steps.append(out[1]["newton_steps"])
+            return out
+
+        monkeypatch.setattr(transport, "sinkhorn", recording)
+        z1, z2 = planted_pair(25, 2, seed=27, noise=0.05)[:2]
+        m = Marginals.uniform(25, 25)
+        eps = 1e-3 * float(cost_matrix(z1, z2).max())
+        *_, info = wasserstein_procrustes(z1, z2, m, eps, 4, sinkhorn_tol=1e-11, log=True)
+        assert len(steps) == 4
+        assert info["newton_steps"] == sum(steps) > 0
 
     def test_objective_trace_non_increasing(self):
         # one round at a time, each started from the previous coupling and
