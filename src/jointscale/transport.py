@@ -58,6 +58,8 @@ NEWTON_MIN_START = 100
 # and the shortest step tried before the line search counts as failed
 ARMIJO_FRACTION = 1e-4
 MIN_NEWTON_STEP = 2.0**-30
+# largest exponent whose exp, and expm1, is finite
+MAX_EXPONENT = math.log(np.finfo(float).max)
 # ridge, relative to the largest diagonal entry, added to a Hessian that a
 # near-permutation coupling has left numerically singular
 NEWTON_RIDGE = 1e-12
@@ -150,6 +152,29 @@ def _factor(hess, diagonal):
         return linalg.cho_factor(hess, lower=True, check_finite=False)
 
 
+def _step_length(p, du, dv, linear, ascent):
+    """Armijo backtracking along the dual direction (du, dv) from coupling ``p``.
+
+    Returns the longest step t = 1, 1/2, ... down to ``MIN_NEWTON_STEP``
+    whose dual change t * linear - sum P (exp(t (du (+) dv)) - 1), with
+    ``linear`` = a.du + b.dv, gains at least ``ARMIJO_FRACTION * t * ascent``,
+    or None.  The change is taken with expm1 so it stays exact as steps
+    shrink.  A step whose exponent overflows anywhere is shortened unweighed:
+    an entry of P that underflowed to 0 gives such an exponent no value, so
+    the test fails closed rather than on a NaN.
+    """
+    shift = np.add.outer(du, dv)
+    top = float(shift.max())
+    t = 1.0
+    while t >= MIN_NEWTON_STEP:
+        if t * top <= MAX_EXPONENT:
+            gain = t * linear - float(np.sum(p * np.expm1(t * shift)))
+            if gain >= ARMIJO_FRACTION * t * ascent:
+                return t
+        t *= 0.5
+    return None
+
+
 def _newton(mk, a, b, u, v, tol, max_steps):
     """Damped Newton ascent on the dual a.u + b.v - sum exp(mk + u (+) v).
 
@@ -157,14 +182,14 @@ def _newton(mk, a, b, u, v, tol, max_steps):
     direction (u + s, v - s) and leaves the Hessian
     [[diag(P1), P], [P^T, diag(P^T 1)]] positive definite.  Each step is
     backtracked until it gains at least ``ARMIJO_FRACTION`` of the predicted
-    ascent.  Stops once the L1 marginal violation (rows plus columns) is
+    ascent (see ``_step_length``).  Stops once the L1 marginal violation (rows plus columns) is
     below ``tol``, after ``max_steps`` steps, or when a factorization or
     line search fails; returns the potentials, their violation and the
     number of steps taken.
     """
     n = a.size
     steps = 0
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         p = _kernel(mk, u, v)
         while True:
             rows, cols = p.sum(axis=1), p.sum(axis=0)
@@ -182,16 +207,12 @@ def _newton(mk, a, b, u, v, tol, max_steps):
             delta = linalg.cho_solve(factor, grad, check_finite=False)
             du, dv = delta[:n], np.append(delta[n:], 0.0)
             ascent = float(grad @ delta)
-            if not (math.isfinite(ascent) and ascent > 0):
-                return u, v, violation, steps
-            # the dual's change, with expm1 so it stays exact as steps shrink
             linear = float(a @ du + b @ dv)
-            t = 1.0
-            while t * linear - float(np.sum(p * np.expm1(t * np.add.outer(du, dv)))) \
-                    < ARMIJO_FRACTION * t * ascent:
-                t *= 0.5
-                if t < MIN_NEWTON_STEP:
-                    return u, v, violation, steps
+            if not (math.isfinite(ascent) and ascent > 0 and math.isfinite(linear)):
+                return u, v, violation, steps
+            t = _step_length(p, du, dv, linear, ascent)
+            if t is None:
+                return u, v, violation, steps
             u, v = u + t * du, v + t * dv
             p = _kernel(mk, u, v)
             steps += 1
@@ -459,7 +480,6 @@ def entropic_gw(
     epsilon: float,
     outer_iters: int = GW_OUTER_ITERS,
     tol: float = 1e-9,
-    sinkhorn_max_iter: int = SINKHORN_MAX_ITER,
     log: bool = False,
 ):
     """Entropic Gromov-Wasserstein coupling between two dissimilarity matrices.
@@ -467,10 +487,9 @@ def entropic_gw(
     Mirror-descent iterations with squared difference loss: each step builds
     the gradient cost of <L(d1, d2) x P, P> at the current coupling,
     proximally regularized by the KL to the current iterate, and re-projects
-    with Sinkhorn (at most ``sinkhorn_max_iter`` iterations).  Starts from
-    the product coupling.  With ``log`` set, also returns a dict whose
-    ``"sinkhorn_at_budget"`` counts the Sinkhorn solves that stopped at
-    their budget short of their tolerance.
+    with Sinkhorn.  Starts from the product coupling.  With ``log`` set,
+    also returns a dict whose ``"sinkhorn_at_budget"`` counts the Sinkhorn
+    solves that stopped at their budget short of their tolerance.
     """
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
@@ -489,8 +508,7 @@ def entropic_gw(
         # KL-proximal (mirror) step keeps iterates sharp at small epsilon
         cost = grad - epsilon * log_coupling
         cost -= cost.min()
-        new, info = sinkhorn(cost, m, epsilon, max_iter=sinkhorn_max_iter, log=True,
-                             warm_start=potentials)
+        new, info = sinkhorn(cost, m, epsilon, log=True, warm_start=potentials)
         at_budget += not info["converged"]
         delta = float(np.abs(new - coupling).sum())
         coupling = new

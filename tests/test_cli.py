@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from jointscale import fileio, jointmds, pairwise_euclidean
+from jointscale import fileio, jointmds, pairwise_euclidean, transport
 from jointscale.cli import main
 
 
@@ -277,8 +277,8 @@ class TestJoint:
         assert warnings[0]["smacof_init_at_budget"] == summary["smacof_init_at_budget"]
         assert warnings[0]["gw_sinkhorn_at_budget"] == 0
         # a starved Gromov-Wasserstein warm start is counted and warned about
-        monkeypatch.setattr(jointmds, "entropic_gw",
-                            functools.partial(jointmds.entropic_gw, sinkhorn_max_iter=1))
+        monkeypatch.setattr(transport, "sinkhorn",
+                            functools.partial(transport.sinkhorn, max_iter=1))
         argv += ["--gw-init"]
         gw, summary, warnings = run("gw")
         assert summary["gw_sinkhorn_at_budget"] > 0

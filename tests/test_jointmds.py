@@ -22,7 +22,7 @@ from jointscale import (
     uniform_weight_matrix,
     wasserstein_procrustes,
 )
-from jointscale import jointmds
+from jointscale import jointmds, transport
 
 
 def random_instance(rng, n1, n2, dim):
@@ -292,9 +292,12 @@ class TestSolve:
         w = uniform_weight_matrix(15)
         cfg = JointConfig(outer_iters=2, restarts=2, seed=0, gw_init=True)
         assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
-        starved = functools.partial(entropic_gw, sinkhorn_max_iter=1)
+        # entropic_gw looks up transport.sinkhorn at call time and leaves its
+        # budget at the default; Wasserstein-Procrustes passes its own
+        monkeypatch.setattr(transport, "sinkhorn",
+                            functools.partial(transport.sinkhorn, max_iter=1))
         gw_eps = jointmds.GW_EPSILON_FRACTION * 2 * float(np.mean(d**2))
-        _, info = starved(d, d, Marginals.uniform(15, 15), gw_eps, log=True)
+        _, info = entropic_gw(d, d, Marginals.uniform(15, 15), gw_eps, log=True)
         assert info["sinkhorn_at_budget"] > 0
         results, real = [], jointmds._run_restart
 
@@ -302,7 +305,6 @@ class TestSolve:
             results.append(real(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(jointmds, "entropic_gw", starved)
         monkeypatch.setattr(jointmds, "_run_restart", recording)
         solve(d, d, w, w, cfg)
         assert [r.gw_sinkhorn_at_budget for r in results] == [info["sinkhorn_at_budget"]] * 2

@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from itertools import permutations
 
 import numpy as np
@@ -76,10 +77,30 @@ def marginal_violation(p, m):
     return np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum()
 
 
-@pytest.fixture
-def scaling_only(monkeypatch):
-    """Keep every solve on the scaling loop: Newton steps never fit the budget."""
-    monkeypatch.setattr(transport, "NEWTON_MIN_START", 10**9)
+@contextmanager
+def scaling_only():
+    """Keep every solve inside on the scaling loop: Newton steps never fit the budget."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(transport, "NEWTON_MIN_START", 10**9)
+        yield
+
+
+def default_solve(c, m, eps, max_iter, tol, warm_start=None):
+    """The solve as the program makes it, Newton steps allowed: converged, with Newton steps."""
+    p, info = sinkhorn(c, m, eps, max_iter=max_iter, tol=tol, log=True,
+                       warm_start=warm_start)
+    assert info["converged"]
+    assert info["newton_steps"] > 0
+    assert marginal_violation(p, m) < tol
+    return p, info
+
+
+def assert_matches_long_run(c, m, eps, max_iter, tol, warm_start=None):
+    """The default solve lies within 1e-10 L1 of a long log-domain run from the same start."""
+    p, _ = default_solve(c, m, eps, max_iter, tol, warm_start)
+    oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-13, warm_start)
+    assert iterations < 100_000
+    assert np.abs(p - oracle).sum() <= 1e-10
 
 
 def cloud_costs(n, m, seed):
@@ -160,7 +181,7 @@ class TestSinkhorn:
         assert info["converged"]
         assert np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum() <= 1e-9
 
-    def test_dual_trace_monotone(self, scaling_only):
+    def test_dual_trace_monotone(self):
         # the entropic dual eps (u.a + v.b - sum P) after k iterations from a
         # fixed start, replayed for every k up to convergence, never decreases
         rng = np.random.default_rng(2)
@@ -168,15 +189,17 @@ class TestSinkhorn:
         m = Marginals.uniform(6, 6)
         eps = 0.05
         zeros = (np.zeros(6), np.zeros(6))
-        _, info = sinkhorn(c, m, eps, tol=1e-12, log=True, warm_start=zeros)
-        trace = []
-        for k in range(1, info["iterations"] + 1):
-            p, info_k = sinkhorn(c, m, eps, max_iter=k, tol=1e-12, log=True,
-                                 warm_start=zeros)
-            assert info_k["iterations"] == k
-            trace.append(eps * (info_k["u"] @ m.a + info_k["v"] @ m.b - p.sum()))
+        with scaling_only():
+            _, info = sinkhorn(c, m, eps, tol=1e-12, log=True, warm_start=zeros)
+            trace = []
+            for k in range(1, info["iterations"] + 1):
+                p, info_k = sinkhorn(c, m, eps, max_iter=k, tol=1e-12, log=True,
+                                     warm_start=zeros)
+                assert info_k["iterations"] == k
+                trace.append(eps * (info_k["u"] @ m.a + info_k["v"] @ m.b - p.sum()))
         assert len(trace) > 100
         assert np.all(np.diff(trace) >= -1e-10)
+        assert_matches_long_run(c, m, eps, transport.SINKHORN_MAX_ITER, 1e-12, zeros)
 
     def test_transpose_symmetry(self):
         rng = np.random.default_rng(3)
@@ -191,40 +214,46 @@ class TestSinkhorn:
         with pytest.raises(InvalidInput):
             sinkhorn(np.zeros((2, 2)), Marginals.uniform(2, 2), 0.0)
 
-    def test_matches_log_domain_oracle_warm_started(self, monkeypatch, scaling_only):
+    def test_matches_log_domain_oracle_warm_started(self, monkeypatch):
         # the call pattern of Wasserstein-Procrustes: potentials of a nearby cost
         rng = np.random.default_rng(20)
         c = rng.random((40, 40))
         m = Marginals.uniform(40, 40)
         _, prev = sinkhorn(c + 0.01 * rng.random((40, 40)), m, 0.01, tol=1e-9, log=True)
+        warm = (prev["u"], prev["v"])
         fallbacks = counting(monkeypatch, "_lse_cols")
-        p, info = sinkhorn(c, m, 0.01, tol=1e-9, log=True,
-                           warm_start=(prev["u"], prev["v"]))
+        with scaling_only():
+            p, info = sinkhorn(c, m, 0.01, tol=1e-9, log=True, warm_start=warm)
         oracle, iterations = log_domain_sinkhorn(c, m, 0.01, transport.SINKHORN_MAX_ITER,
-                                                 1e-9, (prev["u"], prev["v"]))
+                                                 1e-9, warm)
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
         assert not fallbacks
+        assert_matches_long_run(c, m, 0.01, transport.SINKHORN_MAX_ITER, 1e-9, warm)
 
-    def test_matches_log_domain_oracle_cold_start(self, scaling_only):
+    def test_matches_log_domain_oracle_cold_start(self):
         rng = np.random.default_rng(21)
         c = rng.random((30, 30))
         m = Marginals.uniform(30, 30)
-        p, info = sinkhorn(c, m, 0.02, max_iter=20_000, tol=1e-9, log=True)
+        with scaling_only():
+            p, info = sinkhorn(c, m, 0.02, max_iter=20_000, tol=1e-9, log=True)
         oracle, iterations = log_domain_sinkhorn(c, m, 0.02, 20_000, 1e-9)
         assert info["warmup_iterations"] > 0
         assert info["converged"]
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
+        assert_matches_long_run(c, m, 0.02, 20_000, 1e-9)
 
-    def test_matches_log_domain_oracle_rectangular(self, scaling_only):
+    def test_matches_log_domain_oracle_rectangular(self):
         rng = np.random.default_rng(22)
         c = 3.0 * rng.random((25, 45))
         m = Marginals(rng.dirichlet(np.ones(25)), rng.dirichlet(np.ones(45)))
-        p, info = sinkhorn(c, m, 0.05, max_iter=20_000, tol=1e-10, log=True)
+        with scaling_only():
+            p, info = sinkhorn(c, m, 0.05, max_iter=20_000, tol=1e-10, log=True)
         oracle, iterations = log_domain_sinkhorn(c, m, 0.05, 20_000, 1e-10)
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
+        assert_matches_long_run(c, m, 0.05, 20_000, 1e-10)
 
     def test_zero_mass_matches_log_domain_oracle(self):
         rng = np.random.default_rng(23)
@@ -240,7 +269,7 @@ class TestSinkhorn:
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
 
-    def test_stale_warm_start_falls_back_to_log_domain(self, monkeypatch, scaling_only):
+    def test_stale_warm_start_falls_back_to_log_domain(self, monkeypatch):
         # potentials of another cost, one spread lower, at epsilon = 1e-3 x
         # spread leave the kernel underflowed until log-domain steps repair it
         rng = np.random.default_rng(24)
@@ -248,16 +277,26 @@ class TestSinkhorn:
         m = Marginals.uniform(20, 20)
         eps = 1e-3 * float(c.max() - c.min())
         _, stale = sinkhorn(c_old, m, eps, max_iter=100_000, tol=1e-6, log=True)
+        stale = (stale["u"], stale["v"])
         fallbacks = counting(monkeypatch, "_lse_cols")
-        p, info = sinkhorn(c, m, eps, max_iter=100_000, tol=1e-4, log=True,
-                           warm_start=(stale["u"], stale["v"]))
+        with scaling_only():
+            p, info = sinkhorn(c, m, eps, max_iter=100_000, tol=1e-4, log=True,
+                               warm_start=stale)
         assert fallbacks
         assert info["converged"]
         assert marginal_violation(p, m) <= 1e-4
-        oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-4,
-                                                 (stale["u"], stale["v"]))
+        oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-4, stale)
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
+        # log-domain scaling from the stale start is still 3e-6 short of the
+        # marginals after 300000 iterations, so the default solve is checked
+        # as a fixed point instead: a long log-domain run from its potentials
+        # leaves the coupling where it is
+        fallbacks.clear()
+        p, info = default_solve(c, m, eps, 100_000, 1e-11, stale)
+        assert fallbacks
+        oracle, _ = log_domain_sinkhorn(c, m, eps, 1000, 0.0, (info["u"], info["v"]))
+        assert np.abs(p - oracle).sum() <= 1e-10
 
     def test_absorbing_run_meets_tolerance(self, monkeypatch):
         # from zero potentials at epsilon = spread / 100 the potentials travel
@@ -282,6 +321,18 @@ class TestSinkhorn:
 
 class TestSinkhornNewton:
     """Newton steps on the dual that finish a solve whose scaling stalled."""
+
+    def test_line_search_fails_closed_on_underflowed_entries(self):
+        # P_01 and P_10 underflowed to 0; the step's exponent there is +/-1e7,
+        # so the full step would weigh 0 * exp(1e7), which has no value: it is
+        # shortened until the exponent is finite everywhere
+        p = np.array([[0.5, 0.0], [0.0, 0.5]])
+        du, dv = np.array([0.0, 1e7]), np.array([0.0, -1e7])
+        t = transport._step_length(p, du, dv, linear=1.0, ascent=1.0)
+        assert t is not None and t < 1.0
+        assert 1e7 * t <= transport.MAX_EXPONENT < 2e7 * t
+        # and a direction that loses dual value is refused at every length
+        assert transport._step_length(p, du, dv, linear=-1.0, ascent=1.0) is None
 
     @staticmethod
     def warm_started(c, earlier, m, eps, tol):
