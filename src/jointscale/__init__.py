@@ -33,7 +33,6 @@ from .smacof import (
     JointBlocks,
     StressReport,
     assemble_joint,
-    guttman_transform,
     joint_smacof,
     random_embedding,
     smacof,
@@ -73,7 +72,6 @@ __all__ = [
     "random_embedding",
     "stress",
     "v_matrix_pinv",
-    "guttman_transform",
     "smacof",
     "joint_smacof",
     "assemble_joint",

@@ -23,7 +23,7 @@ from . import __version__, dissimilarity as ds, fileio, jointmds, metrics as mt
 from . import synthdata
 from .errors import JointScaleError
 from .jointmds import JointConfig
-from .smacof import random_embedding
+from .smacof import random_embedding, smacof
 
 PROG = "jointscale"
 
@@ -206,12 +206,16 @@ def _weights_for(d: np.ndarray, args) -> np.ndarray:
     return ds.uniform_weight_matrix(d.shape[0])
 
 
-def _resolve_truth(spec: str, n: int, manifest: _Manifest) -> np.ndarray:
+def _resolve_truth(spec: str, n: int, m: int | None, manifest: _Manifest) -> np.ndarray:
+    """The true match column of each of ``n`` rows, each below ``m`` (unchecked if None)."""
     if spec == "identity":
-        return np.arange(n)
-    truth = fileio.read_match_indices(spec, data=manifest.add_input(spec))
-    if truth.shape != (n,):
-        _fail(f"truth file {spec} has {truth.shape[0]} entries, expected {n}")
+        truth = np.arange(n)
+    else:
+        truth = fileio.read_match_indices(spec, data=manifest.add_input(spec))
+        if truth.shape != (n,):
+            _fail(f"truth file {spec} has {truth.shape[0]} entries, expected {n}")
+    if m is not None and truth.max() >= m:
+        _fail(f"truth {spec}: match index {truth.max()} is out of range for {m} columns")
     return truth
 
 
@@ -291,7 +295,7 @@ def cmd_embed(args) -> int:
         _fail(f"--dim must be >= 1, got {dim}")
     scale = jointmds._init_scale(d, d)
     z0 = random_embedding(d.shape[0], dim, seed, scale)
-    z, report = jointmds._relative_smacof(d, w, z0, args.max_iter)
+    z, report = smacof(d, w, z0, max_iter=args.max_iter)
     fileio.write_embedding(manifest.add_output(out / "embedding.csv"), z,
                            delimiter=args.delimiter)
     fileio.write_trace(
@@ -331,11 +335,10 @@ def _write_joint_outputs(args, out, manifest, result) -> None:
     )
 
 
-def _joint_metrics(args, manifest, out, result, labels1, labels2) -> dict:
+def _joint_metrics(manifest, out, result, truth, labels1, labels2) -> dict:
     doc: dict = {"params": {"knn_k": 5, "topk": [3, 5]}}
     n1, n2 = result.z1.shape[0], result.z2.shape[0]
-    if args.truth is not None:
-        truth = _resolve_truth(args.truth, n1, manifest)
+    if truth is not None:
         if n1 == n2:
             doc["foscttm"] = mt.foscttm(result.z1, result.z2[truth])
         t = _truth_matrix(truth, n1, n2)
@@ -372,6 +375,9 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     w1 = _weights_for(d1, args)
     w2 = _weights_for(d2, args)
     labels = _read_labels(manifest, label_paths)
+    truth = None
+    if args.truth is not None:
+        truth = _resolve_truth(args.truth, d1.shape[0], d2.shape[0], manifest)
 
     def on_outer(restart, iteration, objective):
         _log("info", "outer iteration", restart=restart, iter=iteration,
@@ -383,7 +389,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     if write_matches:
         fileio.write_labels(manifest.add_output(out / "matches.csv"),
                             jointmds.match_argmax(result.p))
-    doc = _joint_metrics(args, manifest, out, result, *labels)
+    doc = _joint_metrics(manifest, out, result, truth, *labels)
     at_budget = {
         "sinkhorn_at_budget": result.sinkhorn_at_budget,
         "smacof_init_at_budget": result.smacof_init_at_budget,
@@ -457,7 +463,11 @@ def cmd_eval(args) -> int:
             n_rows = coupling.shape[0]
         if n_rows is None:
             _fail("--truth needs --z1 or --coupling to determine the row count")
-        truth = _resolve_truth(args.truth, n_rows, manifest)
+        # truth indexes the rows of z2 and the columns of the coupling
+        n_cols = [loaded["z2"].shape[0]] if "z2" in loaded else []
+        if coupling is not None:
+            n_cols.append(coupling.shape[1])
+        truth = _resolve_truth(args.truth, n_rows, min(n_cols, default=None), manifest)
 
     doc: dict = {"params": {"knn_k": args.knn}}
     skipped: dict = {}

@@ -168,12 +168,12 @@ def read_match_indices(path, data: bytes | None = None) -> np.ndarray:
     return idx
 
 
-def write_coupling_triplets(path, p: np.ndarray, drop: float = SPARSE_DROP) -> None:
-    """Sparse ``i j value`` text; entries below ``drop`` are omitted."""
+def write_coupling_triplets(path, p: np.ndarray) -> None:
+    """Sparse ``i j value`` text; entries below ``SPARSE_DROP`` are omitted."""
     p = np.asarray(p, dtype=float)
     with open(path, "w") as fh:
         fh.write(f"# {p.shape[0]} {p.shape[1]}\n")
-        for i, j in zip(*np.nonzero(p >= drop)):
+        for i, j in zip(*np.nonzero(p >= SPARSE_DROP)):
             fh.write(f"{i} {j} {FLOAT_FMT % p[i, j]}\n")
 
 

@@ -21,18 +21,16 @@ import numpy as np
 
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
-from .smacof import FULL_MATRIX_FACTOR, _smacof, joint_smacof, stress, v_matrix_pinv
+from .smacof import (FULL_MATRIX_FACTOR, joint_smacof, random_embedding, smacof, stress,
+                     v_matrix_pinv)
 
-# unused here; bench/tracing.py wraps these names on this module
-from .smacof import assemble_joint, smacof  # noqa: F401
+# unused here; bench/tracing.py wraps this name on this module
+from .smacof import assemble_joint  # noqa: F401
 from .transport import Marginals, cost_matrix, entropic_gw, wasserstein_procrustes
 
 __all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "match_argmax"]
 
 INIT_SMACOF_MAX_ITER = 300
-# Inner stopping is relative to the stress at the start of each call so the
-# whole pipeline is equivariant under rescaling of the input dissimilarities.
-INNER_RTOL = 1e-9
 EPSILON_FLOOR_FRACTION = 1e-3
 GW_EPSILON_FRACTION = 0.01
 # marginal tolerance for the transport subproblems inside the outer loop;
@@ -151,24 +149,18 @@ def _init_scale(d1: np.ndarray, d2: np.ndarray) -> float:
 def _initial_embeddings(
     d1: np.ndarray, d2: np.ndarray, cfg: JointConfig, restart: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    scale = _init_scale(d1, d2)
-    rng = np.random.default_rng(cfg.seed + restart)
-    z1 = scale * rng.standard_normal((d1.shape[0], cfg.dim))
-    z2 = scale * rng.standard_normal((d2.shape[0], cfg.dim))
-    return z1, z2
-
-
-def _relative_smacof(d, w, z0, max_iter, v_pinv=None):
-    return _smacof(d, w, z0, max_iter, v_pinv, rtol=INNER_RTOL)
+    n1 = d1.shape[0]
+    z = random_embedding(n1 + d2.shape[0], cfg.dim, cfg.seed + restart, _init_scale(d1, d2))
+    return z[:n1], z[n1:]
 
 
 def _run_restart(
     d1, d2, w1, w2, cfg: JointConfig, restart: int, v1_pinv, v2_pinv,
-    gw_coupling=None, gw_at_budget=0, on_outer=None
+    gw_coupling=None, on_outer=None
 ) -> JointResult:
     z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
-    z1, r1 = _relative_smacof(d1, w1, z1, INIT_SMACOF_MAX_ITER, v1_pinv)
-    z2, r2 = _relative_smacof(d2, w2, z2, INIT_SMACOF_MAX_ITER, v2_pinv)
+    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v1_pinv)
+    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v2_pinv)
     smacof_init_at_budget = (not r1.converged) + (not r2.converged)
 
     marginals = Marginals.uniform(d1.shape[0], d2.shape[0])
@@ -190,7 +182,7 @@ def _run_restart(
             potentials = (potentials[0] * ratio, potentials[1] * ratio)
         coupling, rotation, wp_info = wasserstein_procrustes(
             z1, z2, marginals, eps_eff, cfg.inner_wp_iters, p0=coupling,
-            sinkhorn_tol=WP_SINKHORN_TOL, warm_start=potentials, log=True,
+            sinkhorn_tol=WP_SINKHORN_TOL, warm_start=potentials,
         )
         potentials = wp_info["potentials"]
         sinkhorn_at_budget += wp_info["sinkhorn_at_budget"]
@@ -206,13 +198,13 @@ def _run_restart(
         # already absorbed into z1 (block-stress identity)
         if lam_t > 0:
             z1, z2, report = joint_smacof(d1, d2, w1, w2, coupling, lam_t, z1, z2,
-                                          INNER_RTOL, cfg.inner_smacof_iters)
+                                          max_iter=cfg.inner_smacof_iters)
             objective = FULL_MATRIX_FACTOR * report.per_iteration[-1]
             reports.append(report)
         else:
             # zero penalty decouples the block problem into the two datasets
-            z1, r1 = _relative_smacof(d1, w1, z1, cfg.inner_smacof_iters, v1_pinv)
-            z2, r2 = _relative_smacof(d2, w2, z2, cfg.inner_smacof_iters, v2_pinv)
+            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, v_pinv=v1_pinv)
+            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, v_pinv=v2_pinv)
             objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
             reports += [r1, r2]
 
@@ -221,11 +213,14 @@ def _run_restart(
             on_outer(restart, t, objective)
         epsilon = cfg.alpha * epsilon
 
-    return JointResult(z1, z2, coupling, trace, trace[-1], restart,
-                       sinkhorn_at_budget, smacof_init_at_budget,
-                       sum(r.iterations_used for r in reports),
-                       sum(not r.converged for r in reports),
-                       newton_steps, gw_at_budget)
+    return JointResult(
+        z1=z1, z2=z2, p=coupling, objective_trace=trace, final_objective=trace[-1],
+        restart_index=restart, sinkhorn_at_budget=sinkhorn_at_budget,
+        smacof_init_at_budget=smacof_init_at_budget,
+        joint_guttman_steps=sum(r.iterations_used for r in reports),
+        joint_smacof_at_budget=sum(not r.converged for r in reports),
+        sinkhorn_newton_steps=newton_steps,
+    )
 
 
 def solve(
@@ -274,13 +269,13 @@ def solve(
         # deterministic in the inputs, hence shared across restarts
         gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
         gw_coupling, gw_info = entropic_gw(
-            d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps, log=True)
+            d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
         gw_at_budget = gw_info["sinkhorn_at_budget"]
 
     def run(restart: int):
         try:
             return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                gw_coupling, gw_at_budget, on_outer)
+                                gw_coupling, on_outer)
         except NumericalFailure as exc:
             return exc
 
@@ -295,4 +290,6 @@ def solve(
         raise NumericalFailure(
             f"all {cfg.restarts} restarts failed; last error: {outcomes[-1]}"
         )
+    for result in results:
+        result.gw_sinkhorn_at_budget = gw_at_budget
     return min(results, key=lambda r: (r.final_objective, r.restart_index))

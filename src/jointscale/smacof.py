@@ -30,8 +30,11 @@ the coupling P enters only through
     V~ = [[V1 + lam diag(P 1), -lam P], [-lam P^T, V2 + lam diag(P^T 1)]],
 
 whose pseudo-inverse is taken once per call.  Both share one B(Z) Z kernel,
-one stopping loop and one Laplacian pseudo-inverse, (V + J/n)^{-1} - J/n by
-Cholesky factorization.  ``assemble_joint`` builds the dense block instance
+one stopping rule and one Laplacian pseudo-inverse, (V + J/n)^{-1} - J/n by
+Cholesky factorization.  The rule stops a run once a step lowers the stress
+by less than ``rtol`` (``DEFAULT_RTOL`` unless given) times the stress of
+its start, so the steps taken do not depend on the scale of the
+dissimilarities.  ``assemble_joint`` builds the dense block instance
 and stays as the reference the structured iteration is tested against.
 """
 
@@ -53,7 +56,6 @@ __all__ = [
     "random_embedding",
     "stress",
     "v_matrix_pinv",
-    "guttman_transform",
     "smacof",
     "joint_smacof",
     "assemble_joint",
@@ -63,7 +65,10 @@ __all__ = [
 # upper-triangle stress computed here.
 FULL_MATRIX_FACTOR = 2.0
 
-DEFAULT_TOL = 1e-6
+# a run stops once a step lowers the stress by less than this fraction of
+# its start stress, which keeps the whole pipeline equivariant under a
+# rescaling of the input dissimilarities
+DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_ITER = 300
 
 # rows per block when the Cholesky inverse is mirrored into a full matrix
@@ -257,20 +262,15 @@ def _evaluator(d: np.ndarray, w: np.ndarray):
     return evaluate
 
 
-def guttman_transform(
-    z: np.ndarray, d: np.ndarray, w: np.ndarray, v_pinv: np.ndarray
-) -> np.ndarray:
-    """One majorization step V^+ B(Z) Z.
-
-    B(Z) uses b_ij = -(w_ij d_ij + w_ji d_ji) / (2 ||z_i - z_j||) when the
-    embedded points are distinct and b_ij = 0 when they coincide.
-    """
-    z, d, w = _check_shapes(z, d, w)
-    return v_pinv @ _b_times(_sym(w * d), z)
+def _check_stop(rtol: float, max_iter: int) -> None:
+    if rtol < 0:
+        raise InvalidInput(f"rtol must be >= 0, got {rtol}")
+    if max_iter < 1:
+        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _majorize(evaluate, v_pinv, z, max_iter: int, tol: float = 0.0, rtol: float = 0.0):
-    """Guttman steps from ``z`` until the stress drop falls below tol + rtol * start stress.
+def _majorize(evaluate, v_pinv, z, max_iter: int, rtol: float):
+    """Guttman steps from ``z`` until the stress drop falls below rtol * start stress.
 
     ``evaluate(z)`` returns the stress of ``z`` and B(Z) Z; the next
     configuration is ``v_pinv @ B(Z) Z``.  The stop compares the values as
@@ -279,7 +279,7 @@ def _majorize(evaluate, v_pinv, z, max_iter: int, tol: float = 0.0, rtol: float 
     """
     value, bz = evaluate(z)
     trajectory = [max(value, 0.0)]
-    threshold = tol + rtol * trajectory[0]
+    threshold = rtol * trajectory[0]
     converged = False
     for _ in range(max_iter):
         z = v_pinv @ bz
@@ -292,25 +292,15 @@ def _majorize(evaluate, v_pinv, z, max_iter: int, tol: float = 0.0, rtol: float 
     return z, StressReport(trajectory, len(trajectory) - 1, converged)
 
 
-def _smacof(d, w, z0, max_iter: int, v_pinv=None, tol: float = 0.0, rtol: float = 0.0):
-    """``smacof`` with an absolute (``tol``) or start-relative (``rtol``) stop."""
-    if max_iter < 1:
-        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
-    z, d, w = _check_shapes(z0, d, w)
-    if v_pinv is None:
-        v_pinv = v_matrix_pinv(w)
-    return _majorize(_evaluator(d, w), v_pinv, z, max_iter, tol, rtol)
-
-
 def smacof(
     d: np.ndarray,
     w: np.ndarray,
     z0: np.ndarray,
-    tol: float = DEFAULT_TOL,
+    rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
     v_pinv: np.ndarray | None = None,
 ) -> tuple[np.ndarray, StressReport]:
-    """Iterate Guttman transforms from ``z0`` until the stress drop falls below ``tol``.
+    """Guttman steps from ``z0`` until one lowers the stress by less than ``rtol`` of its start.
 
     Parameters
     ----------
@@ -318,11 +308,11 @@ def smacof(
         Dissimilarities and weights.
     z0 : ndarray of shape (n, dim)
         Start configuration.
-    tol : float
-        Stop when stress(Z_{t-1}) - stress(Z_t) < tol.  The stress values
-        carry an absolute error of a few machine epsilons times
-        sum_{i<j} w_ij d_ij^2 (see ``StressReport``), so ``tol = 0`` stops
-        once the drop falls to that floor.
+    rtol : float
+        Stop when stress(Z_{t-1}) - stress(Z_t) < rtol * stress(Z_0).  The
+        stress values carry an absolute error of a few machine epsilons
+        times sum_{i<j} w_ij d_ij^2 (see ``StressReport``), so ``rtol = 0``
+        stops once the drop falls to that floor.
     max_iter : int
         Iteration budget.
     v_pinv : ndarray, optional
@@ -334,9 +324,11 @@ def smacof(
     (ndarray, StressReport)
         Final configuration and the stress trajectory.
     """
-    if tol < 0:
-        raise InvalidInput(f"tol must be >= 0, got {tol}")
-    return _smacof(d, w, z0, max_iter, v_pinv, tol=tol)
+    _check_stop(rtol, max_iter)
+    z, d, w = _check_shapes(z0, d, w)
+    if v_pinv is None:
+        v_pinv = v_matrix_pinv(w)
+    return _majorize(_evaluator(d, w), v_pinv, z, max_iter, rtol)
 
 
 def joint_smacof(
@@ -348,7 +340,7 @@ def joint_smacof(
     lam: float,
     z1: np.ndarray,
     z2: np.ndarray,
-    rtol: float = 0.0,
+    rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, StressReport]:
     """Guttman iterations on the block instance of ``assemble_joint``, without building it.
@@ -397,10 +389,7 @@ def joint_smacof(
         raise InvalidInput("embeddings must share the target dimension")
     if not lam > 0:
         raise InvalidInput(f"lambda must be > 0, got {lam}")
-    if rtol < 0:
-        raise InvalidInput(f"rtol must be >= 0, got {rtol}")
-    if max_iter < 1:
-        raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
+    _check_stop(rtol, max_iter)
     n1, n2 = z1.shape[0], z2.shape[0]
     p = np.asarray(p, dtype=float)
     if p.shape != (n1, n2):
@@ -428,7 +417,7 @@ def joint_smacof(
         cross = a @ _squared_norms(z1) + b @ _squared_norms(z2) - 2.0 * np.vdot(z1, p @ z2)
         return value1 + value2 + lam * float(cross), np.vstack([bz1, bz2])
 
-    z, report = _majorize(evaluate, v_pinv, np.vstack([z1, z2]), max_iter, rtol=rtol)
+    z, report = _majorize(evaluate, v_pinv, np.vstack([z1, z2]), max_iter, rtol)
     return z[:n1], z[n1:], report
 
 

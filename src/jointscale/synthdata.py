@@ -90,32 +90,22 @@ def _project(
     p: int,
     noise_sigma: float | None,
     rng: np.random.Generator,
-    identity: bool,
 ) -> np.ndarray:
-    if identity:
-        if p != 3:
-            raise InvalidInput("identity projection requires a 3-dimensional target")
-        raw = latent.copy()
-    else:
-        raw = latent @ rng.standard_normal((3, p))
+    raw = latent @ rng.standard_normal((3, p))
     sigma = NOISE_FRACTION * raw.std() if noise_sigma is None else noise_sigma
     if sigma > 0:
         raw = raw + sigma * rng.standard_normal(raw.shape)
     return raw
 
 
-def generate(spec: GenSpec, identity_projection: bool = False) -> SyntheticPair:
-    """Generate one dataset pair deterministically from ``spec.seed``.
-
-    ``identity_projection`` is a test hook: with 3-dimensional targets the
-    latent coordinates pass through unprojected.
-    """
+def generate(spec: GenSpec) -> SyntheticPair:
+    """Generate one dataset pair deterministically from ``spec.seed``."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     latent, param = _latent(spec.kind, spec.n, rng)
     labels = _segment_labels(param)
-    x1 = _project(latent, spec.p1, spec.noise_sigma, rng, identity_projection)
-    x2 = _project(latent, spec.p2, spec.noise_sigma, rng, identity_projection)
+    x1 = _project(latent, spec.p1, spec.noise_sigma, rng)
+    x2 = _project(latent, spec.p2, spec.noise_sigma, rng)
     return SyntheticPair(x1=x1, x2=x2, labels=labels, latent=latent)
 
 

@@ -13,6 +13,11 @@ made about as many matrix-vector products as one dense Newton solve costs,
 and hand the rest of the budget back to scaling if a factorization or line
 search fails.  The orthogonal factor is recovered from a d x d SVD, and the
 two are alternated to align point sets with unknown correspondences.
+
+``wasserstein_procrustes`` and ``entropic_gw`` always return an info dict
+after their result, counting the Sinkhorn solves that stopped at their
+budget; ``sinkhorn`` returns the coupling, and its own info dict as well
+when called with ``log=True``, as both of them do.
 """
 
 from __future__ import annotations
@@ -39,7 +44,10 @@ __all__ = [
 
 SINKHORN_MAX_ITER = 1000
 SINKHORN_TOL = 1e-6
+# Gromov-Wasserstein mirror-descent steps, and the L1 change of the coupling
+# below which they stop early
 GW_OUTER_ITERS = 50
+GW_TOL = 1e-9
 
 # warm-up schedule for small regularization: the plain iteration enters a
 # slow O(1/t) regime once epsilon is far below the cost spread, so the
@@ -421,10 +429,8 @@ def wasserstein_procrustes(
     epsilon: float,
     inner_iters: int,
     p0: np.ndarray | None = None,
-    sinkhorn_max_iter: int = SINKHORN_MAX_ITER,
     sinkhorn_tol: float = 1e-9,
     warm_start: tuple[np.ndarray, np.ndarray] | None = None,
-    log: bool = False,
 ):
     """Alternate entropic OT and orthogonal Procrustes between two point sets.
 
@@ -435,11 +441,11 @@ def wasserstein_procrustes(
 
     Returns
     -------
-    (coupling, rotation), plus an info dict when ``log`` is set: the final
-    scaling potentials under ``"potentials"``, under
-    ``"sinkhorn_at_budget"`` how many rounds' transport solves stopped at
-    ``sinkhorn_max_iter`` short of ``sinkhorn_tol``, and under
-    ``"newton_steps"`` the Newton steps those solves took.
+    (coupling, rotation, info), with the final scaling potentials under
+    ``info["potentials"]``, under ``"sinkhorn_at_budget"`` how many rounds'
+    transport solves stopped at their iteration budget short of
+    ``sinkhorn_tol``, and under ``"newton_steps"`` the Newton steps those
+    solves took.
     """
     if inner_iters < 1:
         raise InvalidInput(f"inner_iters must be >= 1, got {inner_iters}")
@@ -457,7 +463,6 @@ def wasserstein_procrustes(
             cost_matrix(z1 @ rotation, z2),
             m,
             epsilon,
-            max_iter=sinkhorn_max_iter,
             tol=sinkhorn_tol,
             log=True,
             warm_start=potentials,
@@ -466,11 +471,9 @@ def wasserstein_procrustes(
         at_budget += not info["converged"]
         newton_steps += info["newton_steps"]
         rotation = orthogonal_procrustes(z1, coupling, z2)
-    if log:
-        return coupling, rotation, {"potentials": potentials,
-                                    "sinkhorn_at_budget": at_budget,
-                                    "newton_steps": newton_steps}
-    return coupling, rotation
+    return coupling, rotation, {"potentials": potentials,
+                                "sinkhorn_at_budget": at_budget,
+                                "newton_steps": newton_steps}
 
 
 def entropic_gw(
@@ -478,18 +481,20 @@ def entropic_gw(
     d2: np.ndarray,
     m: Marginals,
     epsilon: float,
-    outer_iters: int = GW_OUTER_ITERS,
-    tol: float = 1e-9,
-    log: bool = False,
 ):
     """Entropic Gromov-Wasserstein coupling between two dissimilarity matrices.
 
     Mirror-descent iterations with squared difference loss: each step builds
     the gradient cost of <L(d1, d2) x P, P> at the current coupling,
     proximally regularized by the KL to the current iterate, and re-projects
-    with Sinkhorn.  Starts from the product coupling.  With ``log`` set,
-    also returns a dict whose ``"sinkhorn_at_budget"`` counts the Sinkhorn
-    solves that stopped at their budget short of their tolerance.
+    with Sinkhorn.  Starts from the product coupling and makes at most
+    ``GW_OUTER_ITERS`` steps, stopping once a step changes the coupling by
+    less than ``GW_TOL`` in L1.
+
+    Returns
+    -------
+    (coupling, info), where ``info["sinkhorn_at_budget"]`` counts the
+    Sinkhorn solves that stopped at their budget short of their tolerance.
     """
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
@@ -503,7 +508,7 @@ def entropic_gw(
     log_coupling = np.log(coupling)
     potentials = None
     at_budget = 0
-    for _ in range(outer_iters):
+    for _ in range(GW_OUTER_ITERS):
         grad = const - 2.0 * d1 @ coupling @ d2
         # KL-proximal (mirror) step keeps iterates sharp at small epsilon
         cost = grad - epsilon * log_coupling
@@ -514,8 +519,6 @@ def entropic_gw(
         coupling = new
         log_coupling = info["log_coupling"]
         potentials = (info["u"], info["v"])
-        if delta < tol:
+        if delta < GW_TOL:
             break
-    if log:
-        return coupling, {"sinkhorn_at_budget": at_budget}
-    return coupling
+    return coupling, {"sinkhorn_at_budget": at_budget}

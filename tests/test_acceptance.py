@@ -51,7 +51,7 @@ def test_criterion_1_smacof_exactness():
     scale = float(d.sum() / (100 * 99))
     z0 = js.random_embedding(100, 3, seed=1, scale=scale)
     start = time.perf_counter()
-    z, rep = js.smacof(d, w, z0, tol=0.0, max_iter=2000)
+    z, rep = js.smacof(d, w, z0, rtol=0.0, max_iter=2000)
     elapsed = time.perf_counter() - start
     iu = np.triu_indices(100, k=1)
     relative = rep.per_iteration[-1] / float(np.sum(w[iu] * d[iu] ** 2))
@@ -74,7 +74,7 @@ def test_criterion_2_stress_monotonicity():
         w = 0.5 * (w + w.T)
         np.fill_diagonal(w, 0.0)
         z0 = rng.standard_normal((n, dim))
-        _, rep = js.smacof(d, w, z0, tol=0.0, max_iter=40)
+        _, rep = js.smacof(d, w, z0, rtol=0.0, max_iter=40)
         worst = max(worst, float(np.diff(rep.per_iteration).max()))
     assert worst <= 1e-10
     report(2, f"max stress increase over 50 weighted instances: {worst:.2e}")
@@ -126,9 +126,9 @@ def test_criterion_5_wasserstein_procrustes_planted():
         z1, z2, perm = js.planted_pair(200, 5, seed=seed, noise=0.01)
         m = js.Marginals.uniform(200, 200)
         d1, d2 = js.pairwise_euclidean(z1), js.pairwise_euclidean(z2)
-        p0 = js.entropic_gw(d1, d2, m, 0.01 * float(np.mean(d1**2) + np.mean(d2**2)))
+        p0, _ = js.entropic_gw(d1, d2, m, 0.01 * float(np.mean(d1**2) + np.mean(d2**2)))
         eps = 0.01 * float(np.mean(js.cost_matrix(z1, z2)))
-        p, _ = js.wasserstein_procrustes(z1, z2, m, eps, 10, p0=p0)
+        p, *_ = js.wasserstein_procrustes(z1, z2, m, eps, 10, p0=p0)
         recoveries.append(float(np.mean(js.match_argmax(p) == perm)))
     median = float(np.median(recoveries))
     assert median >= 0.95

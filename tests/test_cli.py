@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from jointscale import fileio, jointmds, pairwise_euclidean, transport
+from jointscale import fileio, pairwise_euclidean, transport
 from jointscale.cli import main
 
 
@@ -88,6 +88,20 @@ class TestJoint:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["node_correctness"] >= 0.9
         assert metrics["foscttm"] <= 0.05
+
+    def test_truth_index_out_of_range(self, tmp_path, capsys):
+        src = write_points(tmp_path / "x.csv",
+                           np.random.default_rng(2).standard_normal((12, 3)))
+        truth = tmp_path / "t.csv"
+        fileio.write_labels(truth, np.append(np.arange(11), 40))
+        out = tmp_path / "out"
+        assert run_cli(["joint", src, src, "--iters", "2", "--restarts", "1",
+                        "--truth", truth, "--out", out]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["level"] == "error"
+        assert str(truth) in error["message"] and "40" in error["message"]
+        # the truth file is checked before the solve
+        assert not (out / "z1.csv").exists()
 
     def test_missing_second_input(self, tmp_path):
         src = write_points(tmp_path / "x.csv", np.zeros((3, 2)))
@@ -267,9 +281,9 @@ class TestJoint:
         assert summary["joint_guttman_steps"] == 2
         assert summary["joint_smacof_at_budget"] == 2
         assert warnings == []
-        monkeypatch.setattr(jointmds, "wasserstein_procrustes",
-                            functools.partial(jointmds.wasserstein_procrustes,
-                                              sinkhorn_max_iter=1))
+        # one scaling iteration per transport solve stops each at its budget
+        monkeypatch.setattr(transport, "sinkhorn",
+                            functools.partial(transport.sinkhorn, max_iter=1))
         starved, summary, warnings = run("starved")
         assert summary["sinkhorn_at_budget"] == 4
         assert len(warnings) == 1
@@ -277,8 +291,6 @@ class TestJoint:
         assert warnings[0]["smacof_init_at_budget"] == summary["smacof_init_at_budget"]
         assert warnings[0]["gw_sinkhorn_at_budget"] == 0
         # a starved Gromov-Wasserstein warm start is counted and warned about
-        monkeypatch.setattr(transport, "sinkhorn",
-                            functools.partial(transport.sinkhorn, max_iter=1))
         argv += ["--gw-init"]
         gw, summary, warnings = run("gw")
         assert summary["gw_sinkhorn_at_budget"] > 0
@@ -390,6 +402,17 @@ class TestEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["node_correctness"] == 1.0
         assert metrics["top3_accuracy"] == 1.0
+
+    def test_truth_index_out_of_range(self, tmp_path, capsys):
+        pf = tmp_path / "p.csv"
+        fileio.write_matrix(pf, np.full((12, 12), 1 / 144))
+        tf = tmp_path / "t.csv"
+        fileio.write_labels(tf, np.append(np.arange(11), 40))
+        assert run_cli(["eval", "--coupling", pf, "--truth", tf,
+                        "--out", tmp_path / "out"]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["level"] == "error"
+        assert str(tf) in error["message"] and "40" in error["message"]
 
     def test_rmsd_on_self_aligned_exact_instance(self, tmp_path):
         rng = np.random.default_rng(9)

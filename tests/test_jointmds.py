@@ -17,6 +17,7 @@ from jointscale import (
     joint_objective,
     match_argmax,
     pairwise_euclidean,
+    smacof,
     solve,
     stress,
     uniform_weight_matrix,
@@ -128,15 +129,15 @@ class TestSolve:
         res = solve(d1, d2, w1, w2, cfg)
 
         z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0)
-        z1, _ = jointmds._relative_smacof(d1, w1, z1, jointmds.INIT_SMACOF_MAX_ITER)
-        z2, _ = jointmds._relative_smacof(d2, w2, z2, jointmds.INIT_SMACOF_MAX_ITER)
+        z1, _ = smacof(d1, w1, z1, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+        z2, _ = smacof(d2, w2, z2, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
         m = Marginals.uniform(25, 20)
         eps = max(cfg.epsilon0,
                   jointmds.EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2))))
-        _, rot = wasserstein_procrustes(z1, z2, m, eps, cfg.inner_wp_iters,
-                                        sinkhorn_tol=jointmds.WP_SINKHORN_TOL)
-        z1f, r1 = jointmds._relative_smacof(d1, w1, z1 @ rot, cfg.inner_smacof_iters)
-        z2f, r2 = jointmds._relative_smacof(d2, w2, z2, cfg.inner_smacof_iters)
+        _, rot, _ = wasserstein_procrustes(z1, z2, m, eps, cfg.inner_wp_iters,
+                                           sinkhorn_tol=jointmds.WP_SINKHORN_TOL)
+        z1f, r1 = smacof(d1, w1, z1 @ rot, max_iter=cfg.inner_smacof_iters)
+        z2f, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters)
         assert np.array_equal(res.z1, z1f)
         assert np.array_equal(res.z2, z2f)
         # at zero penalty the pass is two runs, both counted
@@ -258,8 +259,8 @@ class TestSolve:
         assert normal.smacof_init_at_budget == 0
         assert cfg.outer_iters <= normal.joint_guttman_steps
         assert normal.joint_guttman_steps <= cfg.outer_iters * cfg.inner_smacof_iters
-        monkeypatch.setattr(jointmds, "wasserstein_procrustes",
-                            functools.partial(wasserstein_procrustes, sinkhorn_max_iter=1))
+        monkeypatch.setattr(transport, "sinkhorn",
+                            functools.partial(transport.sinkhorn, max_iter=1))
         monkeypatch.setattr(jointmds, "INIT_SMACOF_MAX_ITER", 1)
         cfg.inner_smacof_iters = 1
         starved = solve(d, d, w, w, cfg)
@@ -293,11 +294,11 @@ class TestSolve:
         cfg = JointConfig(outer_iters=2, restarts=2, seed=0, gw_init=True)
         assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
         # entropic_gw looks up transport.sinkhorn at call time and leaves its
-        # budget at the default; Wasserstein-Procrustes passes its own
+        # budget at the default
         monkeypatch.setattr(transport, "sinkhorn",
                             functools.partial(transport.sinkhorn, max_iter=1))
         gw_eps = jointmds.GW_EPSILON_FRACTION * 2 * float(np.mean(d**2))
-        _, info = entropic_gw(d, d, Marginals.uniform(15, 15), gw_eps, log=True)
+        _, info = entropic_gw(d, d, Marginals.uniform(15, 15), gw_eps)
         assert info["sinkhorn_at_budget"] > 0
         results, real = [], jointmds._run_restart
 

@@ -9,7 +9,6 @@ from jointscale import (
     InvalidInput,
     NumericalFailure,
     assemble_joint,
-    guttman_transform,
     joint_objective,
     joint_smacof,
     pairwise_euclidean,
@@ -132,6 +131,11 @@ class TestVMatrixPinv:
             v_matrix_pinv(w)
 
 
+def guttman_step(z, d, w, v_pinv):
+    """One majorization step V^+ B(Z) Z: a one-step ``smacof`` run."""
+    return smacof(d, w, z, rtol=0.0, max_iter=1, v_pinv=v_pinv)[0]
+
+
 class TestGuttmanTransform:
     def test_fixed_point_at_exact_centered_config(self):
         rng = np.random.default_rng(8)
@@ -139,14 +143,14 @@ class TestGuttmanTransform:
         z -= z.mean(axis=0)
         d = pairwise_euclidean(z)
         w = uniform_weight_matrix(10)
-        out = guttman_transform(z, d, w, v_matrix_pinv(w))
+        out = guttman_step(z, d, w, v_matrix_pinv(w))
         assert np.abs(out - z).max() < 1e-10
 
     def test_coincident_points_map_to_zero(self):
         z = np.ones((5, 2))
         d = pairwise_euclidean(np.random.default_rng(9).standard_normal((5, 2)))
         w = uniform_weight_matrix(5)
-        out = guttman_transform(z, d, w, v_matrix_pinv(w))
+        out = guttman_step(z, d, w, v_matrix_pinv(w))
         assert np.all(out == 0)
 
     def test_stress_strictly_decreases_generic(self):
@@ -154,14 +158,14 @@ class TestGuttmanTransform:
         z, d, w = rng.standard_normal((12, 2)), None, None
         d = pairwise_euclidean(rng.standard_normal((12, 2)))
         w = uniform_weight_matrix(12)
-        out = guttman_transform(z, d, w, v_matrix_pinv(w))
+        out = guttman_step(z, d, w, v_matrix_pinv(w))
         assert stress(out, d, w) < stress(z, d, w)
 
     def test_never_increases_stress(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             z, d, w = random_instance(rng, 8, 2)
-            out = guttman_transform(z, d, w, v_matrix_pinv(w))
+            out = guttman_step(z, d, w, v_matrix_pinv(w))
             assert stress(out, d, w) <= stress(z, d, w) + 1e-12
 
     def test_centered_output_with_uniform_weights(self):
@@ -169,7 +173,7 @@ class TestGuttmanTransform:
         z = rng.standard_normal((9, 3)) + 5.0
         d = pairwise_euclidean(rng.standard_normal((9, 3)))
         w = uniform_weight_matrix(9)
-        out = guttman_transform(z, d, w, v_matrix_pinv(w))
+        out = guttman_step(z, d, w, v_matrix_pinv(w))
         assert np.abs(out.mean(axis=0)).max() <= 1e-10
 
 
@@ -198,7 +202,7 @@ class TestStressIdentity:
         w = rng.random((n, n))
         z0 = rng.standard_normal((n, 2))
         for k in range(1, 16):
-            z, report = smacof(d, w, z0, tol=0.0, max_iter=k)
+            z, report = smacof(d, w, z0, rtol=0.0, max_iter=k)
             assert report.iterations_used == k
             for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
                 expected = stress(at, d, w)
@@ -214,10 +218,10 @@ class TestStressIdentity:
         z0 = rng.standard_normal((n, 2))
         vp = v_matrix_pinv(w)
         expected = vp @ dense_b_times(z0, d, w)
-        step = guttman_transform(z0, d, w, vp)
+        step = guttman_step(z0, d, w, vp)
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
         for k in (1, 4, 12):
-            z, report = smacof(d, w, z0, tol=0.0, max_iter=k)
+            z, report = smacof(d, w, z0, rtol=0.0, max_iter=k)
             for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
                 expected = stress(at, d, w)
                 assert abs(value - expected) <= 1e-12 * expected
@@ -234,12 +238,10 @@ class TestStressIdentity:
         vp = v_matrix_pinv(w)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = guttman_transform(z, d, w, vp)
-            z1, report = smacof(d, w, z, tol=0.0, max_iter=1)
+            out, report = smacof(d, w, z, rtol=0.0, max_iter=1, v_pinv=vp)
         expected = vp @ dense_b_times(z, d, w)
         assert np.all(np.isfinite(out))
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
-        assert np.array_equal(z1, out)
         start = stress(z, d, w)
         assert abs(report.per_iteration[0] - start) <= 1e-12 * start
 
@@ -251,7 +253,7 @@ class TestSmacof:
         d = pairwise_euclidean(np.array([[0.0], [1.0], [2.0]]))
         w = uniform_weight_matrix(3)
         z0 = random_embedding(3, 1, seed=4, scale=1.0)
-        _, report = smacof(d, w, z0, tol=0.0, max_iter=500)
+        _, report = smacof(d, w, z0, rtol=0.0, max_iter=500)
         assert 0.0 <= report.per_iteration[-1] <= 1e-10
 
     def test_realizable_instance_relative_stress(self):
@@ -259,7 +261,7 @@ class TestSmacof:
         d = pairwise_euclidean(rng.standard_normal((50, 2)))
         w = uniform_weight_matrix(50)
         z0 = random_embedding(50, 2, seed=3, scale=float(d.mean()))
-        _, report = smacof(d, w, z0, tol=0.0, max_iter=2000)
+        _, report = smacof(d, w, z0, rtol=0.0, max_iter=2000)
         iu = np.triu_indices(50, k=1)
         denom = float(np.sum(w[iu] * d[iu] ** 2))
         assert report.per_iteration[-1] / denom <= 1e-8
@@ -271,7 +273,7 @@ class TestSmacof:
         z = rng.standard_normal((10, 2))
         d = pairwise_euclidean(z)
         w = uniform_weight_matrix(10)
-        _, report = smacof(d, w, z, tol=1e-9, max_iter=100)
+        _, report = smacof(d, w, z, rtol=1e-9, max_iter=100)
         assert report.converged
         assert report.iterations_used <= 2
 
@@ -281,7 +283,7 @@ class TestSmacof:
             x = np.random.default_rng(seed).standard_normal((30, 2))
             d = pairwise_euclidean(x)
             w = uniform_weight_matrix(30)
-            _, report = smacof(d, w, x, tol=0.0, max_iter=5)
+            _, report = smacof(d, w, x, rtol=0.0, max_iter=5)
             iu = np.triu_indices(30, k=1)
             floor = 1e-13 * float(np.sum(w[iu] * d[iu] ** 2))
             assert all(0.0 <= v <= floor for v in report.per_iteration)
@@ -290,17 +292,31 @@ class TestSmacof:
         rng = np.random.default_rng(15)
         for _ in range(10):
             z0, d, w = random_instance(rng, 10, 2)
-            _, report = smacof(d, w, z0, tol=1e-12, max_iter=60)
+            _, report = smacof(d, w, z0, rtol=1e-12, max_iter=60)
             drops = np.diff(report.per_iteration)
             assert drops.max(initial=-np.inf) <= 1e-10
+
+    @pytest.mark.parametrize("c", [1e-3, 1.0, 1e3])
+    def test_default_stop_is_scale_free(self, c):
+        # the stop is relative to the start stress, so scaling d and z0 by c
+        # scales the run by c and leaves its step count alone
+        rng = np.random.default_rng(23)
+        d = pairwise_euclidean(rng.standard_normal((20, 3)))
+        w = uniform_weight_matrix(20)
+        z0 = rng.standard_normal((20, 2))
+        z, report = smacof(d, w, z0)
+        scaled, scaled_report = smacof(c * d, w, c * z0)
+        assert report.converged
+        assert scaled_report.iterations_used == report.iterations_used
+        assert np.abs(scaled - c * z).max() <= 1e-9 * c * np.abs(z).max()
 
     def test_invalid_parameters(self):
         d = np.zeros((2, 2))
         w = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(InvalidInput):
-            smacof(d, w, np.zeros((2, 1)), tol=-1.0, max_iter=5)
+            smacof(d, w, np.zeros((2, 1)), rtol=-1.0, max_iter=5)
         with pytest.raises(InvalidInput):
-            smacof(d, w, np.zeros((2, 1)), tol=0.0, max_iter=0)
+            smacof(d, w, np.zeros((2, 1)), rtol=0.0, max_iter=0)
 
 
 class TestAssembleJoint:
@@ -373,9 +389,8 @@ class TestJointSmacof:
     def test_matches_dense_block_instance(self, lam, seed, rtol):
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(seed)
         blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
-        tol = rtol * stress(blocks.z_tilde, blocks.d_tilde, blocks.w_tilde)
         z_dense, dense = smacof(blocks.d_tilde, blocks.w_tilde, blocks.z_tilde,
-                                tol=tol, max_iter=300)
+                                rtol=rtol, max_iter=300)
         s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, rtol, 300)
         assert report.iterations_used == dense.iterations_used
         assert report.converged == dense.converged

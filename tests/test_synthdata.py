@@ -5,12 +5,6 @@ from jointscale import GenSpec, InvalidInput, generate, planted_pair, standardiz
 
 
 class TestGenerate:
-    def test_identity_projection_bypass(self):
-        spec = GenSpec(kind="swiss_roll", n=50, p1=3, p2=3, noise_sigma=0.0, seed=1)
-        pair = generate(spec, identity_projection=True)
-        assert np.array_equal(pair.x1, pair.latent)
-        assert np.array_equal(pair.x2, pair.latent)
-
     def test_seed_determinism(self):
         spec = GenSpec(kind="swiss_roll", n=300, seed=9)
         a = generate(spec)
@@ -38,11 +32,6 @@ class TestGenerate:
     def test_invalid_kind(self):
         with pytest.raises(InvalidInput):
             GenSpec(kind="torus", n=10).validate()
-
-    def test_identity_projection_needs_dim3(self):
-        spec = GenSpec(kind="swiss_roll", n=10, p1=4, p2=3, seed=0)
-        with pytest.raises(InvalidInput):
-            generate(spec, identity_projection=True)
 
 
 class TestStandardize:

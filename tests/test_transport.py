@@ -1,3 +1,4 @@
+import functools
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -522,7 +523,7 @@ class TestWassersteinProcrustes:
         rng = np.random.default_rng(8)
         z1 = rng.standard_normal((30, 2))
         m = Marginals.uniform(30, 30)
-        p, o = wasserstein_procrustes(z1, z1, m, 0.01, 15)
+        p, o, _ = wasserstein_procrustes(z1, z1, m, 0.01, 15)
         assert np.linalg.norm(z1 @ o - z1) / np.linalg.norm(z1) < 0.05
         assert np.array_equal(match_argmax(p), np.arange(30))
 
@@ -530,9 +531,9 @@ class TestWassersteinProcrustes:
         z1, z2, perm = planted_pair(200, 5, seed=11, noise=0.01)
         m = Marginals.uniform(200, 200)
         d1, d2 = pairwise_euclidean(z1), pairwise_euclidean(z2)
-        p0 = entropic_gw(d1, d2, m, 0.01 * (np.mean(d1**2) + np.mean(d2**2)))
+        p0, _ = entropic_gw(d1, d2, m, 0.01 * (np.mean(d1**2) + np.mean(d2**2)))
         eps = 0.01 * float(np.mean(cost_matrix(z1, z2)))
-        p, _ = wasserstein_procrustes(z1, z2, m, eps, 10, p0=p0)
+        p, *_ = wasserstein_procrustes(z1, z2, m, eps, 10, p0=p0)
         assert np.mean(match_argmax(p) == perm) >= 0.95
 
     def test_zero_rounds_rejected(self):
@@ -543,15 +544,18 @@ class TestWassersteinProcrustes:
         with pytest.raises(InvalidInput):
             wasserstein_procrustes(z1, z2, Marginals.uniform(5, 6), 1.0, 0, p0=p0)
 
-    def test_reports_rounds_at_budget(self):
+    def test_reports_rounds_at_budget(self, monkeypatch):
         rng = np.random.default_rng(26)
         z1 = rng.standard_normal((12, 2))
         z2 = rng.standard_normal((10, 2))
         m = Marginals.uniform(12, 10)
-        *_, info = wasserstein_procrustes(z1, z2, m, 0.01, 3, sinkhorn_max_iter=1, log=True)
-        assert info["sinkhorn_at_budget"] == 3
-        *_, info = wasserstein_procrustes(z1, z2, m, 1.0, 3, sinkhorn_tol=1e-6, log=True)
+        *_, info = wasserstein_procrustes(z1, z2, m, 1.0, 3, sinkhorn_tol=1e-6)
         assert info["sinkhorn_at_budget"] == 0
+        # one scaling iteration per transport solve stops each at its budget
+        monkeypatch.setattr(transport, "sinkhorn",
+                            functools.partial(transport.sinkhorn, max_iter=1))
+        *_, info = wasserstein_procrustes(z1, z2, m, 0.01, 3)
+        assert info["sinkhorn_at_budget"] == 3
 
     def test_reports_newton_steps(self, monkeypatch):
         steps, real = [], transport.sinkhorn
@@ -565,7 +569,7 @@ class TestWassersteinProcrustes:
         z1, z2 = planted_pair(25, 2, seed=27, noise=0.05)[:2]
         m = Marginals.uniform(25, 25)
         eps = 1e-3 * float(cost_matrix(z1, z2).max())
-        *_, info = wasserstein_procrustes(z1, z2, m, eps, 4, sinkhorn_tol=1e-11, log=True)
+        *_, info = wasserstein_procrustes(z1, z2, m, eps, 4, sinkhorn_tol=1e-11)
         assert len(steps) == 4
         assert info["newton_steps"] == sum(steps) > 0
 
@@ -580,11 +584,11 @@ class TestWassersteinProcrustes:
         p, potentials, trace = None, None, []
         for _ in range(12):
             p, o, info = wasserstein_procrustes(z1, z2, m, eps, 1, p0=p,
-                                                warm_start=potentials, log=True)
+                                                warm_start=potentials)
             potentials = info["potentials"]
             trace.append(float(np.sum(p * cost_matrix(z1 @ o, z2))) - eps * entropy(p))
         assert np.all(np.diff(trace) <= 1e-8)
-        p_all, o_all = wasserstein_procrustes(z1, z2, m, eps, 12)
+        p_all, o_all, _ = wasserstein_procrustes(z1, z2, m, eps, 12)
         assert np.array_equal(p, p_all)
         assert np.array_equal(o, o_all)
 
@@ -594,18 +598,18 @@ class TestEntropicGW:
         rng = np.random.default_rng(12)
         d = pairwise_euclidean(rng.standard_normal((20, 3)))
         m = Marginals.uniform(20, 20)
-        p = entropic_gw(d, d, m, 0.01 * 2 * float(np.mean(d**2)))
+        p, _ = entropic_gw(d, d, m, 0.01 * 2 * float(np.mean(d**2)))
         assert np.array_equal(match_argmax(p), np.arange(20))
 
     def test_planted_permutation(self):
         z1, z2, perm = planted_pair(30, 3, seed=13, noise=0.0)
         d1, d2 = pairwise_euclidean(z1), pairwise_euclidean(z2)
         m = Marginals.uniform(30, 30)
-        p = entropic_gw(d1, d2, m, 0.01 * (np.mean(d1**2) + np.mean(d2**2)))
+        p, _ = entropic_gw(d1, d2, m, 0.01 * (np.mean(d1**2) + np.mean(d2**2)))
         assert np.mean(match_argmax(p) == perm) >= 0.90
 
     def test_single_point(self):
-        p = entropic_gw(np.zeros((1, 1)), np.zeros((1, 1)), Marginals.uniform(1, 1), 0.1)
+        p, _ = entropic_gw(np.zeros((1, 1)), np.zeros((1, 1)), Marginals.uniform(1, 1), 0.1)
         assert np.allclose(p, [[1.0]])
 
     def test_marginals_respected(self):
@@ -613,5 +617,5 @@ class TestEntropicGW:
         d1 = pairwise_euclidean(rng.standard_normal((12, 2)))
         d2 = pairwise_euclidean(rng.standard_normal((9, 2)))
         m = Marginals.uniform(12, 9)
-        p = entropic_gw(d1, d2, m, 0.05)
+        p, _ = entropic_gw(d1, d2, m, 0.05)
         assert np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum() <= 1e-5
