@@ -8,7 +8,6 @@ correspondences between their samples.
 __version__ = "0.1.0"
 
 from .dissimilarity import (
-    NeighborGraph,
     geodesic_distances,
     graph_dissimilarity,
     knn_graph,
@@ -57,7 +56,6 @@ __all__ = [
     "DegenerateWeights",
     "DisconnectedGraph",
     "NumericalFailure",
-    "NeighborGraph",
     "pairwise_euclidean",
     "knn_graph",
     "geodesic_distances",

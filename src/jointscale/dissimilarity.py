@@ -3,12 +3,13 @@
 Feature matrices, point clouds and graphs all funnel into a single
 representation: a dense, symmetric, nonnegative matrix with zero diagonal.
 Geodesic variants go through a k-nearest-neighbor graph and all-pairs
-shortest paths, the same construction Isomap uses.
+shortest paths, the same construction Isomap uses.  A graph is one symmetric
+``scipy.sparse`` CSR matrix of edge lengths, and one function,
+:func:`geodesic_distances`, turns both k-NN graphs and adjacency patterns
+into shortest-path distances.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,7 +19,6 @@ from scipy.spatial.distance import cdist
 from .errors import DegenerateInput, DisconnectedGraph, InvalidInput
 
 __all__ = [
-    "NeighborGraph",
     "validate_dissimilarity",
     "pairwise_euclidean",
     "knn_graph",
@@ -31,28 +31,6 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-12
-
-
-@dataclass
-class NeighborGraph:
-    """Undirected graph with nonnegative edge lengths.
-
-    ``edges`` holds each undirected edge once as ``(i, j, length)`` with
-    ``i < j``; no self-loops.
-    """
-
-    n: int
-    edges: list[tuple[int, int, float]] = field(default_factory=list)
-
-    def to_sparse(self) -> sp.csr_matrix:
-        """Symmetric CSR adjacency; zero-length edges are kept as explicit entries."""
-        if not self.edges:
-            return sp.csr_matrix((self.n, self.n))
-        ii, jj, ll = zip(*self.edges)
-        rows = np.concatenate([ii, jj])
-        cols = np.concatenate([jj, ii])
-        vals = np.concatenate([ll, ll]).astype(float)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
 
 def validate_dissimilarity(d: np.ndarray, name: str = "dissimilarity matrix") -> np.ndarray:
@@ -101,12 +79,14 @@ def pairwise_euclidean(x: np.ndarray) -> np.ndarray:
     return _symmetrize(d)
 
 
-def knn_graph(d: np.ndarray, k: int) -> NeighborGraph:
+def knn_graph(d: np.ndarray, k: int) -> sp.csr_matrix:
     """k-nearest-neighbor graph of a dissimilarity matrix.
 
     Each node selects its ``k`` nearest neighbors (ties broken by lower
-    index); the edge set is the union over both endpoints.  Edge length is
-    the dissimilarity entry, so duplicate points yield zero-length edges.
+    index); the edge set is the union over both endpoints.  Returns the
+    symmetric CSR matrix of edge lengths, each undirected edge stored in
+    both orientations.  Edge length is the dissimilarity entry, so
+    duplicate points yield zero-length edges, kept as explicit entries.
     """
     d = validate_dissimilarity(d)
     n = d.shape[0]
@@ -117,52 +97,52 @@ def knn_graph(d: np.ndarray, k: int) -> NeighborGraph:
     # a stable sort breaks distance ties by the lower index
     nearest = np.argsort(ranked, axis=1, kind="stable")[:, :k]
     pairs = np.sort(np.column_stack((np.repeat(np.arange(n), k), nearest.ravel())), axis=1)
-    pairs = np.unique(pairs, axis=0)
-    return NeighborGraph(n=n, edges=[(int(i), int(j), float(d[i, j])) for i, j in pairs])
-
-
-def _bridge_components(g: NeighborGraph, source: np.ndarray) -> NeighborGraph:
-    """Join components by repeatedly adding the smallest inter-component dissimilarity."""
-    edges = list(g.edges)
-    n = g.n
-    while True:
-        adj = NeighborGraph(n=n, edges=edges).to_sparse()
-        n_comp, labels = connected_components(adj, directed=False)
-        if n_comp <= 1:
-            return NeighborGraph(n=n, edges=edges)
-        cross = labels[:, None] != labels[None, :]
-        masked = np.where(cross, source, np.inf)
-        i, j = np.unravel_index(np.argmin(masked), masked.shape)
-        edges.append((min(i, j), max(i, j), float(source[i, j])))
+    i, j = np.unique(pairs, axis=0).T
+    lengths = np.concatenate([d[i, j], d[i, j]])
+    # built from COO arrays, which keeps zero lengths as explicit entries
+    return sp.csr_matrix((lengths, (np.concatenate([i, j]), np.concatenate([j, i]))),
+                         shape=(n, n))
 
 
 def geodesic_distances(
-    g: NeighborGraph,
+    g: sp.spmatrix,
     connect: bool = False,
     source: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All-pairs shortest-path distances on a neighbor graph.
+    """All-pairs shortest-path distances on a graph of edge lengths.
 
-    With ``connect`` set, a disconnected graph is first augmented by
-    repeatedly joining the closest pair of components with the smallest
-    original dissimilarity (taken from ``source``, the matrix the graph
-    was built from).  With ``connect`` unset, disconnection raises
+    ``g`` is a symmetric sparse matrix of edge lengths, as
+    :func:`knn_graph` returns; explicit zeros are zero-length edges.  With
+    ``connect`` set, a disconnected graph is first augmented by repeatedly
+    joining the closest pair of components with the smallest original
+    dissimilarity (taken from ``source``, the matrix the graph was built
+    from).  With ``connect`` unset, disconnection raises
     :class:`DisconnectedGraph` reporting the component count.
     """
-    adj = g.to_sparse()
-    n_comp, _ = connected_components(adj, directed=False)
+    n = g.shape[0]
+    n_comp, labels = connected_components(g, directed=False)
     if n_comp > 1:
         if not connect:
-            raise DisconnectedGraph(
-                f"neighbor graph has {n_comp} connected components", n_comp
-            )
+            raise DisconnectedGraph(f"graph has {n_comp} connected components", n_comp)
         if source is None:
             raise InvalidInput("connect=True requires the source dissimilarity matrix")
         source = validate_dissimilarity(source, "source matrix")
-        if source.shape[0] != g.n:
+        if source.shape[0] != n:
             raise InvalidInput("source matrix size does not match graph")
-        adj = _bridge_components(g, source).to_sparse()
-    dist = shortest_path(adj, method="D", directed=False)
+        bridges = np.empty((n_comp - 1, 2), dtype=int)
+        for b in range(n_comp - 1):
+            masked = np.where(labels[:, None] != labels[None, :], source, np.inf)
+            bridges[b] = np.unravel_index(np.argmin(masked), masked.shape)
+            i, j = bridges[b]
+            labels[labels == labels[j]] = labels[i]  # merge the two components
+        # one matrix from COO arrays: sparse addition would drop the graph's
+        # explicit zeros and cut duplicate points apart
+        coo = g.tocoo()
+        i, j = bridges.T
+        lengths = np.concatenate([coo.data, source[i, j], source[i, j]])
+        rows, cols = np.concatenate([coo.row, i, j]), np.concatenate([coo.col, j, i])
+        g = sp.csr_matrix((lengths, (rows, cols)), shape=(n, n))
+    dist = shortest_path(g, method="D", directed=False)
     return _symmetrize(dist)
 
 
@@ -183,7 +163,8 @@ def normalized_adjacency(edges: list[tuple], n: int) -> np.ndarray:
     """Degree-normalized adjacency a_ij / sqrt(deg_i * deg_j).
 
     ``edges`` is a list of ``(i, j)`` or ``(i, j, weight)`` tuples; node ids
-    are 0-based.  Every node must have degree at least one.
+    are 0-based and weights finite and nonnegative.  Every node must have
+    degree at least one.
     """
     if n < 1:
         raise InvalidInput("graph must have at least one node")
@@ -199,6 +180,8 @@ def normalized_adjacency(edges: list[tuple], n: int) -> np.ndarray:
             raise InvalidInput(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             continue
+        if not np.isfinite(w):
+            raise InvalidInput(f"edge ({i},{j}) has non-finite weight {w}")
         if w < 0:
             raise InvalidInput(f"edge ({i},{j}) has negative weight {w}")
         a[i, j] = a[j, i] = float(w)
@@ -227,15 +210,9 @@ def graph_dissimilarity(adj: np.ndarray, mode: str = "hop") -> np.ndarray:
         raise InvalidInput(f"unknown mode {mode!r}")
     mask = adj > 0
     np.fill_diagonal(mask, False)
-    lengths = np.zeros_like(adj)
-    lengths[mask] = 1.0 if mode == "hop" else 1.0 / adj[mask]
     rows, cols = np.nonzero(mask)
-    graph = sp.csr_matrix((lengths[rows, cols], (rows, cols)), shape=adj.shape)
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp > 1:
-        raise DisconnectedGraph(f"graph has {n_comp} connected components", n_comp)
-    dist = shortest_path(graph, method="D", directed=False)
-    return _symmetrize(dist)
+    lengths = np.ones(rows.size) if mode == "hop" else 1.0 / adj[rows, cols]
+    return geodesic_distances(sp.csr_matrix((lengths, (rows, cols)), shape=adj.shape))
 
 
 def power_weight_matrix(d: np.ndarray, exponent: float = 4.0) -> np.ndarray:

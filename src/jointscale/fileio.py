@@ -94,9 +94,8 @@ def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
 def write_embedding(path, z: np.ndarray, delimiter: str = ",") -> None:
     """Embedding CSV: leading 0-based row index column, then coordinates."""
     z = np.atleast_2d(z)
-    with open(path, "w") as fh:
-        for i, row in enumerate(z):
-            fh.write(delimiter.join([str(i)] + [FLOAT_FMT % v for v in row]) + "\n")
+    np.savetxt(path, np.column_stack((np.arange(z.shape[0]), z)), fmt=FLOAT_FMT,
+               delimiter=delimiter)
 
 
 def read_embedding(path, delimiter: str = ",", data: bytes | None = None) -> np.ndarray:
@@ -169,39 +168,57 @@ def read_match_indices(path, data: bytes | None = None) -> np.ndarray:
 
 
 def write_coupling_triplets(path, p: np.ndarray) -> None:
-    """Sparse ``i j value`` text; entries below ``SPARSE_DROP`` are omitted."""
+    """Sparse ``i j value`` text under a ``# n m`` shape header; entries below
+    ``SPARSE_DROP`` are omitted."""
     p = np.asarray(p, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(f"# {p.shape[0]} {p.shape[1]}\n")
-        for i, j in zip(*np.nonzero(p >= SPARSE_DROP)):
-            fh.write(f"{i} {j} {FLOAT_FMT % p[i, j]}\n")
+    i, j = np.nonzero(p >= SPARSE_DROP)
+    np.savetxt(path, np.column_stack((i, j, p[i, j])), fmt=("%d", "%d", FLOAT_FMT),
+               header=f"{p.shape[0]} {p.shape[1]}", comments="# ")
 
 
 def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
+    """Dense coupling from :func:`write_coupling_triplets` text.
+
+    The first ``# n m`` comment fixes the shape, else it is the largest
+    indices plus one.  Indices must lie inside that shape; a repeated
+    ``i j`` keeps its last value.
+    """
     path = Path(path)
-    lines = _text(path, data).splitlines()
     shape = None
-    entries = []
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            parts = stripped[1:].split()
-            if shape is None and len(parts) == 2:
-                shape = (int(parts[0]), int(parts[1]))
-            continue
-        parts = stripped.split()
-        if len(parts) != 3:
-            raise InvalidInput(f"{path}:{lineno}: expected 'i j value'")
-        entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    linenos, ij, values = [], [], []
+    lines = _text(path, data).splitlines()
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            stripped = line.strip()
+            if stripped.startswith("#"):
+                header = stripped[1:].split()
+                if shape is None and len(header) == 2:
+                    shape = (int(header[0]), int(header[1]))
+                    if min(shape) < 0:
+                        raise ValueError(f"negative coupling shape {shape}")
+                continue
+            if not stripped:
+                continue
+            parts = stripped.split()
+            if len(parts) != 3:
+                raise ValueError("expected 'i j value'")
+            ij.append((int(parts[0]), int(parts[1])))
+            values.append(float(parts[2]))
+            linenos.append(lineno)
+    except ValueError as exc:
+        raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+    ij = np.array(ij, dtype=int).reshape(-1, 2)
     if shape is None:
-        if not entries:
+        if not values:
             raise InvalidInput(f"{path}: empty coupling file")
-        shape = (max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1)
+        shape = tuple(int(m) + 1 for m in ij.max(axis=0))
+    outside = np.flatnonzero((ij < 0).any(axis=1) | (ij >= shape).any(axis=1))
+    if outside.size:
+        k = outside[0]
+        raise InvalidInput(f"{path}:{linenos[k]}: index ({ij[k, 0]}, {ij[k, 1]}) is "
+                           f"outside the {shape[0]}x{shape[1]} coupling")
     p = np.zeros(shape)
-    for i, j, v in entries:
-        p[i, j] = v
+    p[ij[:, 0], ij[:, 1]] = values
     return p
 
 

@@ -63,12 +63,8 @@ def topk_accuracy(p: np.ndarray, truth_best: np.ndarray, k: int) -> float:
         raise InvalidInput(f"truth_best must have one entry per row, got {truth_best.shape}")
     if not 1 <= k <= m:
         raise InvalidInput(f"k must satisfy 1 <= k <= {m}, got {k}")
-    hits = 0
-    cols = np.arange(m)
-    for i in range(n):
-        top = np.lexsort((cols, -p[i]))[:k]  # value desc, ties to lowest index
-        hits += truth_best[i] in top
-    return hits / n
+    top = np.argsort(-p, axis=1, kind="stable")[:, :k]  # value desc, ties to lowest index
+    return float(np.count_nonzero(top == truth_best[:, None]) / n)
 
 
 def rmsd_d(
@@ -129,8 +125,8 @@ def knn_transfer(
     classes, encoded = np.unique(source_labels, return_inverse=True)
     dist = cdist(target, source)
     nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
-    votes = encoded[nearest]
-    counts = np.apply_along_axis(np.bincount, 1, votes, minlength=classes.size)
+    counts = np.zeros((target.shape[0], classes.size), dtype=int)
+    np.add.at(counts, (np.arange(target.shape[0])[:, None], encoded[nearest]), 1)
     return classes[np.argmax(counts, axis=1)]
 
 

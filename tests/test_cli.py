@@ -369,6 +369,17 @@ class TestMatch:
         assert code != 0
         assert "components" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_rejected(self, tmp_path, capsys, weight):
+        e1 = tmp_path / "g1.txt"
+        e1.write_text(f"0 1 1\n1 2 {weight}\n2 3 1\n3 0 1\n")
+        code = run_cli(["match", e1, e1, "--iters", "2", "--restarts", "1",
+                        "--out", tmp_path / "out"])
+        assert code == 1
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert "edge (1,2) has non-finite weight" in message
+        assert "components" not in message
+
 
 @pytest.mark.parametrize("command", [["match", "g1.txt", "g2.txt"], ["eval"]])
 def test_kind_flag_rejected(tmp_path, command):
@@ -413,6 +424,18 @@ class TestEval:
         error = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert error["level"] == "error"
         assert str(tf) in error["message"] and "40" in error["message"]
+
+    @pytest.mark.parametrize("line", ["-1 1 0.5", "5 1 0.5", "1 x 0.5"])
+    def test_bad_sparse_coupling_line_rejected(self, tmp_path, capsys, line):
+        # "-1 1" once wrote row 1 and scored node correctness 1.0 against identity
+        pf = tmp_path / "c.txt"
+        pf.write_text(f"# 2 2\n0 0 0.5\n{line}\n")
+        assert run_cli(["eval", "--coupling", pf, "--truth", "identity",
+                        "--out", tmp_path / "out"]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert error["level"] == "error"
+        assert f"{pf}:3:" in error["message"]
+        assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_rmsd_on_self_aligned_exact_instance(self, tmp_path):
         rng = np.random.default_rng(9)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from jointscale import (
     DegenerateInput,
     DisconnectedGraph,
     InvalidInput,
-    NeighborGraph,
     geodesic_distances,
     graph_dissimilarity,
     knn_graph,
@@ -49,23 +50,42 @@ class TestPairwiseEuclidean:
         assert np.all(d >= 0)
 
 
+def edge_list(g):
+    """Upper-triangle entries of a graph matrix as sorted ``(i, j, length)``."""
+    u = sp.triu(g).tocoo()
+    return sorted((int(i), int(j), float(v)) for i, j, v in zip(u.row, u.col, u.data))
+
+
+def graph(n, edges):
+    """Symmetric CSR matrix of the undirected ``(i, j, length)`` edges."""
+    i, j, lengths = (np.array(c) for c in zip(*edges))
+    return sp.csr_matrix((np.concatenate([lengths, lengths]),
+                          (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n))
+
+
 class TestKnnGraph:
     def test_collinear_chain(self):
         d = pairwise_euclidean(np.array([[0.0], [1.0], [2.0]]))
         g = knn_graph(d, 1)
-        assert [(i, j) for i, j, _ in g.edges] == [(0, 1), (1, 2)]
-        assert all(length == 1.0 for _, _, length in g.edges)
+        assert edge_list(g) == [(0, 1, 1.0), (1, 2, 1.0)]
+
+    def test_symmetric_csr(self):
+        d = pairwise_euclidean(np.random.default_rng(2).standard_normal((9, 2)))
+        g = knn_graph(d, 3)
+        assert isinstance(g, sp.csr_matrix)
+        assert (g != g.T).nnz == 0
 
     def test_full_connectivity(self):
         d = pairwise_euclidean(np.random.default_rng(2).standard_normal((6, 2)))
         g = knn_graph(d, 5)
-        assert len(g.edges) == 15
+        assert g.nnz == 30
 
     def test_duplicate_points_zero_edge(self):
         d = pairwise_euclidean(np.array([[0.0], [0.0], [5.0]]))
         g = knn_graph(d, 1)
-        assert (0, 1, 0.0) in g.edges
-        assert all(i != j for i, j, _ in g.edges)
+        assert (0, 1, 0.0) in edge_list(g)
+        assert g.diagonal().tolist() == [0.0, 0.0, 0.0]
+        assert g.nnz == 4  # the zero-length edge is stored in both orientations
 
     @staticmethod
     def loop_knn_edges(d, k):
@@ -87,7 +107,7 @@ class TestKnnGraph:
         x = np.vstack([x, x[:4], rng.standard_normal((6, 2))])
         d = pairwise_euclidean(x)
         assert np.sum(d == 0) > d.shape[0]
-        assert knn_graph(d, k).edges == self.loop_knn_edges(d, k)
+        assert edge_list(knn_graph(d, k)) == self.loop_knn_edges(d, k)
 
     def test_k_too_large(self):
         d = pairwise_euclidean(np.array([[0.0], [1.0]]))
@@ -95,9 +115,23 @@ class TestKnnGraph:
             knn_graph(d, 2)
 
 
+def greedy_bridges(g, source):
+    """Reference: add the smallest inter-component dissimilarity as an edge
+    and recompute the components from scratch, until one is left."""
+    edges = edge_list(g)
+    n = g.shape[0]
+    while True:
+        n_comp, labels = connected_components(graph(n, edges), directed=False)
+        if n_comp <= 1:
+            return graph(n, edges)
+        masked = np.where(labels[:, None] != labels[None, :], source, np.inf)
+        i, j = np.unravel_index(np.argmin(masked), masked.shape)
+        edges.append((min(i, j), max(i, j), float(source[i, j])))
+
+
 class TestGeodesic:
     def test_chain_additivity(self):
-        g = NeighborGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        g = graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
         dist = geodesic_distances(g)
         assert dist[0, 2] == 2.0
 
@@ -111,7 +145,7 @@ class TestGeodesic:
         assert abs(antipode - np.pi) / np.pi < 0.05
 
     def test_disconnected_raises_with_count(self):
-        g = NeighborGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedGraph) as err:
             geodesic_distances(g)
         assert err.value.n_components == 2
@@ -119,13 +153,40 @@ class TestGeodesic:
     def test_bridging_joins_closest_components(self):
         pts = np.array([[0.0], [1.0], [10.0], [11.0]])
         d = pairwise_euclidean(pts)
-        g = NeighborGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         dist = geodesic_distances(g, connect=True, source=d)
         # bridge 1-2 (gap 9) is the smallest inter-component dissimilarity
         assert dist[0, 3] == pytest.approx(1 + 9 + 1)
 
+    def test_bridging_keeps_zero_length_edges(self):
+        # two pairs of duplicates: sparse addition of the bridge would drop
+        # the explicit zeros and leave the duplicates unconnected
+        d = pairwise_euclidean(np.array([[0.0], [0.0], [5.0], [5.0]]))
+        dist = geodesic_distances(knn_graph(d, 1), connect=True, source=d)
+        assert np.all(np.isfinite(dist))
+        assert dist[0, 1] == 0.0
+        assert dist[0, 3] == 5.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bridging_matches_greedy_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n_disconnected = 0
+        for _ in range(25):
+            n = int(rng.integers(4, 30))
+            x = rng.integers(0, 4, size=(n, 2)).astype(float)
+            x[rng.random(n) < 0.3] *= 10  # far clusters
+            x = np.vstack([x, x[: n // 3]])  # duplicate points
+            d = pairwise_euclidean(x)
+            g = knn_graph(d, int(rng.integers(1, 4)))
+            n_disconnected += connected_components(g, directed=False)[0] > 1
+            geo = geodesic_distances(g, connect=True, source=d)
+            ref = geodesic_distances(greedy_bridges(g, d))
+            assert np.all(np.isfinite(geo))
+            assert geo.tobytes() == ref.tobytes()
+        assert n_disconnected >= 10
+
     def test_bridge_needs_source(self):
-        g = NeighborGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        g = graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(InvalidInput):
             geodesic_distances(g, connect=True)
 
@@ -139,7 +200,7 @@ class TestGeodesic:
             assert np.all(lhs <= rhs + 1e-9)
 
     def test_path_upper_bound(self):
-        g = NeighborGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 10.0)])
+        g = graph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.5), (0, 3, 10.0)])
         dist = geodesic_distances(g)
         assert dist[0, 3] <= 1.0 + 2.0 + 1.5
 
@@ -183,6 +244,12 @@ class TestNormalizedAdjacency:
         a = normalized_adjacency([(0, 1), (0, 2), (0, 3)], 4)
         assert a[0, 1] == pytest.approx(1 / np.sqrt(3))
         assert a[1, 2] == 0
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_named(self, weight):
+        edges = [(0, 1, 1.0), (1, 2, weight), (2, 3, 1.0)]
+        with pytest.raises(InvalidInput, match=r"edge \(1,2\) has non-finite weight"):
+            normalized_adjacency(edges, 4)
 
     def test_isolated_node_named(self):
         with pytest.raises(InvalidInput, match="node 2"):

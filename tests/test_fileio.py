@@ -52,6 +52,17 @@ class TestMatrixRoundTrip:
         assert path.read_text().splitlines()[0].startswith("0,")
         assert np.array_equal(fileio.read_embedding(path), z)
 
+    @pytest.mark.parametrize("delimiter", [",", "\t"])
+    def test_embedding_matches_row_writer(self, tmp_path, delimiter):
+        rng = np.random.default_rng(4)
+        z = rng.standard_normal((9, 3)) * np.exp(rng.uniform(-700, 700, (9, 3)))
+        z.flat[:6] = [0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e-300]
+        path = tmp_path / "z.csv"
+        fileio.write_embedding(path, z, delimiter=delimiter)
+        expect = "".join(delimiter.join([str(i)] + [fileio.FLOAT_FMT % v for v in row]) + "\n"
+                         for i, row in enumerate(z))
+        assert path.read_text() == expect
+
     def test_embedding_reader_rejects_plain_matrix(self, tmp_path):
         path = tmp_path / "z.csv"
         fileio.write_matrix(path, np.random.default_rng(3).standard_normal((4, 2)))
@@ -105,6 +116,50 @@ class TestCouplingTriplets:
         assert back[0, 0] == 0.0
         assert back[1, 1] == 0.0
         assert back[0, 1] == 0.5
+
+    def test_matches_entry_writer(self, tmp_path):
+        rng = np.random.default_rng(5)
+        p = rng.random((6, 4)) * np.exp(rng.uniform(-30, 30, (6, 4)))
+        p[rng.random(p.shape) < 0.3] = 0.0
+        path = tmp_path / "p.txt"
+        fileio.write_coupling_triplets(path, p)
+        expect = "# 6 4\n" + "".join(f"{i} {j} {fileio.FLOAT_FMT % p[i, j]}\n"
+                                      for i, j in zip(*np.nonzero(p >= fileio.SPARSE_DROP)))
+        assert path.read_text() == expect
+
+    def test_repeated_entry_keeps_last_value(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("# 2 2\n0 1 0.5\n1 0 0.75\n0 1 0.25\n")
+        assert fileio.read_coupling_triplets(path).tolist() == [[0.0, 0.25], [0.75, 0.0]]
+
+    def test_shape_inferred_without_header(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0 2 0.5\n1 0 0.5\n")
+        assert fileio.read_coupling_triplets(path).shape == (2, 3)
+
+    @pytest.mark.parametrize("line", ["-1 1 0.5", "1 -1 0.5", "2 0 0.5", "0 2 0.5", "5 1 0.5"])
+    def test_index_outside_header_shape_rejected(self, tmp_path, line):
+        path = tmp_path / "p.txt"
+        path.write_text(f"# 2 2\n0 0 0.5\n{line}\n")
+        with pytest.raises(InvalidInput, match=r"p\.txt:3: index .* outside the 2x2"):
+            fileio.read_coupling_triplets(path)
+
+    def test_negative_index_rejected_without_header(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0 0 0.5\n-1 1 0.5\n")
+        with pytest.raises(InvalidInput, match=r"p\.txt:2: index \(-1, 1\)"):
+            fileio.read_coupling_triplets(path)
+
+    @pytest.mark.parametrize("text,lineno", [("# 2 2\n1 x 0.5\n", 2),
+                                             ("# 2 2\n0 1 half\n", 2),
+                                             ("0 1 0.5\n0 1\n", 2),
+                                             ("# 2 two\n0 1 0.5\n", 1),
+                                             ("# -2 2\n", 1)])
+    def test_malformed_line_named(self, tmp_path, text, lineno):
+        path = tmp_path / "p.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInput, match=rf"p\.txt:{lineno}: "):
+            fileio.read_coupling_triplets(path)
 
 
 class TestLabelsAndTrace:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from jointscale import (
     InvalidInput,
@@ -109,6 +110,17 @@ class TestTopkAccuracy:
         assert topk_accuracy(p, np.array([0]), 1) == 1.0
         assert topk_accuracy(p, np.array([1]), 1) == 0.0
 
+    def test_matches_row_loop(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            n, m = rng.integers(1, 12, size=2)
+            p = rng.integers(0, 3, (n, m)) / 2.0  # many ties
+            truth = rng.integers(0, m, n)
+            k = int(rng.integers(1, m + 1))
+            cols = np.arange(m)
+            hits = sum(truth[i] in np.lexsort((cols, -p[i]))[:k] for i in range(n))
+            assert topk_accuracy(p, truth, k) == hits / n
+
 
 class TestRmsdD:
     def _exact_instance(self, rng, n=10):
@@ -191,6 +203,19 @@ class TestKnnTransfer:
         labels = np.array([7, 3])
         pred = knn_transfer(src, labels, np.array([[1.0]]), k=2)
         assert pred[0] == 3
+
+    def test_matches_row_bincount(self):
+        rng = np.random.default_rng(18)
+        for _ in range(50):
+            src = rng.integers(0, 3, (int(rng.integers(2, 15)), 2)).astype(float)
+            labels = rng.choice([-3, 0, 2, 7], src.shape[0])
+            target = rng.integers(0, 3, (int(rng.integers(1, 10)), 2)).astype(float)
+            k = int(rng.integers(1, src.shape[0] + 1))
+            classes, encoded = np.unique(labels, return_inverse=True)
+            nearest = np.argsort(cdist(target, src), axis=1, kind="stable")[:, :k]
+            expect = [classes[np.argmax(np.bincount(encoded[row], minlength=classes.size))]
+                      for row in nearest]
+            assert knn_transfer(src, labels, target, k=k).tolist() == expect
 
     def test_permutation_equivariant_in_target(self):
         rng = np.random.default_rng(16)
