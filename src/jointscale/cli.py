@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dissimilarity as ds, fileio, jointmds, metrics as mt
+from . import __version__, _blas, dissimilarity as ds, fileio, jointmds, metrics as mt
 from . import synthdata
 from .errors import JointScaleError
 from .jointmds import JointConfig
@@ -89,7 +89,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", default=None,
                    help="JSON config file; flags override its entries")
     p.add_argument("--threads", type=int, default=1,
-                   help="restart-level parallelism (default 1)")
+                   help="threads running restarts, the solver's only parallelism: "
+                        "OpenBLAS runs on one thread inside the solve (default 1)")
 
 
 # JSON config key, which is also the flag's argparse dest -> JointConfig field
@@ -383,6 +384,12 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         _log("info", "outer iteration", restart=restart, iter=iteration,
              objective=objective)
 
+    # thread counts outside the solve; solve runs every OpenBLAS build at one
+    manifest.doc["machine"] = {
+        "cpu_count": os.cpu_count(),
+        "openblas": [{"library": name, "threads": get(), "threads_in_solve": 1}
+                     for name, (get, _) in _blas.openblas_pools().items()],
+    }
     result = jointmds.solve(d1, d2, w1, w2, cfg, threads=args.threads,
                             on_outer=on_outer)
     _write_joint_outputs(args, out, manifest, result)
@@ -451,8 +458,8 @@ def cmd_eval(args) -> int:
         if args.sparse_coupling or args.coupling.endswith(".txt"):
             coupling = fileio.read_coupling_triplets(args.coupling, data=data)
         else:
-            coupling = fileio.read_matrix(args.coupling, delimiter=args.delimiter,
-                                          data=data)
+            coupling = fileio.read_coupling_matrix(args.coupling,
+                                                   delimiter=args.delimiter, data=data)
     labels1, labels2 = _read_labels(manifest, (args.labels1, args.labels2))
     truth = None
     if args.truth:

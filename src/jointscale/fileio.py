@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NumericalFailure
 
 __all__ = [
     "read_matrix",
@@ -33,6 +33,7 @@ __all__ = [
     "read_labels",
     "write_labels",
     "read_match_indices",
+    "read_coupling_matrix",
     "read_coupling_triplets",
     "write_coupling_triplets",
     "write_trace",
@@ -172,16 +173,44 @@ def write_coupling_triplets(path, p: np.ndarray) -> None:
     ``SPARSE_DROP`` are omitted."""
     p = np.asarray(p, dtype=float)
     i, j = np.nonzero(p >= SPARSE_DROP)
-    np.savetxt(path, np.column_stack((i, j, p[i, j])), fmt=("%d", "%d", FLOAT_FMT),
-               header=f"{p.shape[0]} {p.shape[1]}", comments="# ")
+    line = f"%d %d {FLOAT_FMT}\n"
+    with open(path, "w") as fh:
+        fh.write(f"# {p.shape[0]} {p.shape[1]}\n")
+        # Python ints and floats format faster than numpy scalars
+        fh.writelines(line % t for t in zip(i.tolist(), j.tolist(), p[i, j].tolist()))
+
+
+def _check_coupling_values(path, values: np.ndarray, line_of) -> None:
+    """Reject the first negative, infinite or NaN value, naming line ``line_of(k)``
+    for flat index ``k``."""
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0)))
+    if bad.size:
+        k = bad[0]
+        raise InvalidInput(f"{path}:{line_of(k)}: coupling value {values.flat[k]} is not "
+                           "finite and nonnegative")
+
+
+def read_coupling_matrix(path, delimiter: str = ",", data: bytes | None = None) -> np.ndarray:
+    """Dense coupling from a delimited text file; values must be finite and nonnegative."""
+    path = Path(path)
+    p = read_matrix(path, delimiter=delimiter, data=data)
+
+    def line_of(k: int) -> int:
+        # the reader skips blank and comment-only lines
+        lines = _text(path, data).splitlines()
+        rows = [n for n, text in enumerate(lines, start=1) if text.split("#", 1)[0].strip()]
+        return rows[k // p.shape[1]]
+
+    _check_coupling_values(path, p.ravel(), line_of)
+    return p
 
 
 def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
     """Dense coupling from :func:`write_coupling_triplets` text.
 
     The first ``# n m`` comment fixes the shape, else it is the largest
-    indices plus one.  Indices must lie inside that shape; a repeated
-    ``i j`` keeps its last value.
+    indices plus one.  Indices must lie inside that shape and values must be
+    finite and nonnegative; a repeated ``i j`` keeps its last value.
     """
     path = Path(path)
     shape = None
@@ -217,23 +246,32 @@ def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
         k = outside[0]
         raise InvalidInput(f"{path}:{linenos[k]}: index ({ij[k, 0]}, {ij[k, 1]}) is "
                            f"outside the {shape[0]}x{shape[1]} coupling")
+    values = np.array(values, dtype=float)
+    _check_coupling_values(path, values, linenos.__getitem__)
     p = np.zeros(shape)
     p[ij[:, 0], ij[:, 1]] = values
     return p
 
 
+def _json(path, doc, **kwargs) -> str:
+    """``doc`` as strict JSON: NaN and infinity raise rather than write non-JSON."""
+    try:
+        return json.dumps(doc, sort_keys=True, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericalFailure(f"{path}: {exc}") from exc
+
+
 def write_trace(path, records) -> None:
     """JSON-lines trace, one record per line."""
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    text = "".join(_json(path, rec) + "\n" for rec in records)
+    Path(path).write_text(text)
 
 
 def write_json(path, doc) -> None:
     """Atomic JSON write (temp file + rename)."""
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    tmp.write_text(_json(path, doc, indent=2) + "\n")
     os.replace(tmp, path)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
 from .smacof import (FULL_MATRIX_FACTOR, joint_smacof, random_embedding, smacof, stress,
@@ -243,7 +244,12 @@ def solve(
     cfg : JointConfig
         Solver hyperparameters; restart r uses seed ``cfg.seed + r``.
     threads : int
-        Restart-level parallelism; results are identical to a serial run.
+        Size of the thread pool the restarts run on.  This pool is the
+        solver's only parallelism: inside ``solve`` every OpenBLAS build in
+        the process runs on one thread (process-wide), and its thread count is
+        put back on return.  Results are bitwise identical to a serial run
+        and do not depend on the core count.  Under MKL or Accelerate BLAS
+        keeps its own threads.
     on_outer : callable, optional
         ``on_outer(restart, iteration, objective)`` called after every outer
         iteration, e.g. for progress logging.
@@ -261,29 +267,32 @@ def solve(
     if w1.shape != d1.shape or w2.shape != d2.shape:
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
 
-    v1_pinv = v_matrix_pinv(w1)
-    v2_pinv = v_matrix_pinv(w2)
+    # the restart pool is the only parallelism: BLAS threads would compete with
+    # it for the same cores
+    with _blas.single_threaded():
+        v1_pinv = v_matrix_pinv(w1)
+        v2_pinv = v_matrix_pinv(w2)
 
-    gw_coupling, gw_at_budget = None, 0
-    if cfg.gw_init:
-        # deterministic in the inputs, hence shared across restarts
-        gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
-        gw_coupling, gw_info = entropic_gw(
-            d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
-        gw_at_budget = gw_info["sinkhorn_at_budget"]
+        gw_coupling, gw_at_budget = None, 0
+        if cfg.gw_init:
+            # deterministic in the inputs, hence shared across restarts
+            gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
+            gw_coupling, gw_info = entropic_gw(
+                d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
+            gw_at_budget = gw_info["sinkhorn_at_budget"]
 
-    def run(restart: int):
-        try:
-            return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                gw_coupling, on_outer)
-        except NumericalFailure as exc:
-            return exc
+        def run(restart: int):
+            try:
+                return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
+                                    gw_coupling, on_outer)
+            except NumericalFailure as exc:
+                return exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, range(cfg.restarts)))
-    else:
-        outcomes = [run(r) for r in range(cfg.restarts)]
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = list(pool.map(run, range(cfg.restarts)))
+        else:
+            outcomes = [run(r) for r in range(cfg.restarts)]
 
     results = [r for r in outcomes if isinstance(r, JointResult)]
     if not results:

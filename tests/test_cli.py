@@ -3,11 +3,12 @@ import functools
 import gzip
 import io
 import json
+import os
 
 import numpy as np
 import pytest
 
-from jointscale import fileio, pairwise_euclidean, transport
+from jointscale import _blas, fileio, pairwise_euclidean, transport
 from jointscale.cli import main
 
 
@@ -254,6 +255,17 @@ class TestJoint:
         assert config["lam"] == 1.0 and isinstance(config["lam"], float)
         assert config["gw_init"] is True
 
+    def test_manifest_records_cores_and_blas_threads(self, tmp_path):
+        src = write_points(tmp_path / "x.csv", np.eye(4))
+        out = tmp_path / "out"
+        assert run_cli(["joint", src, src, "--iters", "2", "--restarts", "1",
+                        "--out", out]) == 0
+        machine = json.loads((out / "manifest.json").read_text())["machine"]
+        assert machine["cpu_count"] == os.cpu_count()
+        assert machine["openblas"] == [
+            {"library": name, "threads": get(), "threads_in_solve": 1}
+            for name, (get, _) in _blas.openblas_pools().items()]
+
     def test_subproblems_at_budget_reported(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)
         src = write_points(tmp_path / "x.csv", rng.standard_normal((12, 3)))
@@ -435,6 +447,23 @@ class TestEval:
         error = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert error["level"] == "error"
         assert f"{pf}:3:" in error["message"]
+        assert not (tmp_path / "out" / "metrics.json").exists()
+
+    @pytest.mark.parametrize("name,text,lineno", [
+        ("c.txt", "# 2 2\n0 0 nan\n1 1 0.5\n", 2),
+        ("c.txt", "# 2 2\n0 0 0.5\n1 1 -0.5\n", 3),
+        ("c.csv", "0.5,0\n0,inf\n", 2),
+    ])
+    def test_non_finite_or_negative_coupling_rejected(self, tmp_path, capsys, name, text,
+                                                      lineno):
+        # a NaN coupling once scored node_correctness NaN into metrics.json
+        pf = tmp_path / name
+        pf.write_text(text)
+        sparse = ["--sparse-coupling"] if name.endswith(".txt") else []
+        assert run_cli(["eval", "--coupling", pf, *sparse, "--truth", "identity",
+                        "--out", tmp_path / "out"]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert f"{pf}:{lineno}: coupling value" in error["message"]
         assert not (tmp_path / "out" / "metrics.json").exists()
 
     def test_rmsd_on_self_aligned_exact_instance(self, tmp_path):

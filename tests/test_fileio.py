@@ -5,7 +5,7 @@ import lzma
 import numpy as np
 import pytest
 
-from jointscale import InvalidInput
+from jointscale import InvalidInput, NumericalFailure
 from jointscale import fileio
 
 
@@ -161,6 +161,45 @@ class TestCouplingTriplets:
         with pytest.raises(InvalidInput, match=rf"p\.txt:{lineno}: "):
             fileio.read_coupling_triplets(path)
 
+    def test_same_bytes_as_savetxt(self, tmp_path):
+        # values over many magnitudes, at, just above and just below the drop
+        rng = np.random.default_rng(11)
+        p = rng.random((40, 30)) * 10.0 ** rng.integers(-14, 3, (40, 30))
+        drop = fileio.SPARSE_DROP
+        p[0, :3] = [drop, np.nextafter(drop, 1.0), np.nextafter(drop, 0.0)]
+        p[1, :2] = [5e-324, 1.0 / 3.0]
+        path = tmp_path / "p.txt"
+        fileio.write_coupling_triplets(path, p)
+        i, j = np.nonzero(p >= drop)
+        reference = tmp_path / "reference.txt"
+        np.savetxt(reference, np.column_stack((i, j, p[i, j])), fmt=("%d", "%d", "%.17g"),
+                   header="40 30", comments="# ")
+        assert path.read_bytes() == reference.read_bytes()
+        assert np.array_equal(fileio.read_coupling_triplets(path), np.where(p >= drop, p, 0.0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+    def test_non_finite_or_negative_value_rejected(self, tmp_path, value):
+        path = tmp_path / "p.txt"
+        path.write_text(f"# 2 2\n0 0 0.5\n\n1 1 {value}\n")
+        with pytest.raises(InvalidInput, match=r"p\.txt:4: coupling value"):
+            fileio.read_coupling_triplets(path)
+
+
+class TestCouplingMatrix:
+    def test_round_trip(self, tmp_path):
+        p = np.array([[0.25, 0.0], [0.0, 0.75]])
+        path = tmp_path / "p.csv"
+        fileio.write_matrix(path, p)
+        assert np.array_equal(fileio.read_coupling_matrix(path), p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+    def test_non_finite_or_negative_value_rejected(self, tmp_path, value):
+        # the line count includes the comment and blank lines the reader skips
+        path = tmp_path / "p.csv"
+        path.write_text(f"# coupling\n0.5,0\n\n0,{value}\n")
+        with pytest.raises(InvalidInput, match=r"p\.csv:4: coupling value"):
+            fileio.read_coupling_matrix(path)
+
 
 class TestLabelsAndTrace:
     def test_labels_round_trip(self, tmp_path):
@@ -175,6 +214,14 @@ class TestLabelsAndTrace:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert '"iter": 0' in lines[0]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_json_rejected(self, tmp_path, value):
+        with pytest.raises(NumericalFailure, match=r"doc\.json"):
+            fileio.write_json(tmp_path / "doc.json", {"a": value})
+        with pytest.raises(NumericalFailure, match=r"trace\.jsonl"):
+            fileio.write_trace(tmp_path / "trace.jsonl", [{"a": 1.0}, {"a": value}])
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_atomic_write(self, tmp_path):
         path = tmp_path / "doc.json"

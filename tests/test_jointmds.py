@@ -23,7 +23,7 @@ from jointscale import (
     uniform_weight_matrix,
     wasserstein_procrustes,
 )
-from jointscale import jointmds, transport
+from jointscale import _blas, jointmds, transport
 
 
 def random_instance(rng, n1, n2, dim):
@@ -128,16 +128,18 @@ class TestSolve:
         cfg = JointConfig(dim=2, lam=0.0, outer_iters=1, restarts=1, seed=9)
         res = solve(d1, d2, w1, w2, cfg)
 
-        z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0)
-        z1, _ = smacof(d1, w1, z1, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
-        z2, _ = smacof(d2, w2, z2, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
-        m = Marginals.uniform(25, 20)
-        eps = max(cfg.epsilon0,
-                  jointmds.EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2))))
-        _, rot, _ = wasserstein_procrustes(z1, z2, m, eps, cfg.inner_wp_iters,
-                                           sinkhorn_tol=jointmds.WP_SINKHORN_TOL)
-        z1f, r1 = smacof(d1, w1, z1 @ rot, max_iter=cfg.inner_smacof_iters)
-        z2f, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters)
+        # replayed under the one-thread BLAS that solve runs, for the same bits
+        with _blas.single_threaded():
+            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0)
+            z1, _ = smacof(d1, w1, z1, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            z2, _ = smacof(d2, w2, z2, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            m = Marginals.uniform(25, 20)
+            eps = max(cfg.epsilon0,
+                      jointmds.EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2))))
+            _, rot, _ = wasserstein_procrustes(z1, z2, m, eps, cfg.inner_wp_iters,
+                                               sinkhorn_tol=jointmds.WP_SINKHORN_TOL)
+            z1f, r1 = smacof(d1, w1, z1 @ rot, max_iter=cfg.inner_smacof_iters)
+            z2f, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters)
         assert np.array_equal(res.z1, z1f)
         assert np.array_equal(res.z2, z2f)
         # at zero penalty the pass is two runs, both counted
