@@ -65,6 +65,14 @@ def _add_dissimilarity_flags(p: argparse.ArgumentParser) -> None:
                    help="stress weights 1/d^E instead of uniform 1/n^2")
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on, or all of them where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not Linux
+        return os.cpu_count() or 1
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     # defaults stay None so explicitly passed flags can override a JSON config
     p.add_argument("--dim", type=int, default=None, help="embedding dimension")
@@ -88,9 +96,12 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="ramp the matching penalty over the first half of the run")
     p.add_argument("--config", metavar="FILE", default=None,
                    help="JSON config file; flags override its entries")
-    p.add_argument("--threads", type=int, default=1,
-                   help="threads running restarts, the solver's only parallelism: "
-                        "OpenBLAS runs on one thread inside the solve (default 1)")
+    p.add_argument("--threads", type=int, default=_usable_cores(),
+                   help="solver threads, >= 1: restarts run in parallel, and a restart "
+                        "with a spare thread hands it the second row block of each large "
+                        "majorization step; OpenBLAS runs on one thread inside the solve, "
+                        "and results do not depend on this count (default: the usable "
+                        "cores, here %(default)s)")
 
 
 # JSON config key, which is also the flag's argparse dest -> JointConfig field
@@ -296,7 +307,9 @@ def cmd_embed(args) -> int:
         _fail(f"--dim must be >= 1, got {dim}")
     scale = jointmds._init_scale(d, d)
     z0 = random_embedding(d.shape[0], dim, seed, scale)
-    z, report = smacof(d, w, z0, max_iter=args.max_iter)
+    # as in the joint solve, so the output does not depend on the BLAS thread count
+    with _blas.single_threaded():
+        z, report = smacof(d, w, z0, max_iter=args.max_iter)
     fileio.write_embedding(manifest.add_output(out / "embedding.csv"), z,
                            delimiter=args.delimiter)
     fileio.write_trace(
@@ -369,6 +382,8 @@ def _print_metrics(doc: dict) -> None:
 def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
               write_matches: bool = False) -> tuple[jointmds.JointResult, dict]:
     """Shared body of ``joint`` and ``match``: load, solve, write every output."""
+    if args.threads < 1:
+        _fail(f"--threads must be >= 1, got {args.threads}")
     out = _prepare_out(args)
     manifest = _Manifest(out, args.argv, cfg.seed)
     d1 = _load_dissimilarity(path1, args, manifest.add_input(path1))
@@ -387,6 +402,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     # thread counts outside the solve; solve runs every OpenBLAS build at one
     manifest.doc["machine"] = {
         "cpu_count": os.cpu_count(),
+        "solver_threads": args.threads,
         "openblas": [{"library": name, "threads": get(), "threads_in_solve": 1}
                      for name, (get, _) in _blas.openblas_pools().items()],
     }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,11 +158,11 @@ def _initial_embeddings(
 
 def _run_restart(
     d1, d2, w1, w2, cfg: JointConfig, restart: int, v1_pinv, v2_pinv,
-    gw_coupling=None, on_outer=None
+    gw_coupling=None, on_outer=None, helper=None
 ) -> JointResult:
     z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
-    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v1_pinv)
-    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v2_pinv)
+    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v1_pinv, _helper=helper)
+    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v2_pinv, _helper=helper)
     smacof_init_at_budget = (not r1.converged) + (not r2.converged)
 
     marginals = Marginals.uniform(d1.shape[0], d2.shape[0])
@@ -199,13 +200,15 @@ def _run_restart(
         # already absorbed into z1 (block-stress identity)
         if lam_t > 0:
             z1, z2, report = joint_smacof(d1, d2, w1, w2, coupling, lam_t, z1, z2,
-                                          max_iter=cfg.inner_smacof_iters)
+                                          max_iter=cfg.inner_smacof_iters, _helper=helper)
             objective = FULL_MATRIX_FACTOR * report.per_iteration[-1]
             reports.append(report)
         else:
             # zero penalty decouples the block problem into the two datasets
-            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, v_pinv=v1_pinv)
-            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, v_pinv=v2_pinv)
+            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, v_pinv=v1_pinv,
+                            _helper=helper)
+            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, v_pinv=v2_pinv,
+                            _helper=helper)
             objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
             reports += [r1, r2]
 
@@ -244,22 +247,32 @@ def solve(
     cfg : JointConfig
         Solver hyperparameters; restart r uses seed ``cfg.seed + r``.
     threads : int
-        Size of the thread pool the restarts run on.  This pool is the
-        solver's only parallelism: inside ``solve`` every OpenBLAS build in
-        the process runs on one thread (process-wide), and its thread count is
-        put back on return.  Results are bitwise identical to a serial run
-        and do not depend on the core count.  Under MKL or Accelerate BLAS
-        keeps its own threads.
+        Threads the solver may use, >= 1.  Restarts run on a pool of
+        ``min(threads, cfg.restarts)`` threads; with one, they run in the
+        calling thread.  When ``threads`` is at least twice that pool, each
+        restart also gets a one-worker helper thread, which computes the
+        second row block of every Guttman step that ``smacof`` and
+        ``joint_smacof`` split (see ``smacof.SPLIT_ROWS``).  The blocks
+        depend only on the row counts, so results are bitwise identical for
+        every ``threads``.  Inside ``solve`` every OpenBLAS build in the
+        process runs on one thread (process-wide), and its thread count is
+        put back on return, so results do not depend on the core count
+        either.  Under MKL or Accelerate BLAS keeps its own threads.
     on_outer : callable, optional
         ``on_outer(restart, iteration, objective)`` called after every outer
         iteration, e.g. for progress logging.
 
     Raises
     ------
+    InvalidInput
+        On an invalid configuration, inputs of mismatched shapes or
+        ``threads < 1``.
     NumericalFailure
         Only if every restart fails; a failing restart is otherwise skipped.
     """
     cfg.validate()
+    if threads < 1:
+        raise InvalidInput(f"threads must be >= 1, got {threads}")
     d1 = validate_dissimilarity(d1, "first dissimilarity matrix")
     d2 = validate_dissimilarity(d2, "second dissimilarity matrix")
     w1 = np.asarray(w1, dtype=float)
@@ -267,8 +280,8 @@ def solve(
     if w1.shape != d1.shape or w2.shape != d2.shape:
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
 
-    # the restart pool is the only parallelism: BLAS threads would compete with
-    # it for the same cores
+    # the restart pool and the helpers are the only parallelism: BLAS threads
+    # would compete with them for the same cores
     with _blas.single_threaded():
         v1_pinv = v_matrix_pinv(w1)
         v2_pinv = v_matrix_pinv(w2)
@@ -281,15 +294,21 @@ def solve(
                 d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
             gw_at_budget = gw_info["sinkhorn_at_budget"]
 
+        # at most `workers` restarts run at once; each gets a one-worker helper
+        # for the second row block of its Guttman steps when the threads allow
+        workers = min(threads, cfg.restarts)
+        split = threads >= 2 * workers
+
         def run(restart: int):
             try:
-                return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                    gw_coupling, on_outer)
+                with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
+                    return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
+                                        gw_coupling, on_outer, helper)
             except NumericalFailure as exc:
                 return exc
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(run, range(cfg.restarts)))
         else:
             outcomes = [run(r) for r in range(cfg.restarts)]

@@ -36,11 +36,35 @@ by less than ``rtol`` (``DEFAULT_RTOL`` unless given) times the stress of
 its start, so the steps taken do not depend on the scale of the
 dissimilarities.  ``assemble_joint`` builds the dense block instance
 and stays as the reference the structured iteration is tested against.
+
+A step over at least ``SPLIT_ROWS`` rows is computed as two fixed row
+blocks: the first and second half of the rows in ``smacof``, the two
+datasets' rows in ``joint_smacof`` (each block also takes half of the rows
+of P Z2 for the coupling term).  Each block computes its rows of B(Z) Z,
+its share of the stress terms and its rows of the V^+ (or V~^+) product.
+It takes its distances ``CHUNK_BYTES`` of whole rows at a time, through a
+scratch array allocated once per run on the calling thread, so each chunk
+stays in cache across the divide, the row sums and the product with Z.
+The solver hands the second block to a helper thread; without one the
+blocks run in turn.  The partition depends only on the row counts, so the
+bits of every result are the same with or without a helper.  A split step
+matches the one-block step to roundoff, since sums are taken in another
+order and BLAS rounds a product of fewer rows differently.
+
+Smaller steps stay one block, computed as before.  On a 2-core Xeon with
+4 MiB of L2 per core, serially (no helper), a two-block ``smacof`` step
+cost 35% more than one block at n = 100, 9% at 300 and -2% to +5% at
+400-700 rows, and 17-23% less from 725 rows on, where an n x n matrix
+(n^2 * 8 bytes) no longer fits in L2.  A 50-step ``joint_smacof`` pass
+(n1 = n2 = n/2) cost 45% more at n = 100-200, 1-7% more at 300-700 and
+8-15% less from 725 on.
 """
 
 from __future__ import annotations
 
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -70,6 +94,14 @@ FULL_MATRIX_FACTOR = 2.0
 # rescaling of the input dissimilarities
 DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_ITER = 300
+
+# a Guttman step over at least this many rows runs as two fixed row blocks;
+# below it one block is faster (see the module docstring)
+SPLIT_ROWS = 725
+# bytes of distances a split block computes at a time (whole rows): half of
+# a 4 MiB L2; with a helper, the fastest chunk tried (32 rows up to a whole
+# block) at n = 2000, and within 12% of the fastest at n = 1000
+CHUNK_BYTES = 1 << 21
 
 # rows per block when the Cholesky inverse is mirrored into a full matrix
 _SYM_BLOCK = 128
@@ -139,8 +171,11 @@ def stress(z: np.ndarray, d: np.ndarray, w: np.ndarray) -> float:
     return _stress_from_dist(cdist(z, z), d, w)
 
 
-def _sym(w: np.ndarray) -> np.ndarray:
-    return 0.5 * (w + w.T)
+def _sym(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 (w + w^T), written into ``out`` when given."""
+    out = np.add(w, w.T, out=out)
+    out *= 0.5
+    return out
 
 
 def _laplacian(sym_w: np.ndarray, out: np.ndarray) -> None:
@@ -216,50 +251,82 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
     return _laplacian_pinv(v)
 
 
-def _b_times(wd: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """B(Z) Z from ``wd`` = sym(w * d), in one distance pass.
+class _Evaluator:
+    """Stress terms and B(Z) Z of one dataset, one block of rows at a time.
 
-    b_ij = -wd_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
-    points coincide, and each row of B sums to zero.
+    The stress is eta_d^2 + eta^2(Z) - 2 <Z, B(Z) Z>, exact for any d and w
+    because B(Z) is built from sym(w * d), the part of w * d the distances
+    see.  With s the mean of w's row and column sums,
+    eta^2(Z) = sum_i s_i ||z_i||^2 - <Z, W Z>, which drops w's diagonal as
+    the stress does.  Both terms and B(Z) Z split over the rows of Z, so
+    blocks of rows can be computed apart and summed.
     """
-    ratio = cdist(z, z)
-    np.fill_diagonal(ratio, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(wd, ratio, out=ratio)
-        rows = ratio.sum(axis=1)
-        if not np.isfinite(rows).all():
-            # coincident points divide by zero; their b_ij is 0
-            ratio[~np.isfinite(ratio)] = 0.0
-            rows = ratio.sum(axis=1)
-    return rows[:, None] * z - ratio @ z
+
+    def __init__(self, d: np.ndarray, w: np.ndarray):
+        wd = w * d
+        self.eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
+        # in place: numpy buffers the overlapping transpose
+        wd += wd.T
+        wd *= 0.5
+        self.wd, self.w = wd, w
+        self.s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+
+    def rows(self, r0: int, r1: int, offset: float, z: np.ndarray, bz: np.ndarray,
+             scratch: np.ndarray | None = None) -> float:
+        """Rows r0:r1 of B(Z) Z into ``bz``; returns ``offset`` plus their share of eta^2 - 2 rho.
+
+        b_ij = -wd_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
+        points coincide, and each row of B sums to zero.  Without
+        ``scratch`` the rows take one distance pass, into a new array; with
+        a c x n ``scratch`` they go c at a time through it, so each chunk
+        stays in cache across the passes over its distances.
+        """
+        eta = rho = 0.0
+        size = r1 - r0 if scratch is None else scratch.shape[0]
+        for c0 in range(r0, r1, size):
+            c1 = min(c0 + size, r1)
+            zc, out = z[c0:c1], bz[c0:c1]
+            ratio = cdist(zc, z, out=None if scratch is None else scratch[:c1 - c0])
+            # the chunk's part of the diagonal: entries (k, c0 + k)
+            np.fill_diagonal(ratio[:, c0:c1], np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(self.wd[c0:c1], ratio, out=ratio)
+                sums = ratio.sum(axis=1)
+                if not np.isfinite(sums).all():
+                    # coincident points divide by zero; their b_ij is 0
+                    ratio[~np.isfinite(ratio)] = 0.0
+                    sums = ratio.sum(axis=1)
+            np.matmul(ratio, z, out=out)
+            np.subtract(sums[:, None] * zc, out, out=out)
+            eta += self.s[c0:c1] @ _squared_norms(zc) - np.vdot(zc, self.w[c0:c1] @ z)
+            rho += np.vdot(zc, out)
+        return float(offset + eta - 2.0 * rho)
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", z, z)
 
 
-def _evaluator(d: np.ndarray, w: np.ndarray):
-    """``evaluate(z) -> (stress(z, d, w), B(Z) Z)``.
+def _run_blocks(helper, tasks: list) -> list:
+    """Results of one or two callables, the second on ``helper`` when one is given.
 
-    The stress is eta_d^2 + eta^2(Z) - 2 <Z, B(Z) Z>, exact for any d and w
-    because B(Z) is built from sym(w * d), the part of w * d the distances
-    see.  With s the mean of w's row and column sums,
-    eta^2(Z) = sum_i s_i ||z_i||^2 - <Z, W Z>, which drops w's diagonal as
-    the stress does.
+    An exception from either is raised only once both have finished, so no
+    block still writes into shared scratch when the caller sees it.
     """
-    wd = w * d
-    eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
-    # in place: numpy buffers the overlapping transpose
-    wd += wd.T
-    wd *= 0.5
-    s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+    if helper is None or len(tasks) == 1:
+        return [task() for task in tasks]
+    first, second = tasks
+    future = helper.submit(second)
+    try:
+        result = first()
+    finally:
+        futures.wait([future])
+    return [result, future.result()]
 
-    def evaluate(z):
-        bz = _b_times(wd, z)
-        eta = s @ _squared_norms(z) - np.vdot(z, w @ z)
-        return float(eta_d + eta - 2.0 * np.vdot(z, bz)), bz
 
-    return evaluate
+def _chunk_scratch(rows: int, n: int) -> np.ndarray:
+    """Distance scratch of a split block of ``rows`` rows: up to ``CHUNK_BYTES`` of them."""
+    return np.empty((min(rows, max(1, CHUNK_BYTES // (8 * n))), n))
 
 
 def _check_stop(rtol: float, max_iter: int) -> None:
@@ -269,22 +336,37 @@ def _check_stop(rtol: float, max_iter: int) -> None:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _majorize(evaluate, v_pinv, z, max_iter: int, rtol: float):
+def _majorize(blocks, v_pinv, z, max_iter: int, rtol: float, helper=None):
     """Guttman steps from ``z`` until the stress drop falls below rtol * start stress.
 
-    ``evaluate(z)`` returns the stress of ``z`` and B(Z) Z; the next
-    configuration is ``v_pinv @ B(Z) Z``.  The stop compares the values as
-    computed; the trajectory clamps them at 0, below which only roundoff
-    of the identity can take them.
+    ``blocks`` lists one or two ``(r0, r1, evaluate)`` that partition the
+    rows of Z: ``evaluate(z, bz)`` writes rows r0:r1 of B(Z) Z into ``bz``
+    and returns their share of the stress of ``z``, and rows r0:r1 of the
+    next configuration are those rows of ``v_pinv`` times B(Z) Z.  The
+    second block runs on ``helper`` when one is given; the blocks, and so
+    the bits of every result, are the same either way.  The stop compares
+    the values as computed; the trajectory clamps them at 0, below which
+    only roundoff of the identity can take them.
     """
-    value, bz = evaluate(z)
+    bz = np.empty(z.shape)
+
+    def evaluate(z):
+        return sum(_run_blocks(helper, [partial(fn, z, bz) for _, _, fn in blocks]))
+
+    def step():
+        nxt = np.empty(bz.shape)
+        _run_blocks(helper, [partial(np.matmul, v_pinv[r0:r1], bz, out=nxt[r0:r1])
+                             for r0, r1, _ in blocks])
+        return nxt
+
+    value = evaluate(z)
     trajectory = [max(value, 0.0)]
     threshold = rtol * trajectory[0]
     converged = False
     for _ in range(max_iter):
-        z = v_pinv @ bz
+        z = step()
         previous = value
-        value, bz = evaluate(z)
+        value = evaluate(z)
         trajectory.append(max(value, 0.0))
         if previous - value < threshold:
             converged = True
@@ -299,6 +381,8 @@ def smacof(
     rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
     v_pinv: np.ndarray | None = None,
+    *,
+    _helper=None,
 ) -> tuple[np.ndarray, StressReport]:
     """Guttman steps from ``z0`` until one lowers the stress by less than ``rtol`` of its start.
 
@@ -328,7 +412,15 @@ def smacof(
     z, d, w = _check_shapes(z0, d, w)
     if v_pinv is None:
         v_pinv = v_matrix_pinv(w)
-    return _majorize(_evaluator(d, w), v_pinv, z, max_iter, rtol)
+    ev, n = _Evaluator(d, w), z.shape[0]
+    if n < SPLIT_ROWS:
+        blocks = [(0, n, partial(ev.rows, 0, n, ev.eta_d))]
+    else:
+        # eta_d^2 is counted once, in the first block
+        h = n // 2
+        blocks = [(0, h, partial(ev.rows, 0, h, ev.eta_d, scratch=_chunk_scratch(h, n))),
+                  (h, n, partial(ev.rows, h, n, 0.0, scratch=_chunk_scratch(n - h, n)))]
+    return _majorize(blocks, v_pinv, z, max_iter, rtol, _helper)
 
 
 def joint_smacof(
@@ -342,6 +434,8 @@ def joint_smacof(
     z2: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    _helper=None,
 ) -> tuple[np.ndarray, np.ndarray, StressReport]:
     """Guttman iterations on the block instance of ``assemble_joint``, without building it.
 
@@ -400,24 +494,47 @@ def joint_smacof(
 
     a, b = p.sum(axis=1), p.sum(axis=0)
     v = np.empty((n1 + n2, n1 + n2))
-    _laplacian(_sym(w1), out=v[:n1, :n1])
-    _laplacian(_sym(w2), out=v[n1:, n1:])
-    v[:n1, n1:] = -lam * p
+    # built in place: V~ is the largest array of the solve
+    _laplacian(_sym(w1, out=v[:n1, :n1]), out=v[:n1, :n1])
+    _laplacian(_sym(w2, out=v[n1:, n1:]), out=v[n1:, n1:])
+    np.multiply(p, -lam, out=v[:n1, n1:])
     v[n1:, :n1] = v[:n1, n1:].T
     diag = np.arange(n1 + n2)
     v[diag, diag] += lam * np.concatenate([a, b])
     v_pinv = _laplacian_pinv(v)
-    evaluate1, evaluate2 = _evaluator(d1, w1), _evaluator(d2, w2)
+    ev1, ev2 = _Evaluator(d1, w1), _Evaluator(d2, w2)
+    pz = np.empty((n1, z1.shape[1]))
 
-    def evaluate(z):
+    # <P, C(z1, z2)> = a . ||z1||^2 + b . ||z2||^2 - 2 <Z1, P Z2>, so no
+    # n1 x n2 cost matrix
+    def whole(z, bz):
         z1, z2 = z[:n1], z[n1:]
-        value1, bz1 = evaluate1(z1)
-        value2, bz2 = evaluate2(z2)
-        # <P, C(z1, z2)> with ||z1_i - z2_j||^2 expanded, so no n1 x n2 cost matrix
-        cross = a @ _squared_norms(z1) + b @ _squared_norms(z2) - 2.0 * np.vdot(z1, p @ z2)
-        return value1 + value2 + lam * float(cross), np.vstack([bz1, bz2])
+        value1 = ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1])
+        value2 = ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:])
+        cross = (a @ _squared_norms(z1) + b @ _squared_norms(z2)
+                 - 2.0 * np.vdot(z1, np.matmul(p, z2, out=pz)))
+        return value1 + value2 + lam * float(cross)
 
-    z, report = _majorize(evaluate, v_pinv, np.vstack([z1, z2]), max_iter, rtol)
+    # split, each block takes its dataset's terms and half of the rows of P Z2
+    h = n1 // 2
+
+    def first(scratch, z, bz):
+        z1, z2 = z[:n1], z[n1:]
+        cross = a @ _squared_norms(z1) - 2.0 * np.vdot(z1[:h], np.matmul(p[:h], z2, out=pz[:h]))
+        return ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1], scratch) + lam * float(cross)
+
+    def second(scratch, z, bz):
+        z1, z2 = z[:n1], z[n1:]
+        cross = b @ _squared_norms(z2) - 2.0 * np.vdot(z1[h:], np.matmul(p[h:], z2, out=pz[h:]))
+        return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch) + lam * float(cross)
+
+    n = n1 + n2
+    if n < SPLIT_ROWS:
+        blocks = [(0, n, whole)]
+    else:
+        blocks = [(0, n1, partial(first, _chunk_scratch(n1, n1))),
+                  (n1, n, partial(second, _chunk_scratch(n2, n2)))]
+    z, report = _majorize(blocks, v_pinv, np.vstack([z1, z2]), max_iter, rtol, _helper)
     return z[:n1], z[n1:], report
 
 

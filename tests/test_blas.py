@@ -1,6 +1,7 @@
 """BLAS threads inside ``solve``: every OpenBLAS build runs at one thread there,
 and the counts found are put back afterwards."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 
 import jointscale
-from jointscale import (JointConfig, NumericalFailure, _blas, jointmds, pairwise_euclidean,
-                        solve, uniform_weight_matrix)
+from jointscale import (JointConfig, NumericalFailure, _blas, fileio, jointmds,
+                        pairwise_euclidean, solve, uniform_weight_matrix)
+
+smacof_module = importlib.import_module("jointscale.smacof")
 
 pytestmark = pytest.mark.skipif(
     not _blas.openblas_pools(),
@@ -31,6 +34,18 @@ cfg = JointConfig(outer_iters=2, restarts=2, seed=0)
 res = solve(d["d1"], d["d2"], d["w"], d["w"], cfg, threads=2)
 np.savez(sys.argv[2], z1=res.z1, z2=res.z2, p=res.p)
 """
+
+
+EMBED_CHILD = """
+import sys
+from jointscale.cli import main
+sys.exit(main(["embed", sys.argv[1], "--out", sys.argv[2]]))
+"""
+
+
+def child_env(blas_threads: str) -> dict:
+    return {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
 
 
 def thread_counts() -> dict:
@@ -128,12 +143,9 @@ def test_results_do_not_depend_on_blas_threads(large, tmp_path):
     np.savez(tmp_path / "d.npz", d1=d1, d2=d2, w=w)
     outputs = []
     for blas_threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": blas_threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
-                                                           os.environ.get("PYTHONPATH")]))}
         out = tmp_path / f"blas{blas_threads}.npz"
         subprocess.run([sys.executable, "-c", CHILD, str(tmp_path / "d.npz"), str(out)],
-                       env=env, check=True)
+                       env=child_env(blas_threads), check=True)
         with np.load(out) as saved:
             outputs.append(dict(saved))
     for name in ("z1", "z2", "p"):
@@ -148,3 +160,35 @@ def test_threads_match_serial_at_blas_size(large):
     assert np.array_equal(serial.z2, threaded.z2)
     assert np.array_equal(serial.p, threaded.p)
     assert serial.restart_index == threaded.restart_index
+
+
+def test_embed_does_not_depend_on_blas_threads(tmp_path):
+    points = tmp_path / "x.csv"
+    fileio.write_matrix(points, np.random.default_rng(0).standard_normal((300, 5)))
+    written = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        subprocess.run([sys.executable, "-c", EMBED_CHILD, str(points), str(out)],
+                       env=child_env(blas_threads), check=True, stdout=subprocess.DEVNULL)
+        written.append((out / "embedding.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_one_thread_inside_the_helper(two_threads, monkeypatch):
+    # the helper that runs the second row block of a split Guttman step sees
+    # the same one-thread setting as the thread running the restart
+    monkeypatch.setattr(smacof_module, "SPLIT_ROWS", 2)
+    seen, real = [], jointmds.joint_smacof
+
+    def probing(*args, _helper=None, **kwargs):
+        seen.append(_helper.submit(lambda: (threading.get_ident(), thread_counts())).result())
+        return real(*args, _helper=_helper, **kwargs)
+
+    monkeypatch.setattr(jointmds, "joint_smacof", probing)
+    d = pairwise_euclidean(np.random.default_rng(4).standard_normal((12, 2)))
+    w = uniform_weight_matrix(12)
+    solve(d, d, w, w, JointConfig(outer_iters=2, restarts=1, seed=0), threads=2)
+    assert len(seen) == 2
+    assert all(ident != threading.get_ident() for ident, _ in seen)
+    assert all(set(counts.values()) == {1} for _, counts in seen)
+    assert set(thread_counts().values()) == {2}

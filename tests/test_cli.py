@@ -257,14 +257,34 @@ class TestJoint:
 
     def test_manifest_records_cores_and_blas_threads(self, tmp_path):
         src = write_points(tmp_path / "x.csv", np.eye(4))
+        # the default is every core the process may run on
+        usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count())
+        for flag, threads in (([], usable), (["--threads", "3"], 3)):
+            out = tmp_path / f"out{len(flag)}"
+            assert run_cli(["joint", src, src, "--iters", "2", "--restarts", "1",
+                            "--out", out] + flag) == 0
+            machine = json.loads((out / "manifest.json").read_text())["machine"]
+            assert machine["cpu_count"] == os.cpu_count()
+            assert machine["solver_threads"] == threads
+            assert machine["openblas"] == [
+                {"library": name, "threads": get(), "threads_in_solve": 1}
+                for name, (get, _) in _blas.openblas_pools().items()]
+
+    @pytest.mark.parametrize("command", ["joint", "match"])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, command, threads):
+        src = tmp_path / "e.txt"
+        src.write_text("0 1\n1 2\n2 0\n")
         out = tmp_path / "out"
-        assert run_cli(["joint", src, src, "--iters", "2", "--restarts", "1",
-                        "--out", out]) == 0
-        machine = json.loads((out / "manifest.json").read_text())["machine"]
-        assert machine["cpu_count"] == os.cpu_count()
-        assert machine["openblas"] == [
-            {"library": name, "threads": get(), "threads_in_solve": 1}
-            for name, (get, _) in _blas.openblas_pools().items()]
+        code = run_cli([command, src, src, "--threads", threads, "--out", out])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["level"] == "error"
+        assert f"--threads must be >= 1, got {threads}" in record["message"]
+        assert not out.exists()
 
     def test_subproblems_at_budget_reported(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)

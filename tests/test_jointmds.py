@@ -25,6 +25,8 @@ from jointscale import (
 )
 from jointscale import _blas, jointmds, transport
 
+smacof_module = importlib.import_module("jointscale.smacof")
+
 
 def random_instance(rng, n1, n2, dim):
     d1 = pairwise_euclidean(rng.standard_normal((n1, dim)))
@@ -168,6 +170,54 @@ class TestSolve:
         assert np.array_equal(serial.z1, threaded.z1)
         assert np.array_equal(serial.p, threaded.p)
         assert serial.restart_index == threaded.restart_index
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_helper_matches_serial_bitwise(self, monkeypatch, lam):
+        # every step split in two, so the helper runs a block of each, and
+        # the distances go a few rows at a time
+        monkeypatch.setattr(smacof_module, "SPLIT_ROWS", 2)
+        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", 500)
+        rng = np.random.default_rng(11)
+        d1 = pairwise_euclidean(rng.standard_normal((21, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((16, 2)))
+        w1, w2 = uniform_weight_matrix(21), uniform_weight_matrix(16)
+        cfg = JointConfig(outer_iters=4, restarts=1, seed=2, lam=lam)
+        serial = solve(d1, d2, w1, w2, cfg, threads=1)
+        helped = solve(d1, d2, w1, w2, cfg, threads=2)
+        for name in ("z1", "z2", "p"):
+            assert np.array_equal(getattr(serial, name), getattr(helped, name)), name
+        assert serial.objective_trace == helped.objective_trace
+
+    @pytest.mark.parametrize("threads,restarts,helped", [
+        (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True),
+        (3, 1, True), (8, 3, True), (5, 3, False),
+    ])
+    def test_helper_only_with_a_spare_thread_per_restart(self, monkeypatch, threads,
+                                                         restarts, helped):
+        seen = []
+
+        def recording(real):
+            def call(*args, _helper=None, **kwargs):
+                seen.append(_helper)
+                return real(*args, _helper=_helper, **kwargs)
+            return call
+
+        for name in ("smacof", "joint_smacof"):
+            monkeypatch.setattr(jointmds, name, recording(getattr(jointmds, name)))
+        d = pairwise_euclidean(np.random.default_rng(12).standard_normal((10, 2)))
+        w = uniform_weight_matrix(10)
+        solve(d, d, w, w, JointConfig(outer_iters=2, restarts=restarts, seed=0),
+              threads=threads)
+        # two initial runs and two joint passes per restart
+        assert len(seen) == 4 * restarts
+        assert all((helper is not None) == helped for helper in seen)
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        d = pairwise_euclidean(np.random.default_rng(13).standard_normal((6, 2)))
+        w = uniform_weight_matrix(6)
+        with pytest.raises(InvalidInput, match="threads must be >= 1"):
+            solve(d, d, w, w, JointConfig(outer_iters=1, restarts=1), threads=threads)
 
     def test_input_scale_equivariance(self):
         rng = np.random.default_rng(8)

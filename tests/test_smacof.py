@@ -1,4 +1,9 @@
+import importlib
+import sys
+import threading
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +25,8 @@ from jointscale import (
     v_matrix_pinv,
 )
 from jointscale.smacof import _SYM_BLOCK
+
+smacof_module = importlib.import_module("jointscale.smacof")
 
 
 def brute_force_stress(z, d, w):
@@ -428,3 +435,139 @@ class TestJointSmacof:
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(7, n1=6, n2=5)
         with pytest.raises(NumericalFailure):
             joint_smacof(d1, d2, -w1, w2, p, 0.5, z1, z2)
+
+
+@pytest.fixture
+def split_at(monkeypatch):
+    """Set the row count from which a Guttman step runs as two row blocks."""
+    def set_rows(rows):
+        monkeypatch.setattr(smacof_module, "SPLIT_ROWS", rows)
+    return set_rows
+
+
+# distance chunks of one row, of two or three rows, and the default
+CHUNKS = [1, 500, smacof_module.CHUNK_BYTES]
+
+
+UNSPLIT = 10**9
+
+
+class TestSplitStep:
+    """Two fixed row blocks per step against the one-block step."""
+
+    @staticmethod
+    def close(split, whole, rtol=1e-12):
+        return np.abs(split - whole).max() <= rtol * np.abs(whole).max()
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n,coincide", [
+        (31, ()),
+        # three coincident points inside the first block, two across blocks
+        (21, ((1, 3), (1, 7), (2, 15))),
+        (smacof_module.SPLIT_ROWS + 1, ()),
+    ])
+    def test_smacof_steps_match_unsplit(self, split_at, monkeypatch, n, coincide, chunk):
+        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(n)
+        z0, d, w = random_instance(rng, n, 2)
+        for i, j in coincide:
+            z0[j] = z0[i]
+        vp = v_matrix_pinv(w)
+        z = z0
+        for _ in range(4 if n > 100 else 12):
+            runs = []
+            for rows in (UNSPLIT, 2):
+                split_at(rows)
+                runs.append(smacof(d, w, z, rtol=0.0, max_iter=1, v_pinv=vp))
+            (whole, r_whole), (split, r_split) = runs
+            assert np.all(np.isfinite(split))
+            assert self.close(split, whole)
+            assert self.close(np.array(r_split.per_iteration), np.array(r_whole.per_iteration))
+            z = whole
+        steps = 40 if n > 100 else 300
+        runs = []
+        for rows in (UNSPLIT, 2):
+            split_at(rows)
+            runs.append(smacof(d, w, z0, max_iter=steps, v_pinv=vp)[1])
+        whole, split = runs
+        assert split.iterations_used == whole.iterations_used
+        assert split.converged == whole.converged
+        assert np.all(np.diff(split.per_iteration) <= 1e-12 * split.per_iteration[0])
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    @pytest.mark.parametrize("coincide", [False, True])
+    def test_joint_steps_match_unsplit(self, split_at, monkeypatch, lam, coincide, chunk):
+        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", chunk)
+        # n1 = 23 and n2 = 17: odd and unequal blocks
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(9)
+        if coincide:
+            z1[[4, 9]] = z1[2]
+        for _ in range(10):
+            runs = []
+            for rows in (UNSPLIT, 2):
+                split_at(rows)
+                runs.append(joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 1))
+            (a1, a2, r_whole), (s1, s2, r_split) = runs
+            whole, split = np.vstack([a1, a2]), np.vstack([s1, s2])
+            assert np.all(np.isfinite(split))
+            assert self.close(split, whole)
+            assert self.close(np.array(r_split.per_iteration), np.array(r_whole.per_iteration))
+            z1, z2 = a1, a2
+        runs = []
+        for rows in (UNSPLIT, 2):
+            split_at(rows)
+            runs.append(joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 1e-9, 300)[2])
+        whole, split = runs
+        assert split.iterations_used == whole.iterations_used
+        assert split.converged == whole.converged
+        assert np.all(np.diff(split.per_iteration) <= 1e-12 * split.per_iteration[0])
+
+    def test_helper_gives_the_serial_bits(self, split_at, monkeypatch):
+        split_at(2)
+        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", 500)
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(10)
+        runs = {
+            "smacof": lambda helper: smacof(d1, w1, z1, 0.0, 20, _helper=helper),
+            "joint": lambda helper: joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 20,
+                                                 _helper=helper),
+        }
+        for name, run in runs.items():
+            serial = run(None)
+            # frequent thread switches, so a block writing outside its rows shows
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=1) as helper:
+                    helped = run(helper)
+            finally:
+                sys.setswitchinterval(interval)
+            for a, b in zip(serial[:-1], helped[:-1]):
+                assert np.array_equal(a, b), name
+            assert serial[-1].per_iteration == helped[-1].per_iteration, name
+
+
+class TestRunBlocks:
+    """An exception from either block is raised only once the other is done."""
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_exception_waits_for_the_other_block(self, failing):
+        done = []
+
+        def fail():
+            raise NumericalFailure("planted")
+
+        def slow():
+            time.sleep(0.2)
+            done.append(threading.get_ident())
+
+        tasks = [fail, slow] if failing == 0 else [slow, fail]
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(NumericalFailure, match="planted"):
+                smacof_module._run_blocks(helper, tasks)
+            assert len(done) == 1
+
+    def test_second_block_runs_on_the_helper(self):
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            first, second = smacof_module._run_blocks(helper, [threading.get_ident] * 2)
+        assert first == threading.get_ident() != second
