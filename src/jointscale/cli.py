@@ -190,11 +190,10 @@ def _load_dissimilarity(path: str, args, data: bytes) -> np.ndarray:
     """Input file and its bytes -> validated dissimilarity matrix, per the --kind pipeline."""
     if args.kind == "edges":
         edges, n = fileio.read_edge_list(path, data=data)
-        kept = [(i, j, w) for i, j, w in edges if i != j]
-        if len(kept) < len(edges):
-            _log("warning", "dropped self-loops", path=str(path),
-                 dropped=len(edges) - len(kept))
-        adj = ds.normalized_adjacency(kept, n)
+        loops = sum(i == j for i, j, _ in edges)
+        if loops:
+            _log("warning", "dropped self-loops", path=str(path), dropped=loops)
+        adj = ds.normalized_adjacency(edges, n)
         mode = "inverse-weight" if args.graph == "inv" else "hop"
         d = ds.graph_dissimilarity(adj, mode=mode)
     else:

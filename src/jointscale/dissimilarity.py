@@ -162,29 +162,35 @@ def rescale_by_mean(d: np.ndarray) -> np.ndarray:
 def normalized_adjacency(edges: list[tuple], n: int) -> np.ndarray:
     """Degree-normalized adjacency a_ij / sqrt(deg_i * deg_j).
 
-    ``edges`` is a list of ``(i, j)`` or ``(i, j, weight)`` tuples; node ids
-    are 0-based and weights finite and nonnegative.  Every node must have
-    degree at least one.
+    ``edges`` is a list of ``(i, j)`` or one of ``(i, j, weight)`` tuples;
+    node ids are 0-based and weights finite and nonnegative.  Self-loops are
+    dropped and a repeated edge keeps its last weight.  Every node must have
+    degree at least one.  An error names the first offending edge.
     """
     if n < 1:
         raise InvalidInput("graph must have at least one node")
+    if {len(e) for e in edges} not in (set(), {2}, {3}):
+        raise InvalidInput("edges must be all (i, j) or all (i, j, weight) tuples")
+    e = np.array(edges, dtype=float).reshape(len(edges), -1 if len(edges) else 2)
+    i, j = e[:, 0], e[:, 1]
+    w = e[:, 2] if e.shape[1] == 3 else np.ones(len(e))
+    loop = i == j
+    outside = ~((np.minimum(i, j) >= 0) & (np.maximum(i, j) < n))
+    bad = outside | (~loop & ~((w >= 0) & (w < np.inf)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        edge = f"edge ({int(i[k])},{int(j[k])})"
+        if outside[k]:
+            raise InvalidInput(f"{edge} out of range for n={n}")
+        problem = "negative" if np.isfinite(w[k]) else "non-finite"
+        raise InvalidInput(f"{edge} has {problem} weight {w[k]}")
+    lo, hi = np.sort(e[~loop, :2], axis=1).astype(np.intp).T
+    w = w[~loop]
+    # an edge's last occurrence is its first in reversed order
+    _, first = np.unique((lo * n + hi)[::-1], return_index=True)
+    last = len(lo) - 1 - first
     a = np.zeros((n, n))
-    for e in edges:
-        if len(e) == 2:
-            i, j = e
-            w = 1.0
-        else:
-            i, j, w = e
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInput(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            continue
-        if not np.isfinite(w):
-            raise InvalidInput(f"edge ({i},{j}) has non-finite weight {w}")
-        if w < 0:
-            raise InvalidInput(f"edge ({i},{j}) has negative weight {w}")
-        a[i, j] = a[j, i] = float(w)
+    a[lo[last], hi[last]] = a[hi[last], lo[last]] = w[last]
     deg = a.sum(axis=1)
     isolated = np.flatnonzero(deg == 0)
     if isolated.size:

@@ -171,14 +171,15 @@ def _run_restart(
     ramp_iters = math.ceil(cfg.outer_iters / 2)
     epsilon = cfg.epsilon0
     trace: list[float] = []
-    potentials = None
-    eps_prev = None
+    potentials = eps_prev = None
     sinkhorn_at_budget = newton_steps = 0
     reports = []
     for t in range(1, cfg.outer_iters + 1):
-        floor = EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2)))
-        eps_eff = max(epsilon, floor)
-        if potentials is not None and eps_prev is not None:
+        # mean of cost_matrix(z1, z2), without the n1 x n2 matrix
+        mean_cost = (np.vdot(z1, z1) / len(z1) + np.vdot(z2, z2) / len(z2)
+                     - 2.0 * z1.mean(axis=0) @ z2.mean(axis=0))
+        eps_eff = max(epsilon, EPSILON_FLOOR_FRACTION * float(mean_cost))
+        if potentials is not None:
             # scaling potentials are dual values over epsilon; keep them warm
             ratio = eps_prev / eps_eff
             potentials = (potentials[0] * ratio, potentials[1] * ratio)

@@ -37,21 +37,24 @@ its start, so the steps taken do not depend on the scale of the
 dissimilarities.  ``assemble_joint`` builds the dense block instance
 and stays as the reference the structured iteration is tested against.
 
+Every step takes its distances ``CHUNK_BYTES`` of whole rows at a time,
+through scratch arrays allocated once per run on the calling thread, so
+each chunk stays in cache across the divide, the row sums and the product
+with Z, and no step allocates an n x n distance array.
+
 A step over at least ``SPLIT_ROWS`` rows is computed as two fixed row
 blocks: the first and second half of the rows in ``smacof``, the two
 datasets' rows in ``joint_smacof`` (each block also takes half of the rows
 of P Z2 for the coupling term).  Each block computes its rows of B(Z) Z,
 its share of the stress terms and its rows of the V^+ (or V~^+) product.
-It takes its distances ``CHUNK_BYTES`` of whole rows at a time, through a
-scratch array allocated once per run on the calling thread, so each chunk
-stays in cache across the divide, the row sums and the product with Z.
 The solver hands the second block to a helper thread; without one the
 blocks run in turn.  The partition depends only on the row counts, so the
 bits of every result are the same with or without a helper.  A split step
 matches the one-block step to roundoff, since sums are taken in another
 order and BLAS rounds a product of fewer rows differently.
 
-Smaller steps stay one block, computed as before.  On a 2-core Xeon with
+A smaller step is one block; in ``joint_smacof`` it evaluates the two
+datasets in turn, then takes one V~^+ product.  On a 2-core Xeon with
 4 MiB of L2 per core, serially (no helper), a two-block ``smacof`` step
 cost 35% more than one block at n = 100, 9% at 300 and -2% to +5% at
 400-700 rows, and 17-23% less from 725 rows on, where an n x n matrix
@@ -98,7 +101,7 @@ DEFAULT_MAX_ITER = 300
 # a Guttman step over at least this many rows runs as two fixed row blocks;
 # below it one block is faster (see the module docstring)
 SPLIT_ROWS = 725
-# bytes of distances a split block computes at a time (whole rows): half of
+# bytes of distances a block computes at a time (whole rows): half of
 # a 4 MiB L2; with a helper, the fastest chunk tried (32 rows up to a whole
 # block) at n = 2000, and within 12% of the fastest at n = 1000
 CHUNK_BYTES = 1 << 21
@@ -272,21 +275,21 @@ class _Evaluator:
         self.s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
 
     def rows(self, r0: int, r1: int, offset: float, z: np.ndarray, bz: np.ndarray,
-             scratch: np.ndarray | None = None) -> float:
+             scratch: np.ndarray) -> float:
         """Rows r0:r1 of B(Z) Z into ``bz``; returns ``offset`` plus their share of eta^2 - 2 rho.
 
         b_ij = -wd_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
-        points coincide, and each row of B sums to zero.  Without
-        ``scratch`` the rows take one distance pass, into a new array; with
-        a c x n ``scratch`` they go c at a time through it, so each chunk
-        stays in cache across the passes over its distances.
+        points coincide, and each row of B sums to zero.  The rows go c at a
+        time through the c x n ``scratch`` (see ``_chunk_scratch``), so each
+        chunk stays in cache across the passes over its distances and no
+        step allocates a distance array.
         """
         eta = rho = 0.0
-        size = r1 - r0 if scratch is None else scratch.shape[0]
+        size = scratch.shape[0]
         for c0 in range(r0, r1, size):
             c1 = min(c0 + size, r1)
             zc, out = z[c0:c1], bz[c0:c1]
-            ratio = cdist(zc, z, out=None if scratch is None else scratch[:c1 - c0])
+            ratio = cdist(zc, z, out=scratch[:c1 - c0])
             # the chunk's part of the diagonal: entries (k, c0 + k)
             np.fill_diagonal(ratio[:, c0:c1], np.inf)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -325,7 +328,7 @@ def _run_blocks(helper, tasks: list) -> list:
 
 
 def _chunk_scratch(rows: int, n: int) -> np.ndarray:
-    """Distance scratch of a split block of ``rows`` rows: up to ``CHUNK_BYTES`` of them."""
+    """Distance scratch of a block of ``rows`` rows: up to ``CHUNK_BYTES`` of them."""
     return np.empty((min(rows, max(1, CHUNK_BYTES // (8 * n))), n))
 
 
@@ -413,13 +416,11 @@ def smacof(
     if v_pinv is None:
         v_pinv = v_matrix_pinv(w)
     ev, n = _Evaluator(d, w), z.shape[0]
-    if n < SPLIT_ROWS:
-        blocks = [(0, n, partial(ev.rows, 0, n, ev.eta_d))]
-    else:
-        # eta_d^2 is counted once, in the first block
-        h = n // 2
-        blocks = [(0, h, partial(ev.rows, 0, h, ev.eta_d, scratch=_chunk_scratch(h, n))),
-                  (h, n, partial(ev.rows, h, n, 0.0, scratch=_chunk_scratch(n - h, n)))]
+    bounds = [0, n] if n < SPLIT_ROWS else [0, n // 2, n]
+    # eta_d^2 is counted once, in the first block
+    blocks = [(r0, r1, partial(ev.rows, r0, r1, ev.eta_d if r0 == 0 else 0.0,
+                               scratch=_chunk_scratch(r1 - r0, n)))
+              for r0, r1 in zip(bounds, bounds[1:])]
     return _majorize(blocks, v_pinv, z, max_iter, rtol, _helper)
 
 
@@ -506,34 +507,25 @@ def joint_smacof(
     pz = np.empty((n1, z1.shape[1]))
 
     # <P, C(z1, z2)> = a . ||z1||^2 + b . ||z2||^2 - 2 <Z1, P Z2>, so no
-    # n1 x n2 cost matrix
-    def whole(z, bz):
-        z1, z2 = z[:n1], z[n1:]
-        value1 = ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1])
-        value2 = ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:])
-        cross = (a @ _squared_norms(z1) + b @ _squared_norms(z2)
-                 - 2.0 * np.vdot(z1, np.matmul(p, z2, out=pz)))
-        return value1 + value2 + lam * float(cross)
-
-    # split, each block takes its dataset's terms and half of the rows of P Z2
+    # n1 x n2 cost matrix; each dataset's part takes half of the rows of P Z2
     h = n1 // 2
+    scratch1, scratch2 = _chunk_scratch(n1, n1), _chunk_scratch(n2, n2)
 
-    def first(scratch, z, bz):
+    def first(z, bz):
         z1, z2 = z[:n1], z[n1:]
         cross = a @ _squared_norms(z1) - 2.0 * np.vdot(z1[:h], np.matmul(p[:h], z2, out=pz[:h]))
-        return ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1], scratch) + lam * float(cross)
+        return ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1], scratch1) + lam * float(cross)
 
-    def second(scratch, z, bz):
+    def second(z, bz):
         z1, z2 = z[:n1], z[n1:]
         cross = b @ _squared_norms(z2) - 2.0 * np.vdot(z1[h:], np.matmul(p[h:], z2, out=pz[h:]))
-        return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch) + lam * float(cross)
+        return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch2) + lam * float(cross)
 
     n = n1 + n2
     if n < SPLIT_ROWS:
-        blocks = [(0, n, whole)]
+        blocks = [(0, n, lambda z, bz: first(z, bz) + second(z, bz))]
     else:
-        blocks = [(0, n1, partial(first, _chunk_scratch(n1, n1))),
-                  (n1, n, partial(second, _chunk_scratch(n2, n2)))]
+        blocks = [(0, n1, first), (n1, n, second)]
     z, report = _majorize(blocks, v_pinv, np.vstack([z1, z2]), max_iter, rtol, _helper)
     return z[:n1], z[n1:], report
 

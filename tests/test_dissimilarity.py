@@ -255,6 +255,28 @@ class TestNormalizedAdjacency:
         with pytest.raises(InvalidInput, match="node 2"):
             normalized_adjacency([(0, 1)], 3)
 
+    def test_repeated_edge_keeps_last_weight(self):
+        a = normalized_adjacency([(0, 1, 2.0), (1, 2, 1.0), (1, 0, 5.0)], 3)
+        expect = normalized_adjacency([(0, 1, 5.0), (1, 2, 1.0)], 3)
+        assert np.array_equal(a, expect)
+        assert a[0, 1] == a[1, 0] == pytest.approx(5.0 / np.sqrt(5.0 * 6.0))
+
+    def test_nan_self_loop_is_skipped(self):
+        a = normalized_adjacency([(0, 1, 1.0), (1, 1, np.nan), (1, 2, 1.0)], 3)
+        assert np.array_equal(a, normalized_adjacency([(0, 1), (1, 2)], 3))
+
+    def test_mixed_tuple_lengths_rejected(self):
+        with pytest.raises(InvalidInput, match=r"all \(i, j\) or all \(i, j, weight\)"):
+            normalized_adjacency([(0, 1), (1, 2, 1.0)], 3)
+
+    @pytest.mark.parametrize("edge", [(1, 3), (-1, 2), (3, 3)])
+    def test_out_of_range_edge_named(self, edge):
+        # the first offending edge in input order, ahead of a later bad weight
+        edges = [(0, 1, 1.0), (*edge, 1.0), (1, 2, -1.0)]
+        named = rf"edge \({edge[0]},{edge[1]}\) out of range for n=3"
+        with pytest.raises(InvalidInput, match=named):
+            normalized_adjacency(edges, 3)
+
     def test_spectral_radius_at_most_one(self):
         rng = np.random.default_rng(7)
         for _ in range(5):

@@ -337,6 +337,31 @@ class TestSolve:
         assert len(steps) == 40
         assert res.sinkhorn_newton_steps == sum(steps) > 0
 
+    def test_epsilon_floor_is_a_fraction_of_the_mean_cost(self, monkeypatch):
+        # a tiny epsilon0 leaves the floor as epsilon in every outer iteration;
+        # Guttman steps center their output, so the initial configurations
+        # are moved off the origin to make the cross term of the mean count
+        ratios = []
+
+        def shifted(*args, **kwargs):
+            z, report = smacof(*args, **kwargs)
+            return z + 3.0, report
+
+        def recording(z1, z2, marginals, eps, *args, **kwargs):
+            floor = jointmds.EPSILON_FLOOR_FRACTION * np.mean(cost_matrix(z1, z2))
+            ratios.append(eps / floor)
+            return wasserstein_procrustes(z1, z2, marginals, eps, *args, **kwargs)
+
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes", recording)
+        monkeypatch.setattr(jointmds, "smacof", shifted)
+        rng = np.random.default_rng(20)
+        d1 = pairwise_euclidean(rng.standard_normal((20, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((17, 2)))
+        w1, w2 = uniform_weight_matrix(20), uniform_weight_matrix(17)
+        solve(d1, d2, w1, w2, JointConfig(outer_iters=5, restarts=1, seed=0, epsilon0=1e-12))
+        assert len(ratios) == 5
+        assert np.abs(np.array(ratios) - 1.0).max() <= 1e-12
+
     def test_counts_gw_solves_at_budget(self, monkeypatch):
         # one Sinkhorn iteration per warm-start solve stops each at its budget;
         # the shared warm start's count reaches every restart's result

@@ -447,17 +447,29 @@ def split_at(monkeypatch):
 
 # distance chunks of one row, of two or three rows, and the default
 CHUNKS = [1, 500, smacof_module.CHUNK_BYTES]
+# more bytes than any distance matrix of these tests: one chunk per block
+ONE_CHUNK = 1 << 40
 
 
 UNSPLIT = 10**9
 
 
 class TestSplitStep:
-    """Two fixed row blocks per step against the one-block step."""
+    """Chunked steps, in one block and in two, against one block in one chunk."""
 
     @staticmethod
     def close(split, whole, rtol=1e-12):
         return np.abs(split - whole).max() <= rtol * np.abs(whole).max()
+
+    @staticmethod
+    def variants(split_at, monkeypatch, chunk, run):
+        """``run()`` as one block in one chunk, then in ``chunk`` bytes as one block and as two."""
+        results = []
+        for rows, size in ((UNSPLIT, ONE_CHUNK), (UNSPLIT, chunk), (2, chunk)):
+            split_at(rows)
+            monkeypatch.setattr(smacof_module, "CHUNK_BYTES", size)
+            results.append(run())
+        return results
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("n,coincide", [
@@ -467,7 +479,6 @@ class TestSplitStep:
         (smacof_module.SPLIT_ROWS + 1, ()),
     ])
     def test_smacof_steps_match_unsplit(self, split_at, monkeypatch, n, coincide, chunk):
-        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", chunk)
         rng = np.random.default_rng(n)
         z0, d, w = random_instance(rng, n, 2)
         for i, j in coincide:
@@ -475,53 +486,48 @@ class TestSplitStep:
         vp = v_matrix_pinv(w)
         z = z0
         for _ in range(4 if n > 100 else 12):
-            runs = []
-            for rows in (UNSPLIT, 2):
-                split_at(rows)
-                runs.append(smacof(d, w, z, rtol=0.0, max_iter=1, v_pinv=vp))
-            (whole, r_whole), (split, r_split) = runs
-            assert np.all(np.isfinite(split))
-            assert self.close(split, whole)
-            assert self.close(np.array(r_split.per_iteration), np.array(r_whole.per_iteration))
+            (whole, r_whole), *runs = self.variants(
+                split_at, monkeypatch, chunk,
+                lambda: smacof(d, w, z, rtol=0.0, max_iter=1, v_pinv=vp))
+            for step, report in runs:
+                assert np.all(np.isfinite(step))
+                assert self.close(step, whole)
+                assert self.close(np.array(report.per_iteration), np.array(r_whole.per_iteration))
             z = whole
         steps = 40 if n > 100 else 300
-        runs = []
-        for rows in (UNSPLIT, 2):
-            split_at(rows)
-            runs.append(smacof(d, w, z0, max_iter=steps, v_pinv=vp)[1])
-        whole, split = runs
-        assert split.iterations_used == whole.iterations_used
-        assert split.converged == whole.converged
-        assert np.all(np.diff(split.per_iteration) <= 1e-12 * split.per_iteration[0])
+        whole, *runs = self.variants(split_at, monkeypatch, chunk,
+                                     lambda: smacof(d, w, z0, max_iter=steps, v_pinv=vp)[1])
+        for report in runs:
+            assert report.iterations_used == whole.iterations_used
+            assert report.converged == whole.converged
+            assert np.all(np.diff(report.per_iteration) <= 1e-12 * report.per_iteration[0])
 
     @pytest.mark.parametrize("chunk", CHUNKS)
     @pytest.mark.parametrize("lam", [0.05, 0.7])
     @pytest.mark.parametrize("coincide", [False, True])
     def test_joint_steps_match_unsplit(self, split_at, monkeypatch, lam, coincide, chunk):
-        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", chunk)
         # n1 = 23 and n2 = 17: odd and unequal blocks
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(9)
         if coincide:
             z1[[4, 9]] = z1[2]
         for _ in range(10):
-            runs = []
-            for rows in (UNSPLIT, 2):
-                split_at(rows)
-                runs.append(joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 1))
-            (a1, a2, r_whole), (s1, s2, r_split) = runs
-            whole, split = np.vstack([a1, a2]), np.vstack([s1, s2])
-            assert np.all(np.isfinite(split))
-            assert self.close(split, whole)
-            assert self.close(np.array(r_split.per_iteration), np.array(r_whole.per_iteration))
+            (a1, a2, r_whole), *runs = self.variants(
+                split_at, monkeypatch, chunk,
+                lambda: joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 1))
+            whole = np.vstack([a1, a2])
+            for s1, s2, report in runs:
+                step = np.vstack([s1, s2])
+                assert np.all(np.isfinite(step))
+                assert self.close(step, whole)
+                assert self.close(np.array(report.per_iteration), np.array(r_whole.per_iteration))
             z1, z2 = a1, a2
-        runs = []
-        for rows in (UNSPLIT, 2):
-            split_at(rows)
-            runs.append(joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 1e-9, 300)[2])
-        whole, split = runs
-        assert split.iterations_used == whole.iterations_used
-        assert split.converged == whole.converged
-        assert np.all(np.diff(split.per_iteration) <= 1e-12 * split.per_iteration[0])
+        whole, *runs = self.variants(
+            split_at, monkeypatch, chunk,
+            lambda: joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 1e-9, 300)[2])
+        for report in runs:
+            assert report.iterations_used == whole.iterations_used
+            assert report.converged == whole.converged
+            assert np.all(np.diff(report.per_iteration) <= 1e-12 * report.per_iteration[0])
 
     def test_helper_gives_the_serial_bits(self, split_at, monkeypatch):
         split_at(2)
