@@ -97,11 +97,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", default=None,
                    help="JSON config file; flags override its entries")
     p.add_argument("--threads", type=int, default=_usable_cores(),
-                   help="solver threads, >= 1: restarts run in parallel, and a restart "
-                        "with a spare thread hands it the second row block of each large "
-                        "majorization step; OpenBLAS runs on one thread inside the solve, "
-                        "and results do not depend on this count (default: the usable "
-                        "cores, here %(default)s)")
+                   help="cores the solver may use, >= 1: restarts run in parallel in "
+                        "processes forked from this one (on Linux; elsewhere one after "
+                        "another), progress is logged from this process as each restart "
+                        "finishes, and a restart with a spare core hands a helper thread "
+                        "the second row block of each large majorization step; OpenBLAS "
+                        "runs on one thread inside the solve, and results do not depend "
+                        "on this count (default: the usable cores, here %(default)s)")
 
 
 # JSON config key, which is also the flag's argparse dest -> JointConfig field

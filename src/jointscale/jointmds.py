@@ -8,13 +8,15 @@ instance (``joint_smacof``, which never builds that instance).  The entropic
 regularization decays geometrically across outer iterations; the matching
 penalty ramps up over the first half of the run when ``lambda_anneal`` is
 set.  Restarts differ only in their seed and the smallest final objective
-wins.
+wins; ``solve`` runs them on worker processes forked from the caller.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -35,6 +37,9 @@ __all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "match_argm
 INIT_SMACOF_MAX_ITER = 300
 EPSILON_FLOOR_FRACTION = 1e-3
 GW_EPSILON_FRACTION = 0.01
+# restarts run on forked processes only on Linux: fork is not available on
+# Windows and not safe with macOS system libraries
+_CAN_FORK = sys.platform.startswith("linux")
 # marginal tolerance for the transport subproblems inside the outer loop;
 # the annealed couplings are warm-started, so this is reached quickly
 WP_SINKHORN_TOL = 1e-7
@@ -228,6 +233,58 @@ def _run_restart(
     )
 
 
+def _restart_outcome(d1, d2, w1, w2, cfg, v1_pinv, v2_pinv, gw_coupling, split, on_outer,
+                     restart: int):
+    """One restart's ``JointResult``, or the ``NumericalFailure`` that ended it."""
+    try:
+        with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
+            return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
+                                gw_coupling, on_outer, helper)
+    except NumericalFailure as exc:
+        return exc
+
+
+# a forked worker's restart inputs, set by _init_worker in the worker only
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _worker_restart(restart: int):
+    return _restart_outcome(*_worker_inputs, None, restart)
+
+
+def _run_forked(workers: int, inputs: tuple, restarts: int, on_outer) -> list:
+    """Every restart's outcome, computed on ``workers`` forked processes.
+
+    The workers inherit ``inputs`` and the caller's BLAS setting through fork;
+    only restart indices and outcomes cross the process boundary.  From
+    Python 3.11 on, a fork executor starts all its workers before its own
+    manager thread, so no thread of the pool is running at a fork.  Each
+    finished restart's trace is replayed through ``on_outer`` here.  If
+    anything raises, the restarts not yet started are dropped and the
+    running ones finish before the error propagates, so no worker outlives
+    the call.
+    """
+    outcomes = [None] * restarts
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=inputs)
+    try:
+        futures = {pool.submit(_worker_restart, r): r for r in range(restarts)}
+        for future in as_completed(futures):
+            restart = futures[future]
+            outcomes[restart] = outcome = future.result()
+            if on_outer is not None and isinstance(outcome, JointResult):
+                for t, objective in enumerate(outcome.objective_trace, start=1):
+                    on_outer(restart, t, objective)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    return outcomes
+
+
 def solve(
     d1: np.ndarray,
     d2: np.ndarray,
@@ -248,20 +305,29 @@ def solve(
     cfg : JointConfig
         Solver hyperparameters; restart r uses seed ``cfg.seed + r``.
     threads : int
-        Threads the solver may use, >= 1.  Restarts run on a pool of
-        ``min(threads, cfg.restarts)`` threads; with one, they run in the
-        calling thread.  When ``threads`` is at least twice that pool, each
+        Cores the solver may use, >= 1.  Restarts run on a pool of
+        ``min(threads, cfg.restarts)`` processes forked from the caller, so
+        they do not share one interpreter lock; with one, they run in the
+        calling thread.  Off Linux, where the solver does not fork, they
+        always run one after another in the calling thread.  When
+        ``threads`` is at least twice the restarts running at once, each
         restart also gets a one-worker helper thread, which computes the
         second row block of every Guttman step that ``smacof`` and
         ``joint_smacof`` split (see ``smacof.SPLIT_ROWS``).  The blocks
         depend only on the row counts, so results are bitwise identical for
         every ``threads``.  Inside ``solve`` every OpenBLAS build in the
-        process runs on one thread (process-wide), and its thread count is
-        put back on return, so results do not depend on the core count
-        either.  Under MKL or Accelerate BLAS keeps its own threads.
+        process runs on one thread (process-wide, inherited by the forked
+        workers), and its thread count is put back on return, so results do
+        not depend on the core count either.  Under MKL or Accelerate BLAS
+        keeps its own threads.
     on_outer : callable, optional
-        ``on_outer(restart, iteration, objective)`` called after every outer
-        iteration, e.g. for progress logging.
+        ``on_outer(restart, iteration, objective)`` called once per outer
+        iteration of each restart, in iteration order, e.g. for progress
+        logging.  It always runs in the calling process: in the calling
+        thread right after each outer iteration when the restarts run
+        there, and with a process pool for every entry of a restart's
+        ``objective_trace`` as soon as that restart has finished (so a
+        restart that fails reports nothing).
 
     Raises
     ------
@@ -282,7 +348,8 @@ def solve(
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
 
     # the restart pool and the helpers are the only parallelism: BLAS threads
-    # would compete with them for the same cores
+    # would compete with them for the same cores; workers forked inside this
+    # scope inherit the one-thread setting
     with _blas.single_threaded():
         v1_pinv = v_matrix_pinv(w1)
         v2_pinv = v_matrix_pinv(w2)
@@ -297,22 +364,13 @@ def solve(
 
         # at most `workers` restarts run at once; each gets a one-worker helper
         # for the second row block of its Guttman steps when the threads allow
-        workers = min(threads, cfg.restarts)
+        workers = min(threads, cfg.restarts) if _CAN_FORK else 1
         split = threads >= 2 * workers
-
-        def run(restart: int):
-            try:
-                with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
-                    return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                        gw_coupling, on_outer, helper)
-            except NumericalFailure as exc:
-                return exc
-
+        inputs = (d1, d2, w1, w2, cfg, v1_pinv, v2_pinv, gw_coupling, split)
         if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run, range(cfg.restarts)))
+            outcomes = _run_forked(workers, inputs, cfg.restarts, on_outer)
         else:
-            outcomes = [run(r) for r in range(cfg.restarts)]
+            outcomes = [_restart_outcome(*inputs, on_outer, r) for r in range(cfg.restarts)]
 
     results = [r for r in outcomes if isinstance(r, JointResult)]
     if not results:

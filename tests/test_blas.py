@@ -80,12 +80,22 @@ def large():
     return d1, d2, uniform_weight_matrix(300)
 
 
-def test_one_thread_inside_and_counts_restored(small, two_threads):
+def test_one_thread_inside_and_counts_restored(small, two_threads, monkeypatch, fork_log):
+    # every outer iteration's joint pass records the counts where it runs: in
+    # a worker process forked for its restart, so through a file
+    real = jointmds.joint_smacof
+
+    def probing(*args, **kwargs):
+        fork_log.append([os.getpid(), thread_counts()])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jointmds, "joint_smacof", probing)
     d, w, cfg = small
-    seen = []
-    solve(d, d, w, w, cfg, threads=2, on_outer=lambda *_: seen.append(thread_counts()))
+    solve(d, d, w, w, cfg, threads=2)
+    seen = fork_log.read()
     assert len(seen) == cfg.outer_iters * cfg.restarts
-    assert all(set(counts.values()) == {1} for counts in seen)
+    assert all(pid != os.getpid() for pid, _ in seen)
+    assert all(set(counts.values()) == {1} for _, counts in seen)
     assert set(thread_counts().values()) == {2}
 
 

@@ -1,5 +1,7 @@
 import functools
 import importlib
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from jointscale import (
     InvalidInput,
     JointConfig,
     Marginals,
+    NumericalFailure,
     assemble_joint,
     cost_matrix,
     entropic_gw,
@@ -192,13 +195,13 @@ class TestSolve:
         (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True),
         (3, 1, True), (8, 3, True), (5, 3, False),
     ])
-    def test_helper_only_with_a_spare_thread_per_restart(self, monkeypatch, threads,
+    def test_helper_only_with_a_spare_thread_per_restart(self, monkeypatch, fork_log, threads,
                                                          restarts, helped):
-        seen = []
-
+        # the calls run in the worker processes when restarts run on a pool,
+        # so whether each got a helper is recorded through a file
         def recording(real):
             def call(*args, _helper=None, **kwargs):
-                seen.append(_helper)
+                fork_log.append(_helper is not None)
                 return real(*args, _helper=_helper, **kwargs)
             return call
 
@@ -208,9 +211,10 @@ class TestSolve:
         w = uniform_weight_matrix(10)
         solve(d, d, w, w, JointConfig(outer_iters=2, restarts=restarts, seed=0),
               threads=threads)
+        seen = fork_log.read()
         # two initial runs and two joint passes per restart
         assert len(seen) == 4 * restarts
-        assert all((helper is not None) == helped for helper in seen)
+        assert all(has_helper == helped for has_helper in seen)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -411,3 +415,114 @@ class TestSolve:
         w = uniform_weight_matrix(9)
         with pytest.raises(InvalidInput):
             solve(d, d, w, w, JointConfig())
+
+
+def failing_restart(bad: set):
+    """``_initial_embeddings`` that raises ``NumericalFailure`` for the restarts in ``bad``."""
+    real = jointmds._initial_embeddings
+
+    def initial(d1, d2, cfg, restart):
+        if restart in bad:
+            raise NumericalFailure(f"planted failure of restart {restart}")
+        return real(d1, d2, cfg, restart)
+    return initial
+
+
+class TestRestartPool:
+    """Restarts on forked worker processes (``threads`` > 1 and restarts > 1)."""
+
+    @pytest.fixture
+    def instance(self):
+        rng = np.random.default_rng(21)
+        d1 = pairwise_euclidean(rng.standard_normal((14, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((11, 2)))
+        return d1, d2, uniform_weight_matrix(14), uniform_weight_matrix(11)
+
+    @pytest.mark.parametrize("threads,restarts,split_rows", [
+        (2, 3, smacof_module.SPLIT_ROWS),  # more restarts than workers
+        (4, 2, 2),  # every step split, the second block on each worker's helper
+    ])
+    def test_pool_matches_serial_bitwise(self, monkeypatch, instance, threads, restarts,
+                                         split_rows):
+        monkeypatch.setattr(smacof_module, "SPLIT_ROWS", split_rows)
+        cfg = JointConfig(outer_iters=4, restarts=restarts, seed=3)
+        serial = solve(*instance, cfg, threads=1)
+        pooled = solve(*instance, cfg, threads=threads)
+        for name in ("z1", "z2", "p"):
+            assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
+        assert serial.objective_trace == pooled.objective_trace
+        assert serial.restart_index == pooled.restart_index
+
+    def test_on_outer_replayed_in_the_caller(self, instance):
+        cfg = JointConfig(outer_iters=5, restarts=3, seed=0)
+        serial, pooled = [], []
+        solve(*instance, cfg, threads=1, on_outer=lambda *call: serial.append(call))
+        res = solve(*instance, cfg, threads=2,
+                    on_outer=lambda *call: pooled.append((os.getpid(),) + call))
+        assert {pid for pid, *_ in pooled} == {os.getpid()}
+        calls = [call[1:] for call in pooled]
+        assert len(calls) == len(set((r, t) for r, t, _ in calls)) == 15
+        for r in range(3):
+            # each restart's iterations in order, with the serial run's values
+            assert [c for c in calls if c[0] == r] == [c for c in serial if c[0] == r]
+        assert [obj for r, _, obj in calls if r == res.restart_index] == res.objective_trace
+        assert multiprocessing.active_children() == []
+
+    def test_failing_restart_skipped(self, monkeypatch, instance):
+        cfg = JointConfig(outer_iters=3, restarts=3, seed=1)
+        singles = [solve(*instance, JointConfig(outer_iters=3, restarts=1, seed=1 + r))
+                   for r in range(3)]
+        best = min((0, 2), key=lambda r: (singles[r].final_objective, r))
+        monkeypatch.setattr(jointmds, "_initial_embeddings", failing_restart({1}))
+        seen = []
+        res = solve(*instance, cfg, threads=2, on_outer=lambda r, *_: seen.append(r))
+        assert res.restart_index == best
+        assert res.final_objective == singles[best].final_objective
+        assert sorted(set(seen)) == [0, 2]
+        assert multiprocessing.active_children() == []
+
+    def test_all_restarts_failing(self, monkeypatch, instance):
+        monkeypatch.setattr(jointmds, "_initial_embeddings", failing_restart({0, 1, 2}))
+        with pytest.raises(NumericalFailure, match="all 3 restarts failed; last error: "
+                                                    "planted failure of restart 2"):
+            solve(*instance, JointConfig(outer_iters=2, restarts=3, seed=0), threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_unexpected_errors_end_the_pool(self, monkeypatch, instance):
+        # an error other than NumericalFailure ends the solve, from a worker
+        # or from on_outer in the caller, and the pending restarts are dropped
+        cfg = JointConfig(outer_iters=2, restarts=4, seed=0)
+
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("planted bug")
+
+        def stop(*_):
+            raise KeyError("stop")
+
+        with pytest.raises(KeyError, match="stop"):
+            solve(*instance, cfg, threads=2, on_outer=stop)
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes", broken)
+        with pytest.raises(ZeroDivisionError, match="planted bug"):
+            solve(*instance, cfg, threads=2)
+        assert multiprocessing.active_children() == []
+
+    def test_serial_in_the_calling_thread_without_fork(self, monkeypatch, instance):
+        # without fork the restarts run one after another in the caller, and
+        # a spare thread still gives each a helper
+        def no_pool(*args, **kwargs):
+            raise AssertionError("restart pool used without fork")
+
+        def recording(*args, _helper=None, **kwargs):
+            seen.append((os.getpid(), _helper is not None))
+            return real(*args, _helper=_helper, **kwargs)
+
+        seen, real = [], jointmds.joint_smacof
+        monkeypatch.setattr(jointmds, "_CAN_FORK", False)
+        monkeypatch.setattr(jointmds, "_run_forked", no_pool)
+        monkeypatch.setattr(jointmds, "joint_smacof", recording)
+        cfg = JointConfig(outer_iters=2, restarts=2, seed=0)
+        serial = solve(*instance, cfg, threads=1)
+        unforked = solve(*instance, cfg, threads=2)
+        assert np.array_equal(serial.z1, unforked.z1)
+        assert seen == [(os.getpid(), False)] * 4 + [(os.getpid(), True)] * 4
