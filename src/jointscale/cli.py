@@ -73,27 +73,36 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# JSON config key -> (JointConfig field, help text).  The flag is --key with
+# "_" as "-", so the key is also the flag's argparse dest.
+_CONFIG_FIELDS = {
+    "dim": ("dim", "embedding dimension"),
+    "lambda": ("lam", "matching penalty"),
+    "epsilon": ("epsilon0", "initial entropic regularization"),
+    "alpha": ("alpha", "epsilon decay factor per outer iteration"),
+    "iters": ("outer_iters", "outer iterations"),
+    "inner_smacof": ("inner_smacof_iters", "majorization steps per outer iteration"),
+    "inner_wp": ("inner_wp_iters", "transport/Procrustes rounds per outer iteration"),
+    "restarts": ("restarts", "random restarts"),
+    "seed": ("seed", "base seed (falls back to $JOINTSCALE_SEED, then 0)"),
+    "gw_init": ("gw_init", "warm start the coupling with Gromov-Wasserstein"),
+    "lambda_anneal": ("lambda_anneal",
+                      "ramp the matching penalty over the first half of the run"),
+}
+
+
+# JointConfig field -> its annotated type name ("int", "float" or "bool")
+_FIELD_TYPES = {f.name: getattr(f.type, "__name__", f.type)
+                for f in dataclasses.fields(JointConfig)}
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     # defaults stay None so explicitly passed flags can override a JSON config
-    p.add_argument("--dim", type=int, default=None, help="embedding dimension")
-    p.add_argument("--lambda", type=float, default=None,
-                   help="matching penalty")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="initial entropic regularization")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="epsilon decay factor per outer iteration")
-    p.add_argument("--iters", type=int, default=None, help="outer iterations")
-    p.add_argument("--inner-smacof", type=int, default=None,
-                   help="majorization steps per outer iteration")
-    p.add_argument("--inner-wp", type=int, default=None,
-                   help="transport/Procrustes rounds per outer iteration")
-    p.add_argument("--restarts", type=int, default=None, help="random restarts")
-    p.add_argument("--seed", type=int, default=None,
-                   help="base seed (falls back to $JOINTSCALE_SEED, then 0)")
-    p.add_argument("--gw-init", action=argparse.BooleanOptionalAction, default=None,
-                   help="warm start the coupling with Gromov-Wasserstein")
-    p.add_argument("--lambda-anneal", action=argparse.BooleanOptionalAction, default=None,
-                   help="ramp the matching penalty over the first half of the run")
+    for key, (field_name, help_text) in _CONFIG_FIELDS.items():
+        kind = _FIELD_TYPES[field_name]
+        parse = ({"action": argparse.BooleanOptionalAction} if kind == "bool"
+                 else {"type": {"int": int, "float": float}[kind]})
+        p.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **parse)
     p.add_argument("--config", metavar="FILE", default=None,
                    help="JSON config file; flags override its entries")
     p.add_argument("--threads", type=int, default=_usable_cores(),
@@ -106,25 +115,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                         "on this count (default: the usable cores, here %(default)s)")
 
 
-# JSON config key, which is also the flag's argparse dest -> JointConfig field
-_CONFIG_FIELDS = {
-    "dim": "dim",
-    "lambda": "lam",
-    "epsilon": "epsilon0",
-    "alpha": "alpha",
-    "iters": "outer_iters",
-    "inner_smacof": "inner_smacof_iters",
-    "inner_wp": "inner_wp_iters",
-    "restarts": "restarts",
-    "seed": "seed",
-    "gw_init": "gw_init",
-    "lambda_anneal": "lambda_anneal",
-}
-
-
-# JointConfig field -> its annotated type name ("int", "float" or "bool")
-_FIELD_TYPES = {f.name: getattr(f.type, "__name__", f.type)
-                for f in dataclasses.fields(JointConfig)}
+def _add_pair_flags(p: argparse.ArgumentParser, labels: bool = True) -> None:
+    if labels:
+        p.add_argument("--labels1", default=None, help="class labels of dataset 1")
+        p.add_argument("--labels2", default=None, help="class labels of dataset 2")
+    p.add_argument("--truth", default=None,
+                   help="true match file (index per row) or 'identity'")
+    p.add_argument("--sparse-coupling", action="store_true",
+                   help="coupling as sparse 'i j value' triplets: joint and match write "
+                        "coupling.txt; eval reads --coupling so (as it does any .txt)")
 
 
 def _config_value(key: str, value, path: str):
@@ -133,7 +132,7 @@ def _config_value(key: str, value, path: str):
     Integers are accepted for float fields; booleans are accepted only for
     bool fields, not as integers.
     """
-    kind = _FIELD_TYPES[_CONFIG_FIELDS[key]]
+    kind = _FIELD_TYPES[_CONFIG_FIELDS[key][0]]
     if kind == "bool":
         valid = isinstance(value, bool)
     elif kind == "int":
@@ -172,11 +171,10 @@ def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
         if not isinstance(doc, dict):
             _fail(f"config file {args.config}: expected a JSON object")
         for key, value in doc.items():
-            field_name = _CONFIG_FIELDS.get(key)
-            if field_name is None:
+            if key not in _CONFIG_FIELDS:
                 _fail(f"config file {args.config}: unknown key {key!r}")
-            setattr(cfg, field_name, _config_value(key, value, args.config))
-    for key, field_name in _CONFIG_FIELDS.items():
+            setattr(cfg, _CONFIG_FIELDS[key][0], _config_value(key, value, args.config))
+    for key, (field_name, _) in _CONFIG_FIELDS.items():
         value = getattr(args, key)
         if value is not None:
             setattr(cfg, field_name, value)
@@ -213,8 +211,16 @@ def _load_dissimilarity(path: str, args, data: bytes) -> np.ndarray:
     return d
 
 
+def _check_input_flags(args) -> None:
+    """Reject input flags that the chosen --kind would ignore, before any file is read."""
+    if args.graph is not None and args.kind != "edges":
+        _fail(f"--graph applies to edge lists only, not --kind {args.kind}")
+    if args.header and args.kind == "edges":
+        _fail("--header applies to matrices only, not edge lists")
+
+
 def _weights_for(d: np.ndarray, args) -> np.ndarray:
-    if getattr(args, "weight_exponent", None) is not None:
+    if args.weight_exponent is not None:
         return ds.power_weight_matrix(d, args.weight_exponent)
     return ds.uniform_weight_matrix(d.shape[0])
 
@@ -248,13 +254,14 @@ def _truth_matrix(truth: np.ndarray, n: int, m: int) -> np.ndarray:
 
 
 class _Manifest:
-    """Collects run metadata; written atomically at the end of a command."""
+    """Owns the output directory and collects run metadata; written atomically at the end."""
 
-    def __init__(self, out_dir: Path, argv: list[str], seed: int | None):
-        self.out_dir = out_dir
+    def __init__(self, args, seed: int | None):
+        self.out_dir = Path(args.out)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.start = time.monotonic()
         self.doc = {
-            "command": [PROG] + argv,
+            "command": [PROG] + args.argv,
             "seed": seed,
             "config": None,
             "inputs": {},
@@ -276,51 +283,43 @@ class _Manifest:
         self.doc["inputs"][str(path)] = fileio.sha256_bytes(data)
         return data
 
-    def add_output(self, path) -> Path:
+    def add_output(self, name: str) -> Path:
+        """Path of output ``name`` in the output directory, recorded in the manifest."""
+        path = self.out_dir / name
         self.doc["outputs"].append(str(path))
         return path
 
-    def write(self) -> Path:
+    def write(self) -> None:
         self.doc["duration_seconds"] = time.monotonic() - self.start
-        target = self.out_dir / "manifest.json"
-        self.doc["outputs"].append(str(target))
-        fileio.write_json(target, self.doc)
-        return target
-
-
-def _prepare_out(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+        fileio.write_json(self.add_output("manifest.json"), self.doc)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_embed(args) -> int:
-    out = _prepare_out(args)
+    if args.dim < 1:
+        _fail(f"--dim must be >= 1, got {args.dim}")
+    _check_input_flags(args)
     seed = _seed(args)
-    manifest = _Manifest(out, args.argv, seed)
+    manifest = _Manifest(args, seed)
     d = _load_dissimilarity(args.input, args, manifest.add_input(args.input))
     w = _weights_for(d, args)
-    dim = args.dim if args.dim is not None else 2
-    if dim < 1:
-        _fail(f"--dim must be >= 1, got {dim}")
     scale = jointmds._init_scale(d, d)
-    z0 = random_embedding(d.shape[0], dim, seed, scale)
+    z0 = random_embedding(d.shape[0], args.dim, seed, scale)
     # as in the joint solve, so the output does not depend on the BLAS thread count
     with _blas.single_threaded():
         z, report = smacof(d, w, z0, max_iter=args.max_iter)
-    fileio.write_embedding(manifest.add_output(out / "embedding.csv"), z,
+    fileio.write_embedding(manifest.add_output("embedding.csv"), z,
                            delimiter=args.delimiter)
     fileio.write_trace(
-        manifest.add_output(out / "trace.jsonl"),
+        manifest.add_output("trace.jsonl"),
         [{"iter": i, "stress": s} for i, s in enumerate(report.per_iteration)],
     )
     iu = np.triu_indices(d.shape[0], k=1)
     denom = float(np.sum(w[iu] * d[iu] ** 2))
     final = report.per_iteration[-1]
-    manifest.doc["config"] = {"dim": dim, "seed": seed, "max_iter": args.max_iter}
+    manifest.doc["config"] = {"dim": args.dim, "seed": seed, "max_iter": args.max_iter}
     manifest.doc["summary"] = {
         "stress": final,
         "relative_stress": final / denom if denom > 0 else 0.0,
@@ -328,44 +327,47 @@ def cmd_embed(args) -> int:
         "converged": report.converged,
     }
     manifest.write()
-    print(f"embedded {d.shape[0]} points into {dim}-D; "
+    print(f"embedded {d.shape[0]} points into {args.dim}-D; "
           f"relative stress {manifest.doc['summary']['relative_stress']:.3e}")
     return 0
 
 
-def _write_joint_outputs(args, out, manifest, result) -> None:
-    fileio.write_embedding(manifest.add_output(out / "z1.csv"), result.z1,
+def _write_joint_outputs(args, manifest, result) -> None:
+    fileio.write_embedding(manifest.add_output("z1.csv"), result.z1,
                            delimiter=args.delimiter)
-    fileio.write_embedding(manifest.add_output(out / "z2.csv"), result.z2,
+    fileio.write_embedding(manifest.add_output("z2.csv"), result.z2,
                            delimiter=args.delimiter)
     if args.sparse_coupling:
-        fileio.write_coupling_triplets(
-            manifest.add_output(out / "coupling.txt"), result.p)
+        fileio.write_coupling_triplets(manifest.add_output("coupling.txt"), result.p)
     else:
-        fileio.write_matrix(manifest.add_output(out / "coupling.csv"), result.p,
+        fileio.write_matrix(manifest.add_output("coupling.csv"), result.p,
                             delimiter=args.delimiter)
     fileio.write_trace(
-        manifest.add_output(out / "trace.jsonl"),
+        manifest.add_output("trace.jsonl"),
         [{"iter": i + 1, "objective": v} for i, v in enumerate(result.objective_trace)],
     )
 
 
-def _joint_metrics(manifest, out, result, truth, labels1, labels2) -> dict:
+def _coupling_metrics(p: np.ndarray, truth: np.ndarray) -> dict:
+    """Node correctness and top-3/top-5 accuracy of coupling ``p`` against ``truth``."""
+    doc = {"node_correctness": mt.node_correctness(p, _truth_matrix(truth, *p.shape))}
+    for k in (3, 5):
+        if k <= p.shape[1]:
+            doc[f"top{k}_accuracy"] = mt.topk_accuracy(p, truth, k)
+    return doc
+
+
+def _joint_metrics(manifest, result, truth, labels1, labels2) -> dict:
     doc: dict = {"params": {"knn_k": 5, "topk": [3, 5]}}
-    n1, n2 = result.z1.shape[0], result.z2.shape[0]
     if truth is not None:
-        if n1 == n2:
+        if result.z1.shape[0] == result.z2.shape[0]:
             doc["foscttm"] = mt.foscttm(result.z1, result.z2[truth])
-        t = _truth_matrix(truth, n1, n2)
-        doc["node_correctness"] = mt.node_correctness(result.p, t)
-        for k in (3, 5):
-            if k <= n2:
-                doc[f"top{k}_accuracy"] = mt.topk_accuracy(result.p, truth, k)
+        doc.update(_coupling_metrics(result.p, truth))
     if labels1 is not None and labels2 is not None:
         predicted = mt.knn_transfer(result.z1, labels1, result.z2, k=5)
         doc["transfer_accuracy"] = mt.accuracy(predicted, labels2)
     if len(doc) > 1:
-        fileio.write_json(manifest.add_output(out / "metrics.json"), doc)
+        fileio.write_json(manifest.add_output("metrics.json"), doc)
     return doc
 
 
@@ -385,12 +387,15 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     """Shared body of ``joint`` and ``match``: load, solve, write every output."""
     if args.threads < 1:
         _fail(f"--threads must be >= 1, got {args.threads}")
-    out = _prepare_out(args)
-    manifest = _Manifest(out, args.argv, cfg.seed)
+    _check_input_flags(args)
+    manifest = _Manifest(args, cfg.seed)
     d1 = _load_dissimilarity(path1, args, manifest.add_input(path1))
     d2 = _load_dissimilarity(path2, args, manifest.add_input(path2))
     w1 = _weights_for(d1, args)
-    w2 = _weights_for(d2, args)
+    # uniform weights of one size are one array: the solver only reads w
+    # (v_matrix_pinv, smacof._Evaluator, joint_smacof's _sym(w, out=), joint_objective)
+    uniform_pair = args.weight_exponent is None and d2.shape == d1.shape
+    w2 = w1 if uniform_pair else _weights_for(d2, args)
     labels = _read_labels(manifest, label_paths)
     truth = None
     if args.truth is not None:
@@ -409,11 +414,11 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     }
     result = jointmds.solve(d1, d2, w1, w2, cfg, threads=args.threads,
                             on_outer=on_outer)
-    _write_joint_outputs(args, out, manifest, result)
+    _write_joint_outputs(args, manifest, result)
     if write_matches:
-        fileio.write_labels(manifest.add_output(out / "matches.csv"),
+        fileio.write_labels(manifest.add_output("matches.csv"),
                             jointmds.match_argmax(result.p))
-    doc = _joint_metrics(manifest, out, result, truth, *labels)
+    doc = _joint_metrics(manifest, result, truth, *labels)
     at_budget = {
         "sinkhorn_at_budget": result.sinkhorn_at_budget,
         "smacof_init_at_budget": result.smacof_init_at_budget,
@@ -455,8 +460,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _prepare_out(args)
-    manifest = _Manifest(out, args.argv, None)
+    manifest = _Manifest(args, None)
     loaded: dict = {}
     for name in ("z1", "z2"):
         path = getattr(args, name)
@@ -504,11 +508,7 @@ def cmd_eval(args) -> int:
         skipped["foscttm"] = "needs --z1 and --z2 with equal shapes"
 
     if coupling is not None and truth is not None:
-        t = _truth_matrix(truth, coupling.shape[0], coupling.shape[1])
-        doc["node_correctness"] = mt.node_correctness(coupling, t)
-        for k in (3, 5):
-            if k <= coupling.shape[1]:
-                doc[f"top{k}_accuracy"] = mt.topk_accuracy(coupling, truth, k)
+        doc.update(_coupling_metrics(coupling, truth))
     else:
         skipped["node_correctness"] = "needs --coupling and --truth"
 
@@ -530,7 +530,7 @@ def cmd_eval(args) -> int:
 
     if skipped:
         doc["skipped"] = skipped
-    fileio.write_json(manifest.add_output(out / "metrics.json"), doc)
+    fileio.write_json(manifest.add_output("metrics.json"), doc)
     manifest.write()
     _print_metrics(doc)
     for name, reason in skipped.items():
@@ -539,16 +539,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    out = _prepare_out(args)
     seed = _seed(args)
     spec = synthdata.GenSpec(kind=args.kind, n=args.n, p1=args.p1, p2=args.p2,
                              noise_sigma=args.noise_sigma, seed=seed)
-    manifest = _Manifest(out, args.argv, seed)
+    manifest = _Manifest(args, seed)
     pair = synthdata.generate(spec)
-    fileio.write_matrix(manifest.add_output(out / "x1.csv"), pair.x1)
-    fileio.write_matrix(manifest.add_output(out / "x2.csv"), pair.x2)
-    fileio.write_labels(manifest.add_output(out / "labels.csv"), pair.labels)
-    fileio.write_matrix(manifest.add_output(out / "latent.csv"), pair.latent)
+    fileio.write_matrix(manifest.add_output("x1.csv"), pair.x1)
+    fileio.write_matrix(manifest.add_output("x2.csv"), pair.x2)
+    fileio.write_labels(manifest.add_output("labels.csv"), pair.labels)
+    fileio.write_matrix(manifest.add_output("latent.csv"), pair.latent)
     manifest.doc["config"] = {
         "kind": spec.kind, "n": spec.n, "p1": spec.p1, "p2": spec.p2,
         "noise_sigma": spec.noise_sigma, "seed": spec.seed,
@@ -575,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_kind_flag(p)
     _add_io_flags(p)
     _add_dissimilarity_flags(p)
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-iter", type=int, default=300)
     p.set_defaults(func=cmd_embed)
@@ -587,12 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_dissimilarity_flags(p)
     _add_config_flags(p)
-    p.add_argument("--labels1", default=None, help="class labels of dataset 1")
-    p.add_argument("--labels2", default=None, help="class labels of dataset 2")
-    p.add_argument("--truth", default=None,
-                   help="true match file (index per row) or 'identity'")
-    p.add_argument("--sparse-coupling", action="store_true",
-                   help="write the coupling as sparse triplets")
+    _add_pair_flags(p)
     p.set_defaults(func=cmd_joint)
 
     p = sub.add_parser("match", help="graph matching from two edge lists")
@@ -601,9 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_dissimilarity_flags(p)
     _add_config_flags(p)
-    p.add_argument("--truth", default=None,
-                   help="true match file (index per row) or 'identity'")
-    p.add_argument("--sparse-coupling", action="store_true")
+    _add_pair_flags(p, labels=False)
     p.set_defaults(func=cmd_match, kind="edges", weight_exponent=4.0)
 
     p = sub.add_parser("eval", help="compute metrics from saved files")
@@ -613,12 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupling", default=None, help="coupling CSV or triplet file")
     p.add_argument("--d1", default=None, help="first dissimilarity CSV")
     p.add_argument("--d2", default=None, help="second dissimilarity CSV")
-    p.add_argument("--labels1", default=None)
-    p.add_argument("--labels2", default=None)
-    p.add_argument("--truth", default=None)
+    _add_pair_flags(p)
     p.add_argument("--knn", type=int, default=5, help="neighbors for label transfer")
-    p.add_argument("--sparse-coupling", action="store_true",
-                   help="coupling file holds sparse triplets")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset pair")

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg
 from scipy.spatial.distance import cdist
-from scipy.special import xlogy
 
 from .errors import InvalidInput, NumericalFailure
 
@@ -36,7 +35,6 @@ __all__ = [
     "Marginals",
     "cost_matrix",
     "sinkhorn",
-    "entropy",
     "orthogonal_procrustes",
     "wasserstein_procrustes",
     "entropic_gw",
@@ -105,12 +103,6 @@ def cost_matrix(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
             f"embeddings have different dimensions {z1.shape[1]} and {z2.shape[1]}"
         )
     return cdist(z1, z2, metric="sqeuclidean")
-
-
-def entropy(p: np.ndarray) -> float:
-    """H(P) = -sum P_ij (log P_ij - 1), with 0 log 0 = 0."""
-    p = np.asarray(p, dtype=float)
-    return float(-np.sum(xlogy(p, p)) + p.sum())
 
 
 def _lse_rows(m: np.ndarray) -> np.ndarray:
@@ -270,8 +262,8 @@ def sinkhorn(
     max_iter, tol : int, float
         Iteration budget at the target epsilon and L1 marginal tolerance.
     log : bool
-        Also return a dict with the log-domain coupling
-        (``"log_coupling"``), the log potentials (``"u"``, ``"v"``), the L1
+        Also return a dict with the log potentials (``"u"``, ``"v"``;
+        the log coupling is -c / epsilon + u (+) v), the L1
         marginal violation of the returned coupling, the scaling iteration
         counts at the target epsilon and in the warm-up (``"iterations"``,
         ``"warmup_iterations"``), the Newton steps taken
@@ -377,8 +369,8 @@ def sinkhorn(
                 iterations += more
     else:
         u, v, _, iterations = scale(epsilon, u, v, max_iter)
-    log_p = -c / epsilon + u[:, None] + v[None, :]
-    p = np.exp(log_p)
+    p = -c / epsilon + u[:, None] + v[None, :]
+    np.exp(p, out=p)
     violation = float(
         np.abs(p.sum(axis=1) - a).sum() + np.abs(p.sum(axis=0) - b).sum()
     )
@@ -386,7 +378,6 @@ def sinkhorn(
         raise NumericalFailure("sinkhorn coupling contains non-finite entries")
     if log:
         info = {
-            "log_coupling": log_p,
             "u": u,
             "v": v,
             "marginal_violation": violation,
@@ -517,8 +508,8 @@ def entropic_gw(
         at_budget += not info["converged"]
         delta = float(np.abs(new - coupling).sum())
         coupling = new
-        log_coupling = info["log_coupling"]
         potentials = (info["u"], info["v"])
+        log_coupling = -cost / epsilon + potentials[0][:, None] + potentials[1][None, :]
         if delta < GW_TOL:
             break
     return coupling, {"sinkhorn_at_budget": at_budget}

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import functools
 import gzip
 import io
@@ -8,8 +9,9 @@ import os
 import numpy as np
 import pytest
 
-from jointscale import _blas, fileio, pairwise_euclidean, transport
-from jointscale.cli import main
+from jointscale import _blas, fileio, jointmds, pairwise_euclidean, transport
+from jointscale.cli import _CONFIG_FIELDS, build_parser, main
+from jointscale.jointmds import JointConfig
 
 
 def run_cli(args):
@@ -41,6 +43,8 @@ class TestEmbed:
                            np.random.default_rng(0).standard_normal((5, 2)))
         code = run_cli(["embed", src, "--dim", "0", "--out", tmp_path / "o"])
         assert code != 0
+        # rejected before the input is read or the output directory is made
+        assert not (tmp_path / "o").exists()
 
     def test_seed_determinism(self, tmp_path):
         src = write_points(tmp_path / "x.csv",
@@ -190,6 +194,23 @@ class TestJoint:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["inputs"] == {str(path): fileio.sha256_file(path)
                                       for path in (z1, z2, l1, l2, truth)}
+
+    @pytest.mark.parametrize("flags, shared", [([], True), (["--weight-exponent", "1"], False)])
+    def test_uniform_weights_shared(self, tmp_path, monkeypatch, flags, shared):
+        rng = np.random.default_rng(15)
+        s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((10, 2)))
+        s2 = write_points(tmp_path / "x2.csv", rng.standard_normal((10, 3)))
+        seen = []
+
+        def solve(d1, d2, w1, w2, *args, **kwargs):
+            seen.append(w1 is w2)
+            return real_solve(d1, d2, w1, w2, *args, **kwargs)
+
+        real_solve = jointmds.solve
+        monkeypatch.setattr(jointmds, "solve", solve)
+        assert run_cli(["joint", s1, s2, "--iters", "2", "--restarts", "1",
+                        "--out", tmp_path / "out"] + flags) == 0
+        assert seen == [shared]
 
     def test_sparse_coupling_output(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -413,6 +434,48 @@ class TestMatch:
         assert "components" not in message
 
 
+class TestConfigFlags:
+    def test_table_covers_every_config_field_once(self):
+        fields = [field for field, _ in _CONFIG_FIELDS.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(JointConfig))
+
+    @pytest.mark.parametrize("command", ["joint", "match"])
+    @pytest.mark.parametrize("key", list(_CONFIG_FIELDS))
+    def test_flag_parses_to_field_type(self, command, key):
+        field = _CONFIG_FIELDS[key][0]
+        default = getattr(JointConfig(), field)
+        flag = "--" + key.replace("_", "-")
+        parser = build_parser()
+        base = [command, "a", "b"]
+        # unset flags stay None, so a config file value is not overridden
+        assert getattr(parser.parse_args(base), key) is None
+        if isinstance(default, bool):
+            assert getattr(parser.parse_args(base + [flag]), key) is True
+            assert getattr(parser.parse_args(base + ["--no-" + flag[2:]]), key) is False
+        else:
+            value = getattr(parser.parse_args(base + [flag, "3"]), key)
+            assert type(value) is type(default) and value == 3
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["embed", "missing.csv", "--graph", "inv"], "--graph"),
+    (["joint", "missing.csv", "missing.csv", "--kind", "distances", "--graph", "hop"],
+     "--graph"),
+    (["embed", "missing.txt", "--kind", "edges", "--header"], "--header"),
+    (["match", "missing.txt", "missing.txt", "--header"], "--header"),
+])
+def test_input_flag_ignored_by_kind_rejected(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert run_cli(argv + ["--out", out]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["level"] == "error"
+    # the inputs do not exist: the flag is checked before any file is read
+    assert record["message"].startswith(flag)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["match", "g1.txt", "g2.txt"], ["eval"]])
 def test_kind_flag_rejected(tmp_path, command):
     # match always reads edge lists and eval reads no dissimilarity input
@@ -485,6 +548,25 @@ class TestEval:
         error = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert f"{pf}:{lineno}: coupling value" in error["message"]
         assert not (tmp_path / "out" / "metrics.json").exists()
+
+    def test_reproduces_joint_metrics(self, tmp_path):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((16, 3))
+        s1 = write_points(tmp_path / "x1.csv", x)
+        s2 = write_points(tmp_path / "x2.csv", x @ rng.standard_normal((3, 4)))
+        labels = tmp_path / "l.csv"
+        fileio.write_labels(labels, rng.integers(0, 3, 16))
+        pair = ["--truth", "identity", "--labels1", labels, "--labels2", labels]
+        run, out = tmp_path / "run", tmp_path / "eval"
+        assert run_cli(["joint", s1, s2, "--iters", "3", "--restarts", "1",
+                        "--seed", "0", "--out", run] + pair) == 0
+        assert run_cli(["eval", "--z1", run / "z1.csv", "--z2", run / "z2.csv",
+                        "--coupling", run / "coupling.csv", "--out", out] + pair) == 0
+        keys = ("foscttm", "node_correctness", "top3_accuracy", "top5_accuracy",
+                "transfer_accuracy")
+        joint, evaluated = (json.loads((path / "metrics.json").read_text())
+                            for path in (run, out))
+        assert {key: joint[key] for key in keys} == {key: evaluated[key] for key in keys}
 
     def test_rmsd_on_self_aligned_exact_instance(self, tmp_path):
         rng = np.random.default_rng(9)

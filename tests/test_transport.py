@@ -4,7 +4,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, xlogy
 
 from jointscale import (
     InvalidInput,
@@ -19,7 +19,11 @@ from jointscale import (
     wasserstein_procrustes,
 )
 from jointscale import transport
-from jointscale.transport import entropy
+
+
+def entropy(p):
+    """H(P) = -sum P_ij (log P_ij - 1), with 0 log 0 = 0."""
+    return float(-np.sum(xlogy(p, p)) + p.sum())
 
 
 def haar_orthogonal(d, rng):
