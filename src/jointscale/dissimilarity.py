@@ -225,8 +225,10 @@ def power_weight_matrix(d: np.ndarray, exponent: float = 4.0) -> np.ndarray:
     """Stress weights w_ij = d_ij^(-exponent) with zero diagonal.
 
     Off-diagonal distances must be strictly positive; duplicated nodes have
-    to be deduplicated upstream.
+    to be deduplicated upstream.  The exponent must be finite.
     """
+    if not np.isfinite(exponent):
+        raise InvalidInput(f"weight exponent must be finite, got {exponent}")
     d = validate_dissimilarity(d)
     n = d.shape[0]
     mask = ~np.eye(n, dtype=bool)

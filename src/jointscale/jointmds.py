@@ -25,8 +25,8 @@ import numpy as np
 from . import _blas
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
-from .smacof import (FULL_MATRIX_FACTOR, joint_smacof, random_embedding, smacof, stress,
-                     v_matrix_pinv)
+from .smacof import (FULL_MATRIX_FACTOR, _check_weights, joint_smacof, random_embedding, smacof,
+                     stress, v_matrix_pinv)
 
 # unused here; bench/tracing.py wraps this name on this module
 from .smacof import assemble_joint  # noqa: F401
@@ -332,8 +332,8 @@ def solve(
     Raises
     ------
     InvalidInput
-        On an invalid configuration, inputs of mismatched shapes or
-        ``threads < 1``.
+        On an invalid configuration, inputs of mismatched shapes, a
+        non-finite or negative weight, or ``threads < 1``.
     NumericalFailure
         Only if every restart fails; a failing restart is otherwise skipped.
     """
@@ -346,13 +346,16 @@ def solve(
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != d1.shape or w2.shape != d2.shape:
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
+    c1 = _check_weights(w1, "first weight matrix")
+    c2 = _check_weights(w2, "second weight matrix")
 
     # the restart pool and the helpers are the only parallelism: BLAS threads
     # would compete with them for the same cores; workers forked inside this
     # scope inherit the one-thread setting
     with _blas.single_threaded():
-        v1_pinv = v_matrix_pinv(w1)
-        v2_pinv = v_matrix_pinv(w2)
+        # weights with one value off the diagonal take the closed form: no V^+
+        v1_pinv = None if c1 is not None else v_matrix_pinv(w1)
+        v2_pinv = None if c2 is not None else v_matrix_pinv(w2)
 
         gw_coupling, gw_at_budget = None, 0
         if cfg.gw_init:

@@ -27,15 +27,30 @@ on the coupled two-dataset instance without building that instance: its
 cross dissimilarities are zero, so B(Z) Z is computed block by block, and
 the coupling P enters only through
 
-    V~ = [[V1 + lam diag(P 1), -lam P], [-lam P^T, V2 + lam diag(P^T 1)]],
+    V~ = [[V1 + lam diag(P 1), -lam P], [-lam P^T, V2 + lam diag(P^T 1)]].
 
-whose pseudo-inverse is taken once per call.  Both share one B(Z) Z kernel,
-one stopping rule and one Laplacian pseudo-inverse, (V + J/n)^{-1} - J/n by
-Cholesky factorization.  The rule stops a run once a step lowers the stress
-by less than ``rtol`` (``DEFAULT_RTOL`` unless given) times the stress of
-its start, so the steps taken do not depend on the scale of the
-dissimilarities.  ``assemble_joint`` builds the dense block instance
-and stays as the reference the structured iteration is tested against.
+Both share one B(Z) Z kernel and one stopping rule.  The rule stops a run
+once a step lowers the stress by less than ``rtol`` (``DEFAULT_RTOL``
+unless given) times the stress of its start, so the steps taken do not
+depend on the scale of the dissimilarities.
+
+How the next configuration is solved for depends on the weights.  When
+every off-diagonal weight of a dataset is one value c > 0, as with the
+CLI's uniform 1/n^2, V = c (n I - 1 1^T) and V^+ = (I - J/n) / (c n), so
+a ``smacof`` step is the column-centred B(Z) Z divided by c n (Borg &
+Groenen 2005, ch. 8), every stress term is c times its unit-weight value,
+and no array is made from w.  When both datasets of ``joint_smacof`` are
+like that, each diagonal block of V~ is diagonal minus rank one: the
+larger dataset's block is applied through Sherman-Morrison, and the
+Schur complement on the smaller dataset, plus a multiple of J, is
+factored by Cholesky once per call (``_SchurStep``).  The solve's largest
+array is then that n_s x n_s factor, not the (n1 + n2)^2 V~.  Any other
+weights take the Laplacian pseudo-inverse (V + J/n)^{-1} - J/n by
+Cholesky factorization, of V in ``smacof`` (``v_matrix_pinv``) and of V~
+once per ``joint_smacof`` call, and a step is one product with it.  On
+``assemble_joint``'s dense block instance the cross weights differ from
+the within-dataset ones, so ``smacof`` on it takes that path and stays the
+reference the structured iteration is tested against.
 
 Every step takes its distances ``CHUNK_BYTES`` of whole rows at a time,
 through scratch arrays allocated once per run on the calling thread, so
@@ -46,15 +61,17 @@ A step over at least ``SPLIT_ROWS`` rows is computed as two fixed row
 blocks: the first and second half of the rows in ``smacof``, the two
 datasets' rows in ``joint_smacof`` (each block also takes half of the rows
 of P Z2 for the coupling term).  Each block computes its rows of B(Z) Z,
-its share of the stress terms and its rows of the V^+ (or V~^+) product.
-The solver hands the second block to a helper thread; without one the
-blocks run in turn.  The partition depends only on the row counts, so the
-bits of every result are the same with or without a helper.  A split step
-matches the one-block step to roundoff, since sums are taken in another
-order and BLAS rounds a product of fewer rows differently.
+its share of the stress terms and its rows of the V^+ (or V~^+) product;
+the Schur solve splits each of its two products with P into halves of
+their rows, and centring stays whole.  The solver hands the second block
+to a helper thread; without one the blocks run in turn.  The partition
+depends only on the row counts, so the bits of every result are the same
+with or without a helper.  A split step matches the one-block step to
+roundoff, since sums are taken in another order and BLAS rounds a product
+of fewer rows differently.
 
 A smaller step is one block; in ``joint_smacof`` it evaluates the two
-datasets in turn, then takes one V~^+ product.  On a 2-core Xeon with
+datasets in turn, then solves for the next configuration.  On a 2-core Xeon with
 4 MiB of L2 per core, serially (no helper), a two-block ``smacof`` step
 cost 35% more than one block at n = 100, 9% at 300 and -2% to +5% at
 400-700 rows, and 17-23% less from 725 rows on, where an n x n matrix
@@ -70,7 +87,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
@@ -181,6 +198,34 @@ def _sym(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _is_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` equals its transpose, compared in row blocks (no n x n temporary)."""
+    return all(np.array_equal(a[r0:r0 + _SYM_BLOCK], a[:, r0:r0 + _SYM_BLOCK].T)
+               for r0 in range(0, a.shape[0], _SYM_BLOCK))
+
+
+def _check_weights(w: np.ndarray, name: str) -> float | None:
+    """The one off-diagonal value c > 0 of the square weights ``w``, or None if there is none.
+
+    The off-diagonal entries are read through a strided view of the
+    flattened array (a copy only if ``w`` is neither C- nor F-contiguous),
+    so the scan makes no n x n array.
+
+    Raises
+    ------
+    InvalidInput
+        If an entry of ``w`` is non-finite or negative.
+    """
+    n = w.shape[0]
+    off = np.ravel(w, order="K")[1:].reshape(n - 1, n + 1)[:, :n]
+    lo, hi = off.min(initial=np.inf), off.max(initial=-np.inf)
+    diag = np.diagonal(w)
+    if not (lo >= 0 and hi < np.inf and diag.min(initial=0.0) >= 0
+            and diag.max(initial=0.0) < np.inf):
+        raise InvalidInput(f"{name} has non-finite or negative entries")
+    return float(hi) if 0 < hi == lo else None
+
+
 def _laplacian(sym_w: np.ndarray, out: np.ndarray) -> None:
     """Write the weighted Laplacian of symmetric weights ``sym_w`` into ``out``."""
     np.negative(sym_w, out=out)
@@ -263,9 +308,19 @@ class _Evaluator:
     eta^2(Z) = sum_i s_i ||z_i||^2 - <Z, W Z>, which drops w's diagonal as
     the stress does.  Both terms and B(Z) Z split over the rows of Z, so
     blocks of rows can be computed apart and summed.
+
+    With one weight ``c`` off the diagonal every term is c times its
+    unit-weight value: B(Z) Z comes from sym(d), which is d itself when d
+    is symmetric, and eta^2(Z) = c (n sum_i ||z_i||^2 - ||sum_i z_i||^2), so
+    no array is made from w.
     """
 
-    def __init__(self, d: np.ndarray, w: np.ndarray):
+    def __init__(self, d: np.ndarray, w: np.ndarray, c: float | None = None):
+        self.c = c
+        if c is not None:
+            self.eta_d = 0.5 * c * (np.vdot(d, d) - np.vdot(np.diagonal(d), np.diagonal(d)))
+            self.wd = d if _is_symmetric(d) else _sym(d)
+            return
         wd = w * d
         self.eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
         # in place: numpy buffers the overlapping transpose
@@ -286,6 +341,7 @@ class _Evaluator:
         """
         eta = rho = 0.0
         size = scratch.shape[0]
+        total = None if self.c is None else z.sum(axis=0)
         for c0 in range(r0, r1, size):
             c1 = min(c0 + size, r1)
             zc, out = z[c0:c1], bz[c0:c1]
@@ -301,7 +357,11 @@ class _Evaluator:
                     sums = ratio.sum(axis=1)
             np.matmul(ratio, z, out=out)
             np.subtract(sums[:, None] * zc, out, out=out)
-            eta += self.s[c0:c1] @ _squared_norms(zc) - np.vdot(zc, self.w[c0:c1] @ z)
+            if self.c is None:
+                eta += self.s[c0:c1] @ _squared_norms(zc) - np.vdot(zc, self.w[c0:c1] @ z)
+            else:
+                out *= self.c
+                eta += self.c * (len(z) * np.vdot(zc, zc) - zc.sum(axis=0) @ total)
             rho += np.vdot(zc, out)
         return float(offset + eta - 2.0 * rho)
 
@@ -339,35 +399,109 @@ def _check_stop(rtol: float, max_iter: int) -> None:
         raise InvalidInput(f"max_iter must be >= 1, got {max_iter}")
 
 
-def _majorize(blocks, v_pinv, z, max_iter: int, rtol: float, helper=None):
+def _row_blocks(n: int, split: bool) -> list[tuple[int, int]]:
+    """Rows 0:n as one block, or as the two halves of a split step."""
+    return [(0, n // 2), (n // 2, n)] if split else [(0, n)]
+
+
+def _blocked_product(a: np.ndarray, bounds: list, x: np.ndarray, helper) -> np.ndarray:
+    """a @ x, rows r0:r1 of each ``(r0, r1)`` in ``bounds`` as one product (see ``_run_blocks``)."""
+    out = np.empty((a.shape[0], x.shape[1]))
+    _run_blocks(helper, [partial(np.matmul, a[r0:r1], x, out=out[r0:r1]) for r0, r1 in bounds])
+    return out
+
+
+def _centred_step(scale: float, bz: np.ndarray, helper) -> np.ndarray:
+    """(I - J/n) B(Z) Z / scale: V^+ B(Z) Z for one weight c off the diagonal when scale = c n."""
+    nxt = bz - bz.mean(axis=0)
+    nxt /= scale
+    return nxt
+
+
+class _SchurStep:
+    """Next Z = V~^+ B(Z) Z when each dataset has one off-diagonal weight, without V~.
+
+    The block of the larger dataset ("big", coupled to the other through
+    Q = P or P^T) is A = c_b (n_b I - 1 1^T) + lam diag(Q 1), diagonal
+    minus rank one, so Sherman-Morrison applies A^{-1} in O(n_b).  Its
+    Schur complement S = C - lam^2 Q^T A^{-1} Q is n_s x n_s, the size of
+    the smaller dataset; S has the null space of the ones vector, and
+    K = S + c_s 1 1^T, in which c_s 1 1^T cancels C's rank-one part, is
+    factored once per pass.  A step then applies A^{-1}, one product with
+    Q^T, one Cholesky solve with K, one product with Q and A^{-1} again,
+    and centres the result, which gives the minimum-norm solution as the
+    pseudo-inverse does.  With ``split``, each product is two fixed row
+    blocks, the second on the helper when there is one.
+    """
+
+    def __init__(self, p: np.ndarray, a: np.ndarray, b: np.ndarray, lam: float, c1: float,
+                 c2: float, split: bool):
+        n1, n2 = p.shape
+        # a = P 1 and b = P^T 1; below, a and b are Q 1 and Q^T 1
+        self.swap = n2 > n1
+        q, a, b, cb, cs = (p.T, b, a, c2, c1) if self.swap else (p, a, b, c1, c2)
+        nb, ns = q.shape
+        # A = diag(dg) - c_b 1 1^T; 1 - c_b sum 1/dg = sum lam a / (n_b dg), with no cancellation
+        dg = cb * nb + lam * a
+        u = 1.0 / dg
+        gamma = cb / float(np.sum(lam * a * u) / nb)
+        # lower triangle of K = diag(c_s n_s + lam Q^T 1)
+        #                      - lam^2 (Q^T diag(u) Q + gamma (Q^T u)(Q^T u)^T)
+        k = np.zeros((ns, ns), order="F")
+        rows = max(1, CHUNK_BYTES // (8 * ns))
+        for r0 in range(0, nb, rows):
+            g = q[r0:r0 + rows] * np.sqrt(u[r0:r0 + rows])[:, None]
+            blas.dsyrk(-lam * lam, g.T, beta=1.0, c=k, lower=1, overwrite_c=1)
+        k[np.diag_indices(ns)] += cs * ns + lam * b
+        blas.dsyr(-lam * lam * gamma, q.T @ u, lower=1, a=k, overwrite_a=1)
+        factor, info = lapack.dpotrf(k, lower=1, overwrite_a=1)
+        if info != 0:
+            raise NumericalFailure(
+                f"Cholesky factorization of the {ns}x{ns} Schur complement failed "
+                f"(LAPACK info {info})")
+        self.q, self.lam, self.u, self.gamma, self.factor = q, lam, u, gamma, factor
+        self.q_rows, self.qt_rows = _row_blocks(nb, split), _row_blocks(ns, split)
+
+    def _a_inv(self, r: np.ndarray) -> np.ndarray:
+        return self.u[:, None] * (r + self.gamma * (self.u @ r))
+
+    def __call__(self, bz: np.ndarray, helper) -> np.ndarray:
+        nb = self.q.shape[0]
+        r = bz - bz.mean(axis=0)
+        rb, rs = (r[-nb:], r[:-nb]) if self.swap else (r[:nb], r[nb:])
+        qt_y = _blocked_product(self.q.T, self.qt_rows, self._a_inv(rb), helper)
+        xs, _ = lapack.dpotrs(self.factor, rs + self.lam * qt_y, lower=1)
+        q_xs = _blocked_product(self.q, self.q_rows, xs, helper)
+        xb = self._a_inv(rb + self.lam * q_xs)
+        nxt = np.vstack([xs, xb] if self.swap else [xb, xs])
+        nxt -= nxt.mean(axis=0)
+        return nxt
+
+
+def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
     """Guttman steps from ``z`` until the stress drop falls below rtol * start stress.
 
     ``blocks`` lists one or two ``(r0, r1, evaluate)`` that partition the
     rows of Z: ``evaluate(z, bz)`` writes rows r0:r1 of B(Z) Z into ``bz``
-    and returns their share of the stress of ``z``, and rows r0:r1 of the
-    next configuration are those rows of ``v_pinv`` times B(Z) Z.  The
-    second block runs on ``helper`` when one is given; the blocks, and so
-    the bits of every result, are the same either way.  The stop compares
-    the values as computed; the trajectory clamps them at 0, below which
-    only roundoff of the identity can take them.
+    and returns their share of the stress of ``z``.  ``step(bz, helper)``
+    returns the next configuration, V^+ B(Z) Z (or V~^+ B(Z) Z).  The
+    second block, and any second block of the step, runs on ``helper`` when
+    one is given; the blocks, and so the bits of every result, are the same
+    either way.  The stop compares the values as computed; the trajectory
+    clamps them at 0, below which only roundoff of the identity can take
+    them.
     """
     bz = np.empty(z.shape)
 
     def evaluate(z):
         return sum(_run_blocks(helper, [partial(fn, z, bz) for _, _, fn in blocks]))
 
-    def step():
-        nxt = np.empty(bz.shape)
-        _run_blocks(helper, [partial(np.matmul, v_pinv[r0:r1], bz, out=nxt[r0:r1])
-                             for r0, r1, _ in blocks])
-        return nxt
-
     value = evaluate(z)
     trajectory = [max(value, 0.0)]
     threshold = rtol * trajectory[0]
     converged = False
     for _ in range(max_iter):
-        z = step()
+        z = step(bz, helper)
         previous = value
         value = evaluate(z)
         trajectory.append(max(value, 0.0))
@@ -403,25 +537,38 @@ def smacof(
     max_iter : int
         Iteration budget.
     v_pinv : ndarray, optional
-        Precomputed ``v_matrix_pinv(w)``; recompute cost is cubic, so callers
-        looping over couplings pass it in.
+        Precomputed ``v_matrix_pinv(w)``, used for the steps when given.
+        Without it, weights with one value c > 0 off the diagonal take the
+        closed form V^+ = (I - J/n) / (c n); other weights compute it, at
+        cubic cost, so callers looping over couplings pass it in.
 
     Returns
     -------
     (ndarray, StressReport)
         Final configuration and the stress trajectory.
+
+    Raises
+    ------
+    InvalidInput
+        On mismatched shapes, invalid stopping parameters, or a non-finite
+        or negative weight.
+    DegenerateWeights
+        If ``v_pinv`` is computed and the weight graph is disconnected.
     """
     _check_stop(rtol, max_iter)
     z, d, w = _check_shapes(z0, d, w)
-    if v_pinv is None:
-        v_pinv = v_matrix_pinv(w)
-    ev, n = _Evaluator(d, w), z.shape[0]
-    bounds = [0, n] if n < SPLIT_ROWS else [0, n // 2, n]
+    c = _check_weights(w, "weight matrix")
+    ev, n = _Evaluator(d, w, c), z.shape[0]
+    bounds = _row_blocks(n, n >= SPLIT_ROWS)
+    if v_pinv is None and c is not None:
+        step = partial(_centred_step, c * n)
+    else:
+        step = partial(_blocked_product, v_matrix_pinv(w) if v_pinv is None else v_pinv, bounds)
     # eta_d^2 is counted once, in the first block
     blocks = [(r0, r1, partial(ev.rows, r0, r1, ev.eta_d if r0 == 0 else 0.0,
                                scratch=_chunk_scratch(r1 - r0, n)))
-              for r0, r1 in zip(bounds, bounds[1:])]
-    return _majorize(blocks, v_pinv, z, max_iter, rtol, _helper)
+              for r0, r1 in bounds]
+    return _majorize(blocks, step, z, max_iter, rtol, _helper)
 
 
 def joint_smacof(
@@ -443,7 +590,10 @@ def joint_smacof(
     The steps and stress values are those of ``smacof`` on the assembled
     instance.  Its cross dissimilarities are zero, so B(Z) Z is computed
     block by block from one distance pass over each dataset, and the
-    coupling enters through V~, whose pseudo-inverse is taken once per call.
+    coupling enters through V~.  When each dataset has one off-diagonal
+    weight, V~ is never built: a Schur complement the size of the smaller
+    dataset is factored once per call (see the module docstring).
+    Otherwise V~'s pseudo-inverse is taken once per call.
     The reported stress is the block stress
 
         stress(z1, d1, w1) + stress(z2, d2, w2) + lam * <P, C(z1, z2)>
@@ -456,8 +606,8 @@ def joint_smacof(
     Parameters
     ----------
     d1, d2, w1, w2 : ndarray
-        Per-dataset dissimilarities and weights; each weight graph must be
-        connected (``v_matrix_pinv`` checks this).
+        Per-dataset dissimilarities and finite, nonnegative weights; each
+        weight graph must be connected (``v_matrix_pinv`` checks this).
     p : ndarray of shape (n1, n2)
         Nonnegative coupling with at least one positive entry.
     lam : float
@@ -474,9 +624,11 @@ def joint_smacof(
     Raises
     ------
     InvalidInput
-        On mismatched shapes, ``lam <= 0`` or a negative or zero coupling.
+        On mismatched shapes, ``lam <= 0``, a non-finite or negative weight,
+        or a negative or zero coupling.
     NumericalFailure
-        If V~ + J/n is not numerically positive definite.
+        If V~ + J/n (or the Schur complement) is not numerically positive
+        definite.
     """
     z1, d1, w1 = _check_shapes(z1, d1, w1)
     z2, d2, w2 = _check_shapes(z2, d2, w2)
@@ -489,21 +641,29 @@ def joint_smacof(
     p = np.asarray(p, dtype=float)
     if p.shape != (n1, n2):
         raise InvalidInput(f"coupling shape {p.shape} does not match ({n1}, {n2})")
+    c1 = _check_weights(w1, "first weight matrix")
+    c2 = _check_weights(w2, "second weight matrix")
     if p.min() < 0 or not p.any():
         # a zero coupling leaves V~ singular, which Cholesky need not detect
         raise InvalidInput("coupling must be nonnegative with a positive entry")
 
     a, b = p.sum(axis=1), p.sum(axis=0)
-    v = np.empty((n1 + n2, n1 + n2))
-    # built in place: V~ is the largest array of the solve
-    _laplacian(_sym(w1, out=v[:n1, :n1]), out=v[:n1, :n1])
-    _laplacian(_sym(w2, out=v[n1:, n1:]), out=v[n1:, n1:])
-    np.multiply(p, -lam, out=v[:n1, n1:])
-    v[n1:, :n1] = v[:n1, n1:].T
-    diag = np.arange(n1 + n2)
-    v[diag, diag] += lam * np.concatenate([a, b])
-    v_pinv = _laplacian_pinv(v)
-    ev1, ev2 = _Evaluator(d1, w1), _Evaluator(d2, w2)
+    n = n1 + n2
+    split = n >= SPLIT_ROWS
+    if c1 is not None and c2 is not None:
+        step = _SchurStep(p, a, b, lam, c1, c2, split)
+    else:
+        v = np.empty((n, n))
+        # built in place: V~ is the largest array of the solve
+        _laplacian(_sym(w1, out=v[:n1, :n1]), out=v[:n1, :n1])
+        _laplacian(_sym(w2, out=v[n1:, n1:]), out=v[n1:, n1:])
+        np.multiply(p, -lam, out=v[:n1, n1:])
+        v[n1:, :n1] = v[:n1, n1:].T
+        diag = np.arange(n)
+        v[diag, diag] += lam * np.concatenate([a, b])
+        rows = [(0, n1), (n1, n)] if split else [(0, n)]
+        step = partial(_blocked_product, _laplacian_pinv(v), rows)
+    ev1, ev2 = _Evaluator(d1, w1, c1), _Evaluator(d2, w2, c2)
     pz = np.empty((n1, z1.shape[1]))
 
     # <P, C(z1, z2)> = a . ||z1||^2 + b . ||z2||^2 - 2 <Z1, P Z2>, so no
@@ -521,12 +681,11 @@ def joint_smacof(
         cross = b @ _squared_norms(z2) - 2.0 * np.vdot(z1[h:], np.matmul(p[h:], z2, out=pz[h:]))
         return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch2) + lam * float(cross)
 
-    n = n1 + n2
-    if n < SPLIT_ROWS:
-        blocks = [(0, n, lambda z, bz: first(z, bz) + second(z, bz))]
-    else:
+    if split:
         blocks = [(0, n1, first), (n1, n, second)]
-    z, report = _majorize(blocks, v_pinv, np.vstack([z1, z2]), max_iter, rtol, _helper)
+    else:
+        blocks = [(0, n, lambda z, bz: first(z, bz) + second(z, bz))]
+    z, report = _majorize(blocks, step, np.vstack([z1, z2]), max_iter, rtol, _helper)
     return z[:n1], z[n1:], report
 
 

@@ -212,6 +212,21 @@ class TestJoint:
                         "--out", tmp_path / "out"] + flags) == 0
         assert seen == [shared]
 
+    @pytest.mark.parametrize("exponent", ["-inf", "inf", "nan"])
+    def test_non_finite_weight_exponent_rejected(self, tmp_path, capsys, monkeypatch, exponent):
+        def solve(*args, **kwargs):
+            raise AssertionError("solve reached with a non-finite weight exponent")
+
+        monkeypatch.setattr(jointmds, "solve", solve)
+        rng = np.random.default_rng(15)
+        s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((10, 2)))
+        code = run_cli(["joint", s1, s1, f"--weight-exponent={exponent}",
+                        "--out", tmp_path / "out"])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "weight exponent must be finite" in json.loads(lines[0])["message"]
+
     def test_sparse_coupling_output(self, tmp_path):
         rng = np.random.default_rng(5)
         d = pairwise_euclidean(rng.standard_normal((10, 2)))

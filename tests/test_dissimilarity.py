@@ -364,6 +364,12 @@ class TestWeights:
         with pytest.raises(DegenerateInput):
             power_weight_matrix(d, 4.0)
 
+    @pytest.mark.parametrize("exponent", [np.inf, -np.inf, np.nan])
+    def test_power_weight_non_finite_exponent(self, exponent):
+        d = np.ones((3, 3)) - np.eye(3)
+        with pytest.raises(InvalidInput, match="weight exponent"):
+            power_weight_matrix(d, exponent)
+
     @pytest.mark.parametrize("n,offdiag", [(1, None), (2, 0.25), (10, 0.01)])
     def test_uniform_weight(self, n, offdiag):
         w = uniform_weight_matrix(n)

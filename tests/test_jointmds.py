@@ -20,6 +20,7 @@ from jointscale import (
     joint_objective,
     match_argmax,
     pairwise_euclidean,
+    power_weight_matrix,
     smacof,
     solve,
     stress,
@@ -405,9 +406,36 @@ class TestSolve:
         monkeypatch.setattr(smacof_module, "connected_components", counting)
         rng = np.random.default_rng(17)
         d = pairwise_euclidean(rng.standard_normal((12, 2)))
-        w = uniform_weight_matrix(12)
+        w = power_weight_matrix(d, 4.0)
         solve(d, d, w, w, JointConfig(outer_iters=5, restarts=2, seed=0))
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_uniform_weights_take_no_laplacian_inverse(self, monkeypatch, lam):
+        # all weights positive: the graph is complete and V^+ has a closed form
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called on uniform weights")
+
+        for name in ("connected_components", "_laplacian_pinv", "v_matrix_pinv", "_laplacian"):
+            monkeypatch.setattr(smacof_module, name, forbidden)
+        monkeypatch.setattr(jointmds, "v_matrix_pinv", forbidden)
+        rng = np.random.default_rng(17)
+        d1 = pairwise_euclidean(rng.standard_normal((12, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((9, 2)))
+        cfg = JointConfig(outer_iters=3, restarts=2, seed=0, lam=lam)
+        res = solve(d1, d2, uniform_weight_matrix(12), np.ones((9, 9)), cfg)
+        assert np.isfinite(res.final_objective)
+
+    @pytest.mark.parametrize("which,bad", [(0, np.nan), (1, np.inf), (0, -1e-3), (1, -np.inf)])
+    def test_invalid_weight_values_rejected(self, which, bad):
+        rng = np.random.default_rng(13)
+        d = pairwise_euclidean(rng.standard_normal((10, 2)))
+        w = [power_weight_matrix(d, 4.0), uniform_weight_matrix(10)]
+        w[which] = w[which].copy()
+        w[which][2, 5] = bad
+        name = ("first", "second")[which]
+        with pytest.raises(InvalidInput, match=f"{name} weight matrix"):
+            solve(d, d, *w, JointConfig(outer_iters=2, restarts=1))
 
     def test_invalid_weights_shape(self):
         rng = np.random.default_rng(13)

@@ -2,6 +2,7 @@ import importlib
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -379,6 +380,23 @@ def coupled_instance(seed, n1=23, n2=17, dim=2):
     return d1, d2, w1, w2, p, z1, z2
 
 
+def uniform_instance(seed, n1=23, n2=17, c=None, coupling="random"):
+    """``coupled_instance`` with one weight per dataset: ``c``, or the CLI's 1/n^2 when None.
+
+    A "permutation" coupling puts almost all mass on (i, i mod n2), as the
+    couplings of the last outer iterations do.
+    """
+    d1, d2, _, _, p, z1, z2 = coupled_instance(seed, n1, n2)
+    w1, w2 = (np.full((n, n), 1.0 / n**2 if c is None else c) for n in (n1, n2))
+    for w in (w1, w2):
+        np.fill_diagonal(w, 0.0)
+    if coupling == "permutation":
+        p = np.full((n1, n2), 1e-10)
+        p[np.arange(n1), np.arange(n1) % n2] = 1.0
+        p /= p.sum()
+    return d1, d2, w1, w2, p, z1, z2
+
+
 class TestJointSmacof:
     RTOL = 1e-9
 
@@ -431,9 +449,10 @@ class TestJointSmacof:
             joint_smacof(d1, d2, w1, w2, p, 0.5, z1, z2, max_iter=0)
 
     def test_indefinite_laplacian_raises(self):
-        # negative weights make V~ + J/n indefinite: a typed error, not a result
+        # negative weights would make V~ + J/n indefinite: they are rejected
+        # as input, naming the matrix, before any factorization
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(7, n1=6, n2=5)
-        with pytest.raises(NumericalFailure):
+        with pytest.raises(InvalidInput, match="first weight matrix"):
             joint_smacof(d1, d2, -w1, w2, p, 0.5, z1, z2)
 
 
@@ -533,10 +552,18 @@ class TestSplitStep:
         split_at(2)
         monkeypatch.setattr(smacof_module, "CHUNK_BYTES", 500)
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(10)
+        # one weight per dataset: centred steps, and Schur solves eliminating
+        # the first dataset (n1 > n2) or the second
+        u1, u2, uw1, uw2, up, uz1, uz2 = uniform_instance(10)
         runs = {
             "smacof": lambda helper: smacof(d1, w1, z1, 0.0, 20, _helper=helper),
             "joint": lambda helper: joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 20,
                                                  _helper=helper),
+            "uniform smacof": lambda helper: smacof(u1, uw1, uz1, 0.0, 20, _helper=helper),
+            "uniform joint": lambda helper: joint_smacof(u1, u2, uw1, uw2, up, 0.3, uz1, uz2,
+                                                         0.0, 20, _helper=helper),
+            "uniform joint, n1 < n2": lambda helper: joint_smacof(
+                u2, u1, uw2, uw1, up.T, 0.3, uz2, uz1, 0.0, 20, _helper=helper),
         }
         for name, run in runs.items():
             serial = run(None)
@@ -551,6 +578,135 @@ class TestSplitStep:
             for a, b in zip(serial[:-1], helped[:-1]):
                 assert np.array_equal(a, b), name
             assert serial[-1].per_iteration == helped[-1].per_iteration, name
+
+
+class TestUniformWeights:
+    """One weight per dataset: closed-form V^+ and the Schur solve, against the Cholesky path.
+
+    The dense ``assemble_joint`` instance has zero and lam * P cross
+    weights, so ``smacof`` on it takes the general path and is the oracle.
+    """
+
+    @pytest.mark.parametrize("coupling", ["random", "permutation"])
+    # the first step of a lambda anneal over 30 outer iterations, and two more
+    @pytest.mark.parametrize("lam", [0.1 / 30, 0.1, 0.7])
+    @pytest.mark.parametrize("c", [1.0, None])
+    # the larger dataset first and second; steps in one block and in two
+    @pytest.mark.parametrize("n1,n2", [(23, 17), (17, 23)])
+    @pytest.mark.parametrize("rows", [UNSPLIT, 2])
+    def test_steps_match_dense_oracle(self, split_at, rows, n1, n2, c, lam, coupling):
+        split_at(rows)
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(4, n1, n2, c, coupling)
+        for _ in range(5):
+            blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+            z_dense, dense = smacof(blocks.d_tilde, blocks.w_tilde, blocks.z_tilde,
+                                    rtol=0.0, max_iter=1)
+            s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 1)
+            z = np.vstack([s1, s2])
+            assert np.abs(z - z_dense).max() <= 1e-10 * np.abs(z_dense).max()
+            expected = np.array(dense.per_iteration)
+            assert np.abs(np.array(report.per_iteration) - expected).max() <= 1e-12 * expected.min()
+            z1, z2 = s1, s2
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    @pytest.mark.parametrize("c", [1.0, None])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_trajectory_never_increases(self, seed, c, lam):
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(seed, c=c)
+        _, _, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 80)
+        assert np.diff(report.per_iteration).max() <= 1e-12 * report.per_iteration[0]
+        _, report = smacof(d1, w1, z1, 0.0, 80)
+        assert np.diff(report.per_iteration).max() <= 1e-12 * report.per_iteration[0]
+
+    @pytest.mark.parametrize("lam", [0.05, 0.7])
+    @pytest.mark.parametrize("c", [1.0, None])
+    def test_last_value_is_joint_objective(self, c, lam):
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(5, c=c)
+        for max_iter in (1, 2, 5, 40):
+            s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 1e-9, max_iter)
+            for value, (a, b) in ((report.per_iteration[0], (z1, z2)),
+                                  (report.per_iteration[-1], (s1, s2))):
+                direct = joint_objective(a, b, d1, d2, w1, w2, p, np.eye(2), lam)
+                assert abs(FULL_MATRIX_FACTOR * value - direct) <= 1e-12 * direct
+
+    @pytest.mark.parametrize("n", [2, 31, 40])
+    @pytest.mark.parametrize("c", [1.0, None])
+    def test_smacof_closed_form_matches_product(self, split_at, n, c):
+        # n = 40 runs as two row blocks
+        split_at(35)
+        rng = np.random.default_rng(n)
+        d = pairwise_euclidean(rng.standard_normal((n, 3)))
+        w = np.full((n, n), 1.0 / n**2 if c is None else c)
+        np.fill_diagonal(w, 0.0)
+        z0 = rng.standard_normal((n, 2))
+        closed, r_closed = smacof(d, w, z0, 0.0, 20)
+        product, r_product = smacof(d, w, z0, 0.0, 20, v_pinv=v_matrix_pinv(w))
+        assert np.abs(closed - product).max() <= 1e-12 * np.abs(product).max()
+        expected = np.array(r_product.per_iteration)
+        assert np.abs(np.array(r_closed.per_iteration) - expected).max() <= 1e-12 * expected[0]
+        assert np.abs(closed.mean(axis=0)).max() <= 1e-12 * np.abs(closed).max()
+
+    def test_two_points_fit_in_one_step(self):
+        d = np.array([[0.0, 3.0], [3.0, 0.0]])
+        w = np.array([[0.0, 0.25], [0.25, 0.0]])
+        z, report = smacof(d, w, np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0, 1)
+        assert abs(np.linalg.norm(z[0] - z[1]) - 3.0) <= 1e-14
+        assert report.per_iteration[-1] <= 1e-14
+
+    def test_asymmetric_dissimilarities(self):
+        # one weight, d not symmetric: B(Z) is built from sym(d)
+        rng = np.random.default_rng(22)
+        n = 11
+        d = pairwise_euclidean(rng.standard_normal((n, 3))) * rng.uniform(0.5, 1.5, (n, n))
+        w = uniform_weight_matrix(n)
+        z0 = rng.standard_normal((n, 2))
+        expected = v_matrix_pinv(w) @ dense_b_times(z0, d, w)
+        step = smacof(d, w, z0, rtol=0.0, max_iter=1)[0]
+        assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+        z, report = smacof(d, w, z0, rtol=0.0, max_iter=12)
+        for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
+            assert abs(value - stress(at, d, w)) <= 1e-12 * stress(at, d, w)
+
+    def test_zero_weights_are_degenerate(self):
+        d = pairwise_euclidean(np.random.default_rng(3).standard_normal((5, 2)))
+        with pytest.raises(DegenerateWeights):
+            smacof(d, np.zeros((5, 5)), np.ones((5, 2)))
+
+    def test_invalid_weight_values_rejected(self):
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(6, n1=6, n2=5)
+        bad = w2.copy()
+        bad[1, 3] = np.inf
+        with pytest.raises(InvalidInput, match="second weight matrix"):
+            joint_smacof(d1, d2, w1, bad, p, 0.5, z1, z2)
+        bad = w1.copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(InvalidInput, match="weight matrix"):
+            smacof(d1, bad, z1)
+
+    def test_no_weight_or_block_sized_arrays(self, monkeypatch):
+        # the largest array of a uniform joint pass is the factor of the
+        # smaller dataset's Schur complement: no V~, no array made from w,
+        # and the second, larger dataset is the one eliminated
+        monkeypatch.setattr(smacof_module, "CHUNK_BYTES", 1 << 14)
+        rng = np.random.default_rng(7)
+        n1, n2 = 200, 400
+        d1 = pairwise_euclidean(rng.standard_normal((n1, 3)))
+        d2 = pairwise_euclidean(rng.standard_normal((n2, 3)))
+        w1, w2 = uniform_weight_matrix(n1), uniform_weight_matrix(n2)
+        p = rng.random((n1, n2))
+        p /= p.sum()
+        z1, z2 = rng.standard_normal((n1, 2)), rng.standard_normal((n2, 2))
+        tracemalloc.start()
+        try:
+            smacof(d2, w2, z2, 0.0, 3)
+            smacof_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            joint_smacof(d1, d2, w1, w2, p, 0.1, z1, z2, 0.0, 3)
+            joint_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert smacof_peak < 0.5 * 8 * n2 * n2
+        assert joint_peak < 8 * (n1 * n1 + 0.5 * n2 * n2)
 
 
 class TestRunBlocks:
