@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -186,10 +187,14 @@ def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
 # ---------------------------------------------------------------------------
 # pipeline pieces
 
-def _load_dissimilarity(path: str, args, data: bytes) -> np.ndarray:
-    """Input file and its bytes -> validated dissimilarity matrix, per the --kind pipeline."""
+def _load_dissimilarity(path: str, args, manifest: _Manifest) -> np.ndarray:
+    """Input file -> validated dissimilarity matrix, per the --kind pipeline.
+
+    A matrix is parsed as it streams from disk, so its bytes are never held
+    whole, and parsed features are dropped once their distances exist.
+    """
     if args.kind == "edges":
-        edges, n = fileio.read_edge_list(path, data=data)
+        edges, n = fileio.read_edge_list(path, data=manifest.add_input(path))
         loops = sum(i == j for i, j, _ in edges)
         if loops:
             _log("warning", "dropped self-loops", path=str(path), dropped=loops)
@@ -197,10 +202,11 @@ def _load_dissimilarity(path: str, args, data: bytes) -> np.ndarray:
         mode = "inverse-weight" if args.graph == "inv" else "hop"
         d = ds.graph_dissimilarity(adj, mode=mode)
     else:
-        m = fileio.read_matrix(path, delimiter=args.delimiter, header=args.header,
-                               data=data)
+        m = manifest.read_matrix(path, fileio.read_matrix, delimiter=args.delimiter,
+                                 header=args.header)
         if args.kind == "features":
             d = ds.pairwise_euclidean(m)
+            del m
         else:
             d = ds.validate_dissimilarity(m, str(path))
     if args.geodesic is not None:
@@ -283,6 +289,15 @@ class _Manifest:
         self.doc["inputs"][str(path)] = fileio.sha256_bytes(data)
         return data
 
+    def read_matrix(self, path, read, **kwargs) -> np.ndarray:
+        """``read(path, **kwargs)`` with ``read`` a matrix reader of ``fileio``:
+        record the SHA-256 of ``path`` from the same streamed read, so the
+        file is read once and never held whole."""
+        digest = hashlib.sha256()
+        m = read(path, digest=digest, **kwargs)
+        self.doc["inputs"][str(path)] = digest.hexdigest()
+        return m
+
     def add_output(self, name: str) -> Path:
         """Path of output ``name`` in the output directory, recorded in the manifest."""
         path = self.out_dir / name
@@ -303,7 +318,7 @@ def cmd_embed(args) -> int:
     _check_input_flags(args)
     seed = _seed(args)
     manifest = _Manifest(args, seed)
-    d = _load_dissimilarity(args.input, args, manifest.add_input(args.input))
+    d = _load_dissimilarity(args.input, args, manifest)
     w = _weights_for(d, args)
     scale = jointmds._init_scale(d, d)
     z0 = random_embedding(d.shape[0], args.dim, seed, scale)
@@ -389,8 +404,8 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         _fail(f"--threads must be >= 1, got {args.threads}")
     _check_input_flags(args)
     manifest = _Manifest(args, cfg.seed)
-    d1 = _load_dissimilarity(path1, args, manifest.add_input(path1))
-    d2 = _load_dissimilarity(path2, args, manifest.add_input(path2))
+    d1 = _load_dissimilarity(path1, args, manifest)
+    d2 = _load_dissimilarity(path2, args, manifest)
     w1 = _weights_for(d1, args)
     # uniform weights of one size are one array: the solver only reads w
     # (v_matrix_pinv, smacof._Evaluator, joint_smacof's _sym(w, out=), joint_objective)
@@ -465,22 +480,21 @@ def cmd_eval(args) -> int:
     for name in ("z1", "z2"):
         path = getattr(args, name)
         if path:
-            loaded[name] = fileio.read_embedding(path, delimiter=args.delimiter,
-                                                 data=manifest.add_input(path))
+            loaded[name] = manifest.read_matrix(path, fileio.read_embedding,
+                                                delimiter=args.delimiter)
     for name in ("d1", "d2"):
         path = getattr(args, name)
         if path:
-            loaded[name] = fileio.read_matrix(path, delimiter=args.delimiter,
-                                              header=args.header,
-                                              data=manifest.add_input(path))
+            loaded[name] = manifest.read_matrix(path, fileio.read_matrix,
+                                                delimiter=args.delimiter, header=args.header)
     coupling = None
     if args.coupling:
-        data = manifest.add_input(args.coupling)
         if args.sparse_coupling or args.coupling.endswith(".txt"):
-            coupling = fileio.read_coupling_triplets(args.coupling, data=data)
+            coupling = fileio.read_coupling_triplets(args.coupling,
+                                                     data=manifest.add_input(args.coupling))
         else:
-            coupling = fileio.read_coupling_matrix(args.coupling,
-                                                   delimiter=args.delimiter, data=data)
+            coupling = manifest.read_matrix(args.coupling, fileio.read_coupling_matrix,
+                                            delimiter=args.delimiter)
     labels1, labels2 = _read_labels(manifest, (args.labels1, args.labels2))
     truth = None
     if args.truth:

@@ -3,20 +3,24 @@
 Numeric values are written with 17 significant digits so a write/read round
 trip reproduces float64 values exactly.  Each reader takes the path and,
 optionally, the file's bytes already read with ``read_bytes``: a caller that
-also hashes an input with ``sha256_bytes`` then reads it once.  Readers parse
-those bytes, decompressed first when the path ends in ``.gz``, ``.bz2`` or
-``.xz``; hashes are those of the bytes on disk.
+also hashes an input with ``sha256_bytes`` then reads it once.  The matrix
+readers can instead hash the file as they stream it (``digest``), which
+reads it once without holding its bytes.  Readers parse the content
+decompressed first when the path ends in ``.gz``, ``.bz2`` or ``.xz``;
+hashes are those of the bytes on disk.
 """
 
 from __future__ import annotations
 
 import bz2
+import contextlib
 import gzip
 import hashlib
 import io
 import json
 import lzma
 import os
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +50,12 @@ __all__ = [
 FLOAT_FMT = "%.17g"
 SPARSE_DROP = 1e-12
 
-_DECOMPRESS = {".gz": gzip.decompress, ".bz2": bz2.decompress, ".xz": lzma.decompress}
+# a decompressing reader over a binary stream, by path suffix
+_UNPACK = {".gz": lambda raw: gzip.GzipFile(fileobj=raw), ".bz2": bz2.BZ2File,
+           ".xz": lzma.LZMAFile}
+# what those readers raise on a damaged or truncated archive
+_UNPACK_ERRORS = (OSError, EOFError, lzma.LZMAError, zlib.error)
+_CHUNK = 1 << 20
 
 
 def read_bytes(path) -> bytes:
@@ -58,16 +67,55 @@ def read_bytes(path) -> bytes:
         raise InvalidInput(f"{path}: {exc}") from exc
 
 
+class _Hashed(io.RawIOBase):
+    """A binary stream whose every byte read is fed to ``digest`` first."""
+
+    def __init__(self, f, digest):
+        self._f, self._digest = f, digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._f.readinto(b)
+        self._digest.update(memoryview(b)[:n])
+        return n
+
+
+@contextlib.contextmanager
+def _stream(path: Path, data: bytes | None = None, digest=None):
+    """The content of ``path`` as a binary stream, decompressed by suffix.
+
+    The source is ``data`` (the file's bytes, already read), else the file,
+    read in chunks.  Each chunk goes to ``digest`` (a ``hashlib`` object)
+    first when one is given, and what the block left unread is hashed on
+    exit, so ``digest`` ends up with the hash of every source byte.  Read
+    and decompression errors in the block raise :class:`InvalidInput`
+    naming ``path``.
+    """
+    if data is not None:
+        source = io.BytesIO(data)
+    else:
+        try:
+            source = open(path, "rb", buffering=0)
+        except OSError as exc:
+            raise InvalidInput(f"{path}: {exc}") from exc
+    unpack = _UNPACK.get(path.suffix)
+    errors, what = (OSError, "") if unpack is None else (_UNPACK_ERRORS, "cannot decompress: ")
+    with source:
+        raw = io.BufferedReader(source if digest is None else _Hashed(source, digest), _CHUNK)
+        try:
+            yield raw if unpack is None else unpack(raw)
+            while digest is not None and raw.read(_CHUNK):
+                pass
+        except errors as exc:
+            raise InvalidInput(f"{path}: {what}{exc}") from exc
+
+
 def _content(path: Path, data: bytes | None) -> bytes:
     """The bytes a reader parses: ``data`` (else the file's), decompressed by suffix."""
-    data = read_bytes(path) if data is None else data
-    decompress = _DECOMPRESS.get(path.suffix)
-    if decompress is None:
-        return data
-    try:
-        return decompress(data)
-    except (OSError, EOFError, ValueError, lzma.LZMAError) as exc:
-        raise InvalidInput(f"{path}: cannot decompress: {exc}") from exc
+    with _stream(path, data) as content:
+        return content.read()
 
 
 def _text(path: Path, data: bytes | None) -> str:
@@ -75,14 +123,20 @@ def _text(path: Path, data: bytes | None) -> str:
 
 
 def read_matrix(path, delimiter: str = ",", header: bool = False,
-                data: bytes | None = None) -> np.ndarray:
-    """Dense matrix from a delimited text file; one row per line."""
+                data: bytes | None = None, digest=None) -> np.ndarray:
+    """Dense matrix from a delimited text file; one row per line.
+
+    The content streams into the parser chunk by chunk, so the file's bytes
+    are never held whole; with ``digest`` (a ``hashlib`` object) the same
+    read also hashes every byte on disk.
+    """
     path = Path(path)
-    try:
-        m = np.loadtxt(io.BytesIO(_content(path, data)), delimiter=delimiter,
-                       skiprows=1 if header else 0, ndmin=2)
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: parse error: {exc}") from exc
+    with _stream(path, data, digest) as content:
+        try:
+            m = np.loadtxt(content, delimiter=delimiter, skiprows=1 if header else 0,
+                           ndmin=2)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: parse error: {exc}") from exc
     if m.size == 0:
         raise InvalidInput(f"{path}: empty matrix")
     return m
@@ -99,9 +153,10 @@ def write_embedding(path, z: np.ndarray, delimiter: str = ",") -> None:
                delimiter=delimiter)
 
 
-def read_embedding(path, delimiter: str = ",", data: bytes | None = None) -> np.ndarray:
+def read_embedding(path, delimiter: str = ",", data: bytes | None = None,
+                   digest=None) -> np.ndarray:
     """Read an embedding CSV written by :func:`write_embedding`."""
-    m = read_matrix(path, delimiter=delimiter, data=data)
+    m = read_matrix(path, delimiter=delimiter, data=data, digest=digest)
     if m.shape[1] < 2 or not np.array_equal(m[:, 0], np.arange(m.shape[0])):
         raise InvalidInput(
             f"{path}: expected an embedding file with a leading row-index column"
@@ -190,10 +245,11 @@ def _check_coupling_values(path, values: np.ndarray, line_of) -> None:
                            "finite and nonnegative")
 
 
-def read_coupling_matrix(path, delimiter: str = ",", data: bytes | None = None) -> np.ndarray:
+def read_coupling_matrix(path, delimiter: str = ",", data: bytes | None = None,
+                         digest=None) -> np.ndarray:
     """Dense coupling from a delimited text file; values must be finite and nonnegative."""
     path = Path(path)
-    p = read_matrix(path, delimiter=delimiter, data=data)
+    p = read_matrix(path, delimiter=delimiter, data=data, digest=digest)
 
     def line_of(k: int) -> int:
         # the reader skips blank and comment-only lines

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from .dissimilarity import _smallest_k
 from .errors import InvalidInput
 
 __all__ = [
@@ -63,7 +64,7 @@ def topk_accuracy(p: np.ndarray, truth_best: np.ndarray, k: int) -> float:
         raise InvalidInput(f"truth_best must have one entry per row, got {truth_best.shape}")
     if not 1 <= k <= m:
         raise InvalidInput(f"k must satisfy 1 <= k <= {m}, got {k}")
-    top = np.argsort(-p, axis=1, kind="stable")[:, :k]  # value desc, ties to lowest index
+    top = _smallest_k(-p, k)  # value desc, ties to lowest index
     return float(np.count_nonzero(top == truth_best[:, None]) / n)
 
 
@@ -123,8 +124,7 @@ def knn_transfer(
     if not 1 <= k <= source.shape[0]:
         raise InvalidInput(f"k must satisfy 1 <= k <= {source.shape[0]}, got {k}")
     classes, encoded = np.unique(source_labels, return_inverse=True)
-    dist = cdist(target, source)
-    nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    nearest = _smallest_k(cdist(target, source), k)
     counts = np.zeros((target.shape[0], classes.size), dtype=int)
     np.add.at(counts, (np.arange(target.shape[0])[:, None], encoded[nearest]), 1)
     return classes[np.argmax(counts, axis=1)]

@@ -202,3 +202,16 @@ def test_one_thread_inside_the_helper(two_threads, monkeypatch):
     assert all(ident != threading.get_ident() for ident, _ in seen)
     assert all(set(counts.values()) == {1} for _, counts in seen)
     assert set(thread_counts().values()) == {2}
+
+
+def test_pairwise_euclidean_does_not_depend_on_blas_threads(two_threads):
+    # at this shape OpenBLAS's product of a matrix with its own transpose has
+    # other bits at two threads than at one
+    x = np.random.default_rng(11).standard_normal((300, 50)) + 2.0
+    results = []
+    for count in (1, 2):
+        for _, set_ in _blas.openblas_pools().values():
+            set_(count)
+        results.append(pairwise_euclidean(x))
+    assert results[0].tobytes() == results[1].tobytes()
+    assert set(thread_counts().values()) == {2}

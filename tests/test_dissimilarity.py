@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import cdist
 
 from jointscale import (
     DegenerateInput,
@@ -16,6 +17,8 @@ from jointscale import (
     rescale_by_mean,
     uniform_weight_matrix,
 )
+from jointscale import dissimilarity
+from jointscale.dissimilarity import _smallest_k
 
 
 def brute_force_euclidean(x):
@@ -48,6 +51,147 @@ class TestPairwiseEuclidean:
         assert np.abs(d - d.T).max() <= 1e-12
         assert np.all(np.diag(d) == 0)
         assert np.all(d >= 0)
+
+
+def cdist_oracle(x):
+    """What ``pairwise_euclidean`` computed before the Gram route."""
+    return cdist(x, x)
+
+
+def features(n=60, p=7, seed=5):
+    return np.random.default_rng(seed).standard_normal((n, p))
+
+
+def two_tight_clusters(n=60, p=7):
+    rng = np.random.default_rng(12)
+    centres = 100 * rng.standard_normal((2, p))
+    return centres[rng.integers(0, 2, n)] + 0.01 * rng.standard_normal((n, p))
+
+
+def far_outlier():
+    x = features()
+    x[0] += 1e6
+    return x
+
+
+def near_duplicates():
+    x = features()
+    jitter = 1e-9 * np.random.default_rng(6).standard_normal((20, x.shape[1]))
+    return np.vstack([x, x[:20] + jitter])
+
+
+class TestPairwiseEuclideanAgainstCdist:
+    """Every entry within 1e-12 relative of ``cdist``, and exact zeros kept."""
+
+    @staticmethod
+    def assert_close(x):
+        d, ref = pairwise_euclidean(x), cdist_oracle(x)
+        assert np.all(np.isfinite(d))
+        assert np.array_equal(d == 0, ref == 0)
+        nonzero = ref > 0
+        assert np.all(np.abs(d - ref)[nonzero] <= 1e-12 * ref[nonzero])
+        return d
+
+    @pytest.mark.parametrize("name, x", [
+        ("plain", features()),
+        ("offset 1e6", features() + 1e6),
+        ("offset 1e6 per column", features() + 1e6 * np.arange(7)),
+        ("rows 1e-9 apart", near_duplicates()),
+        ("rows 1e-9 apart under an offset", near_duplicates() + 1e6),
+        ("one column", features(p=1)),
+        ("two tight clusters", two_tight_clusters()),
+        ("one far outlier", far_outlier()),
+        ("wide", features(n=20, p=500)),
+        ("scale 1e-150", 1e-150 * features()),
+        ("scale 1e150", 1e150 * features()),
+    ])
+    def test_matches_cdist(self, name, x):
+        self.assert_close(x)
+
+    @pytest.mark.parametrize("x", [two_tight_clusters(), far_outlier(), near_duplicates()],
+                             ids=["clusters", "outlier", "near duplicates"])
+    def test_small_blocks(self, x, monkeypatch):
+        # a few rows per screening block and a few columns per cdist slice
+        whole = pairwise_euclidean(x)
+        monkeypatch.setattr(dissimilarity, "_BLOCK_BYTES", 2000)
+        d = self.assert_close(x)
+        assert np.array_equal(d, whole)
+
+    def test_exact_duplicates_are_exactly_zero(self):
+        x = features()
+        x = np.vstack([x, x[::3], x[:2]]) + 1e3
+        d = self.assert_close(x)
+        n = 60
+        dup = np.arange(0, n, 3)
+        assert np.all(d[dup, n + np.arange(dup.size)] == 0)
+        assert d[0, n + dup.size] == 0 and d[1, n + dup.size + 1] == 0
+
+    def test_integer_grid_with_ties(self):
+        x = np.random.default_rng(3).integers(0, 3, size=(40, 2)).astype(float)
+        self.assert_close(x)
+
+    def test_all_rows_equal(self):
+        assert np.array_equal(pairwise_euclidean(np.full((5, 3), 7.5)), np.zeros((5, 5)))
+
+    def test_fortran_order(self):
+        x = features(n=80, p=30)
+        fortran = np.asfortranarray(x)
+        assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+        self.assert_close(fortran)
+        assert np.allclose(pairwise_euclidean(fortran), pairwise_euclidean(x), rtol=1e-14,
+                           atol=0)
+
+    def test_huge_distances_stay_finite(self):
+        # squared distances up to about 1e307
+        x = 1.5e153 * features(p=3)
+        ref = cdist_oracle(x)
+        assert np.all(np.isfinite(ref))
+        self.assert_close(x)
+
+    def test_exactly_symmetric(self):
+        d = pairwise_euclidean(features(n=90, p=40) + 3.0)
+        assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("power", [-600, -3, 7, 400])
+    def test_power_of_two_scaling_is_exact(self, power):
+        x = features(n=50, p=11)
+        scaled = pairwise_euclidean(np.ldexp(x, power))
+        assert np.array_equal(scaled, np.ldexp(pairwise_euclidean(x), power))
+
+
+class TestSmallestK:
+    """As a set per row, the first k columns of a stable argsort."""
+
+    @staticmethod
+    def assert_like_stable_argsort(a, k):
+        got = _smallest_k(a, k)
+        want = np.argsort(a, axis=1, kind="stable")[:, :k]
+        assert got.shape == want.shape
+        assert np.array_equal(np.sort(got, axis=1), np.sort(want, axis=1))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 10])
+    def test_integer_valued(self, k):
+        a = np.random.default_rng(7).integers(0, 4, size=(50, 10)).astype(float)
+        self.assert_like_stable_argsort(a, k)
+
+    @pytest.mark.parametrize("k", [1, 4, 12])
+    def test_all_tied(self, k):
+        self.assert_like_stable_argsort(np.ones((6, 12)), k)
+
+    def test_k_equals_m(self):
+        a = np.random.default_rng(8).standard_normal((7, 5))
+        self.assert_like_stable_argsort(a, 5)
+
+    def test_distinct_values(self):
+        a = np.random.default_rng(9).standard_normal((40, 30))
+        for k in (1, 7, 29):
+            self.assert_like_stable_argsort(a, k)
+
+    def test_negated_couplings_and_infinities(self):
+        a = -np.round(np.random.default_rng(10).random((30, 8)), 1)
+        a[:, 3] = np.inf
+        for k in range(1, 9):
+            self.assert_like_stable_argsort(a, k)
 
 
 def edge_list(g):
@@ -184,6 +328,36 @@ class TestGeodesic:
             assert np.all(np.isfinite(geo))
             assert geo.tobytes() == ref.tobytes()
         assert n_disconnected >= 10
+
+    def test_bridging_below_the_diagonal(self):
+        # asymmetric within SYMMETRY_TOL: both orientations of the one
+        # component pair reach their least value only below the diagonal
+        s = np.array([[0.0, 5.0, 1.0, 0.1],
+                      [5.0, 0.0, 0.1, 1 - 0.5e-13],
+                      [1 - 1e-13, 0.1, 0.0, 5.0],
+                      [0.1, 1 - 2e-13, 5.0, 0.0]])
+        g = graph(4, [(0, 3, 0.1), (1, 2, 0.1)])
+        geo = geodesic_distances(g, connect=True, source=s)
+        ref = geodesic_distances(greedy_bridges(g, s))
+        assert np.all(np.isfinite(geo))
+        assert geo.tobytes() == ref.tobytes()
+        assert geo[3, 1] == 1 - 2e-13
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bridging_asymmetric_source_matches_greedy_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(25):
+            n = int(rng.integers(4, 30))
+            x = rng.integers(0, 4, size=(n, 2)).astype(float)
+            x[rng.random(n) < 0.3] *= 10
+            d = pairwise_euclidean(x)
+            g = knn_graph(d, int(rng.integers(1, 3)))
+            s = d + 4e-13 * rng.integers(0, 2, size=d.shape)
+            np.fill_diagonal(s, 0.0)
+            geo = geodesic_distances(g, connect=True, source=s)
+            ref = geodesic_distances(greedy_bridges(g, s))
+            assert np.all(np.isfinite(geo))
+            assert geo.tobytes() == ref.tobytes()
 
     def test_bridge_needs_source(self):
         g = graph(4, [(0, 1, 1.0), (2, 3, 1.0)])

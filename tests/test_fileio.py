@@ -1,5 +1,6 @@
 import bz2
 import gzip
+import hashlib
 import lzma
 
 import numpy as np
@@ -274,3 +275,46 @@ class TestCompressedInputs:
         path.write_bytes(b"1,2\n3,4\n")
         with pytest.raises(InvalidInput, match="m.csv.gz"):
             fileio.read_matrix(path)
+
+    @pytest.mark.parametrize("suffix, compress", [
+        (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
+    ])
+    def test_damaged_archive_body_is_invalid_input(self, tmp_path, suffix, compress):
+        # a valid header over a damaged body; gzip raised zlib.error here
+        packed = compress(b"1,2\n3,4\n" * 1000)
+        path = tmp_path / ("d.csv" + suffix)
+        path.write_bytes(packed[:20] + bytes(b ^ 0x55 for b in packed[20:60]) + packed[60:])
+        for data in (None, path.read_bytes()):
+            with pytest.raises(InvalidInput, match=f"{path.name}: cannot decompress"):
+                fileio.read_matrix(path, data=data)
+            with pytest.raises(InvalidInput, match=f"{path.name}: cannot decompress"):
+                fileio.read_labels(path, data=data)
+
+    @pytest.mark.parametrize("suffix, compress, trailing", [
+        ("", bytes, b""), (".gz", gzip.compress, b""),
+        # these readers stop at data that is no archive, long before the end
+        (".bz2", bz2.compress, b"not an archive" * 200_000),
+        (".xz", lzma.compress, b"not an archive" * 200_000),
+    ])
+    def test_streamed_read_hashes_the_bytes_on_disk(self, tmp_path, suffix, compress,
+                                                     trailing):
+        m = np.random.default_rng(5).standard_normal((300, 40))
+        plain = tmp_path / "m.csv"
+        fileio.write_matrix(plain, m)
+        path = tmp_path / ("m.csv" + suffix)
+        path.write_bytes(compress(plain.read_bytes()) + trailing)
+        digest = hashlib.sha256()
+        assert np.array_equal(fileio.read_matrix(path, digest=digest), m)
+        assert digest.hexdigest() == fileio.sha256_file(path)
+
+    def test_read_error_is_not_a_decompression_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.csv"
+        fileio.write_matrix(path, np.eye(3))
+
+        def fail(self, b):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(fileio._Hashed, "readinto", fail)
+        with pytest.raises(InvalidInput, match="m.csv: .*Input/output error") as err:
+            fileio.read_matrix(path, digest=hashlib.sha256())
+        assert "decompress" not in str(err.value)
