@@ -190,11 +190,10 @@ def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:
 def _load_dissimilarity(path: str, args, manifest: _Manifest) -> np.ndarray:
     """Input file -> validated dissimilarity matrix, per the --kind pipeline.
 
-    A matrix is parsed as it streams from disk, so its bytes are never held
-    whole, and parsed features are dropped once their distances exist.
+    Parsed features are dropped once their distances exist.
     """
     if args.kind == "edges":
-        edges, n = fileio.read_edge_list(path, data=manifest.add_input(path))
+        edges, n = manifest.read(path, fileio.read_edge_list)
         loops = sum(i == j for i, j, _ in edges)
         if loops:
             _log("warning", "dropped self-loops", path=str(path), dropped=loops)
@@ -202,8 +201,8 @@ def _load_dissimilarity(path: str, args, manifest: _Manifest) -> np.ndarray:
         mode = "inverse-weight" if args.graph == "inv" else "hop"
         d = ds.graph_dissimilarity(adj, mode=mode)
     else:
-        m = manifest.read_matrix(path, fileio.read_matrix, delimiter=args.delimiter,
-                                 header=args.header)
+        m = manifest.read(path, fileio.read_matrix, delimiter=args.delimiter,
+                          header=args.header)
         if args.kind == "features":
             d = ds.pairwise_euclidean(m)
             del m
@@ -236,7 +235,7 @@ def _resolve_truth(spec: str, n: int, m: int | None, manifest: _Manifest) -> np.
     if spec == "identity":
         truth = np.arange(n)
     else:
-        truth = fileio.read_match_indices(spec, data=manifest.add_input(spec))
+        truth = manifest.read(spec, fileio.read_match_indices)
         if truth.shape != (n,):
             _fail(f"truth file {spec} has {truth.shape[0]} entries, expected {n}")
     if m is not None and truth.max() >= m:
@@ -244,13 +243,26 @@ def _resolve_truth(spec: str, n: int, m: int | None, manifest: _Manifest) -> np.
     return truth
 
 
-def _read_labels(manifest: _Manifest, paths) -> list:
-    """Labels per path (None where absent); a path given twice is read once."""
+def _read_labels(manifest: _Manifest, paths, counts) -> list:
+    """Labels per path (None where absent), each with its count of entries
+    (unchecked where None); a path given twice is read once."""
     by_path: dict = {}
-    for path in paths:
-        if path and path not in by_path:
-            by_path[path] = fileio.read_labels(path, data=manifest.add_input(path))
+    for path, n in zip(paths, counts):
+        if not path:
+            continue
+        if path not in by_path:
+            by_path[path] = manifest.read(path, fileio.read_labels)
+        if n is not None and by_path[path].shape != (n,):
+            _fail(f"labels file {path} has {len(by_path[path])} entries, expected {n}")
     return [by_path.get(path) for path in paths]
+
+
+def _is_triplet_file(path: str) -> bool:
+    """Whether ``path`` ends in ``.txt``, in front of any compression suffix."""
+    path = Path(path)
+    if path.suffix in fileio._UNPACK:
+        path = path.with_suffix("")
+    return path.suffix == ".txt"
 
 
 def _truth_matrix(truth: np.ndarray, n: int, m: int) -> np.ndarray:
@@ -283,20 +295,14 @@ class _Manifest:
 
         self.doc["versions"]["scipy"] = scipy.__version__
 
-    def add_input(self, path) -> bytes:
-        """Read ``path`` once: record the SHA-256 of its bytes and return them to parse."""
-        data = fileio.read_bytes(path)
-        self.doc["inputs"][str(path)] = fileio.sha256_bytes(data)
-        return data
-
-    def read_matrix(self, path, read, **kwargs) -> np.ndarray:
-        """``read(path, **kwargs)`` with ``read`` a matrix reader of ``fileio``:
-        record the SHA-256 of ``path`` from the same streamed read, so the
-        file is read once and never held whole."""
+    def read(self, path, read, **kwargs):
+        """``read(path, **kwargs)`` with ``read`` a reader of ``fileio``: record
+        the SHA-256 of ``path`` from the same streamed read, so each input is
+        opened once."""
         digest = hashlib.sha256()
-        m = read(path, digest=digest, **kwargs)
+        value = read(path, digest=digest, **kwargs)
         self.doc["inputs"][str(path)] = digest.hexdigest()
-        return m
+        return value
 
     def add_output(self, name: str) -> Path:
         """Path of output ``name`` in the output directory, recorded in the manifest."""
@@ -411,7 +417,7 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     # (v_matrix_pinv, smacof._Evaluator, joint_smacof's _sym(w, out=), joint_objective)
     uniform_pair = args.weight_exponent is None and d2.shape == d1.shape
     w2 = w1 if uniform_pair else _weights_for(d2, args)
-    labels = _read_labels(manifest, label_paths)
+    labels = _read_labels(manifest, label_paths, (d1.shape[0], d2.shape[0]))
     truth = None
     if args.truth is not None:
         truth = _resolve_truth(args.truth, d1.shape[0], d2.shape[0], manifest)
@@ -480,22 +486,23 @@ def cmd_eval(args) -> int:
     for name in ("z1", "z2"):
         path = getattr(args, name)
         if path:
-            loaded[name] = manifest.read_matrix(path, fileio.read_embedding,
-                                                delimiter=args.delimiter)
+            loaded[name] = manifest.read(path, fileio.read_embedding,
+                                         delimiter=args.delimiter)
     for name in ("d1", "d2"):
         path = getattr(args, name)
         if path:
-            loaded[name] = manifest.read_matrix(path, fileio.read_matrix,
-                                                delimiter=args.delimiter, header=args.header)
+            loaded[name] = manifest.read(path, fileio.read_matrix,
+                                         delimiter=args.delimiter, header=args.header)
     coupling = None
     if args.coupling:
-        if args.sparse_coupling or args.coupling.endswith(".txt"):
-            coupling = fileio.read_coupling_triplets(args.coupling,
-                                                     data=manifest.add_input(args.coupling))
+        if args.sparse_coupling or _is_triplet_file(args.coupling):
+            coupling = manifest.read(args.coupling, fileio.read_coupling_triplets)
         else:
-            coupling = manifest.read_matrix(args.coupling, fileio.read_coupling_matrix,
-                                            delimiter=args.delimiter)
-    labels1, labels2 = _read_labels(manifest, (args.labels1, args.labels2))
+            coupling = manifest.read(args.coupling, fileio.read_coupling_matrix,
+                                     delimiter=args.delimiter)
+    labels1, labels2 = _read_labels(manifest, (args.labels1, args.labels2),
+                                    [loaded[z].shape[0] if z in loaded else None
+                                     for z in ("z1", "z2")])
     truth = None
     if args.truth:
         n_rows = None

@@ -1,13 +1,12 @@
 """Readers and writers for matrices, edge lists, labels, couplings and traces.
 
 Numeric values are written with 17 significant digits so a write/read round
-trip reproduces float64 values exactly.  Each reader takes the path and,
-optionally, the file's bytes already read with ``read_bytes``: a caller that
-also hashes an input with ``sha256_bytes`` then reads it once.  The matrix
-readers can instead hash the file as they stream it (``digest``), which
-reads it once without holding its bytes.  Readers parse the content
-decompressed first when the path ends in ``.gz``, ``.bz2`` or ``.xz``;
-hashes are those of the bytes on disk.
+trip reproduces float64 values exactly.  Every reader takes the path and
+streams the file from disk, and, given ``digest`` (a ``hashlib`` object),
+hashes every byte on disk in that same read: a caller that records an
+input's hash opens it once.  Readers parse the content decompressed first
+when the path ends in ``.gz``, ``.bz2`` or ``.xz``; hashes are those of the
+bytes on disk.  An empty input raises :class:`InvalidInput` naming its path.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import io
 import json
 import lzma
 import os
+import warnings
 import zlib
 from pathlib import Path
 
@@ -42,8 +42,6 @@ __all__ = [
     "write_coupling_triplets",
     "write_trace",
     "write_json",
-    "read_bytes",
-    "sha256_bytes",
     "sha256_file",
 ]
 
@@ -56,15 +54,6 @@ _UNPACK = {".gz": lambda raw: gzip.GzipFile(fileobj=raw), ".bz2": bz2.BZ2File,
 # what those readers raise on a damaged or truncated archive
 _UNPACK_ERRORS = (OSError, EOFError, lzma.LZMAError, zlib.error)
 _CHUNK = 1 << 20
-
-
-def read_bytes(path) -> bytes:
-    """The whole content of ``path``."""
-    path = Path(path)
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
 
 
 class _Hashed(io.RawIOBase):
@@ -83,23 +72,19 @@ class _Hashed(io.RawIOBase):
 
 
 @contextlib.contextmanager
-def _stream(path: Path, data: bytes | None = None, digest=None):
+def _stream(path: Path, digest=None):
     """The content of ``path`` as a binary stream, decompressed by suffix.
 
-    The source is ``data`` (the file's bytes, already read), else the file,
-    read in chunks.  Each chunk goes to ``digest`` (a ``hashlib`` object)
-    first when one is given, and what the block left unread is hashed on
-    exit, so ``digest`` ends up with the hash of every source byte.  Read
-    and decompression errors in the block raise :class:`InvalidInput`
-    naming ``path``.
+    The file is read in chunks.  Each chunk goes to ``digest`` (a
+    ``hashlib`` object) first when one is given, and what the block left
+    unread is hashed on exit, so ``digest`` ends up with the hash of every
+    byte on disk.  Read and decompression errors in the block raise
+    :class:`InvalidInput` naming ``path``.
     """
-    if data is not None:
-        source = io.BytesIO(data)
-    else:
-        try:
-            source = open(path, "rb", buffering=0)
-        except OSError as exc:
-            raise InvalidInput(f"{path}: {exc}") from exc
+    try:
+        source = open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise InvalidInput(f"{path}: {exc}") from exc
     unpack = _UNPACK.get(path.suffix)
     errors, what = (OSError, "") if unpack is None else (_UNPACK_ERRORS, "cannot decompress: ")
     with source:
@@ -112,34 +97,31 @@ def _stream(path: Path, data: bytes | None = None, digest=None):
             raise InvalidInput(f"{path}: {what}{exc}") from exc
 
 
-def _content(path: Path, data: bytes | None) -> bytes:
-    """The bytes a reader parses: ``data`` (else the file's), decompressed by suffix."""
-    with _stream(path, data) as content:
-        return content.read()
+def _text(path: Path, digest=None) -> str:
+    """The content of ``path``, decompressed by suffix, as text."""
+    with _stream(path, digest) as content:
+        return content.read().decode()
 
 
-def _text(path: Path, data: bytes | None) -> str:
-    return _content(path, data).decode()
-
-
-def read_matrix(path, delimiter: str = ",", header: bool = False,
-                data: bytes | None = None, digest=None) -> np.ndarray:
-    """Dense matrix from a delimited text file; one row per line.
-
-    The content streams into the parser chunk by chunk, so the file's bytes
-    are never held whole; with ``digest`` (a ``hashlib`` object) the same
-    read also hashes every byte on disk.
-    """
-    path = Path(path)
-    with _stream(path, data, digest) as content:
+def _loadtxt(path: Path, digest, what: str, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` of the content of ``path`` streamed chunk by chunk, so
+    the file's bytes are never held whole; no content raises, naming ``what``."""
+    with _stream(path, digest) as content, warnings.catch_warnings():
+        # the empty case raises below instead
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            m = np.loadtxt(content, delimiter=delimiter, skiprows=1 if header else 0,
-                           ndmin=2)
+            m = np.loadtxt(content, **kwargs)
         except ValueError as exc:
             raise InvalidInput(f"{path}: parse error: {exc}") from exc
     if m.size == 0:
-        raise InvalidInput(f"{path}: empty matrix")
+        raise InvalidInput(f"{path}: empty {what}")
     return m
+
+
+def read_matrix(path, delimiter: str = ",", header: bool = False, digest=None) -> np.ndarray:
+    """Dense matrix from a delimited text file; one row per line."""
+    return _loadtxt(Path(path), digest, "matrix", delimiter=delimiter,
+                    skiprows=1 if header else 0, ndmin=2)
 
 
 def write_matrix(path, m: np.ndarray, delimiter: str = ",") -> None:
@@ -153,10 +135,9 @@ def write_embedding(path, z: np.ndarray, delimiter: str = ",") -> None:
                delimiter=delimiter)
 
 
-def read_embedding(path, delimiter: str = ",", data: bytes | None = None,
-                   digest=None) -> np.ndarray:
+def read_embedding(path, delimiter: str = ",", digest=None) -> np.ndarray:
     """Read an embedding CSV written by :func:`write_embedding`."""
-    m = read_matrix(path, delimiter=delimiter, data=data, digest=digest)
+    m = read_matrix(path, delimiter=delimiter, digest=digest)
     if m.shape[1] < 2 or not np.array_equal(m[:, 0], np.arange(m.shape[0])):
         raise InvalidInput(
             f"{path}: expected an embedding file with a leading row-index column"
@@ -164,7 +145,7 @@ def read_embedding(path, delimiter: str = ",", data: bytes | None = None,
     return m[:, 1:]
 
 
-def read_edge_list(path, data: bytes | None = None) -> tuple[list[tuple[int, int, float]], int]:
+def read_edge_list(path, digest=None) -> tuple[list[tuple[int, int, float]], int]:
     """Whitespace-delimited ``i j [weight]`` lines with 0-based node ids.
 
     Returns the edges (self-loops included; callers decide) and the node
@@ -173,7 +154,7 @@ def read_edge_list(path, data: bytes | None = None) -> tuple[list[tuple[int, int
     path = Path(path)
     edges: list[tuple[int, int, float]] = []
     max_id = -1
-    lines = _text(path, data).splitlines()
+    lines = _text(path, digest).splitlines()
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -201,23 +182,18 @@ def write_edge_list(path, edges) -> None:
             fh.write(f"{i} {j} {FLOAT_FMT % w}\n")
 
 
-def read_labels(path, data: bytes | None = None) -> np.ndarray:
+def read_labels(path, digest=None) -> np.ndarray:
     """One integer label per line."""
-    path = Path(path)
-    try:
-        labels = np.loadtxt(io.BytesIO(_content(path, data)), dtype=int, ndmin=1)
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-    return labels
+    return _loadtxt(Path(path), digest, "file", dtype=int, ndmin=1)
 
 
 def write_labels(path, labels) -> None:
     np.savetxt(path, np.asarray(labels, dtype=int), fmt="%d")
 
 
-def read_match_indices(path, data: bytes | None = None) -> np.ndarray:
+def read_match_indices(path, digest=None) -> np.ndarray:
     """Ground-truth match: line i holds the matched column index of row i."""
-    idx = read_labels(path, data=data)
+    idx = read_labels(path, digest=digest)
     if np.any(idx < 0):
         raise InvalidInput(f"{path}: match indices must be nonnegative")
     return idx
@@ -245,15 +221,14 @@ def _check_coupling_values(path, values: np.ndarray, line_of) -> None:
                            "finite and nonnegative")
 
 
-def read_coupling_matrix(path, delimiter: str = ",", data: bytes | None = None,
-                         digest=None) -> np.ndarray:
+def read_coupling_matrix(path, delimiter: str = ",", digest=None) -> np.ndarray:
     """Dense coupling from a delimited text file; values must be finite and nonnegative."""
     path = Path(path)
-    p = read_matrix(path, delimiter=delimiter, data=data, digest=digest)
+    p = read_matrix(path, delimiter=delimiter, digest=digest)
 
     def line_of(k: int) -> int:
         # the reader skips blank and comment-only lines
-        lines = _text(path, data).splitlines()
+        lines = _text(path).splitlines()
         rows = [n for n, text in enumerate(lines, start=1) if text.split("#", 1)[0].strip()]
         return rows[k // p.shape[1]]
 
@@ -261,7 +236,7 @@ def read_coupling_matrix(path, delimiter: str = ",", data: bytes | None = None,
     return p
 
 
-def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
+def read_coupling_triplets(path, digest=None) -> np.ndarray:
     """Dense coupling from :func:`write_coupling_triplets` text.
 
     The first ``# n m`` comment fixes the shape, else it is the largest
@@ -271,7 +246,7 @@ def read_coupling_triplets(path, data: bytes | None = None) -> np.ndarray:
     path = Path(path)
     shape = None
     linenos, ij, values = [], [], []
-    lines = _text(path, data).splitlines()
+    lines = _text(path, digest).splitlines()
     try:
         for lineno, line in enumerate(lines, start=1):
             stripped = line.strip()
@@ -331,10 +306,10 @@ def write_json(path, doc) -> None:
     os.replace(tmp, path)
 
 
-def sha256_bytes(data: bytes) -> str:
-    """Hex SHA-256 digest of ``data``, as recorded for inputs in a manifest."""
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path) -> str:
-    return sha256_bytes(read_bytes(path))
+    """Hex SHA-256 digest of the bytes of ``path`` on disk, as a manifest records
+    for an input."""
+    digest = hashlib.sha256()
+    with _stream(Path(path), digest):
+        pass  # the stream hashes on exit what the block left unread: all of it
+    return digest.hexdigest()

@@ -142,13 +142,46 @@ class TestJoint:
         metrics = json.loads((out / "metrics.json").read_text())
         assert "transfer_accuracy" in metrics
 
-    def test_each_input_read_once(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _read_once_case(command, tmp_path):
+        """Input paths and argv of one ``command`` run over 12-point inputs."""
         rng = np.random.default_rng(6)
-        s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((12, 3)))
-        s2 = write_points(tmp_path / "x2.csv", rng.standard_normal((12, 4)))
-        labels = tmp_path / "l.csv"
-        fileio.write_labels(labels, rng.integers(0, 2, 12))
-        inputs = [str(s1), str(s2), str(labels)]
+        truth = tmp_path / "t.csv"
+        fileio.write_labels(truth, np.arange(12))
+        if command == "joint":
+            s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((12, 3)))
+            s2 = write_points(tmp_path / "x2.csv", rng.standard_normal((12, 4)))
+            labels = tmp_path / "l.csv"
+            fileio.write_labels(labels, rng.integers(0, 2, 12))
+            return [s1, s2, labels], ["joint", s1, s2, "--iters", "2", "--restarts", "1",
+                                      "--labels1", labels, "--labels2", labels]
+        if command == "match":
+            e1, e2 = tmp_path / "e1.txt", tmp_path / "e2.txt"
+            ring = [(i, (i + 1) % 12, 1.0) for i in range(12)]
+            fileio.write_edge_list(e1, ring + [(0, 6, 1.0)])
+            fileio.write_edge_list(e2, ring + [(3, 9, 1.0)])
+            return [e1, e2, truth], ["match", e1, e2, "--iters", "2", "--restarts", "1",
+                                     "--truth", truth]
+        z = rng.standard_normal((12, 2))
+        z1, z2, d1, d2 = (tmp_path / name for name in ("z1.csv", "z2.csv", "d1.csv", "d2.csv"))
+        fileio.write_embedding(z1, z)
+        fileio.write_embedding(z2, z + 0.01 * rng.standard_normal((12, 2)))
+        fileio.write_matrix(d1, pairwise_euclidean(z))
+        fileio.write_matrix(d2, pairwise_euclidean(z))
+        if command == "eval-dense":
+            coupling = tmp_path / "p.csv"
+            fileio.write_matrix(coupling, np.eye(12) / 12)
+        else:
+            coupling = tmp_path / "p.txt"
+            fileio.write_coupling_triplets(coupling, np.eye(12) / 12)
+        inputs = [z1, z2, d1, d2, coupling, truth]
+        return inputs, ["eval", "--z1", z1, "--z2", z2, "--d1", d1, "--d2", d2,
+                        "--coupling", coupling, "--truth", truth]
+
+    @pytest.mark.parametrize("command", ["joint", "match", "eval-dense", "eval-triplets"])
+    def test_each_input_read_once(self, tmp_path, monkeypatch, command):
+        inputs, argv = self._read_once_case(command, tmp_path)
+        inputs = [str(path) for path in inputs]
         opened = []
 
         def counting(real_open):
@@ -163,8 +196,7 @@ class TestJoint:
         for module in (io, builtins, np.lib._datasource):
             monkeypatch.setattr(module, "open", counting(module.open))
         out = tmp_path / "out"
-        assert run_cli(["joint", s1, s2, "--iters", "2", "--restarts", "1",
-                        "--labels1", labels, "--labels2", labels, "--out", out]) == 0
+        assert run_cli(argv + ["--out", out]) == 0
         monkeypatch.undo()
         assert sorted(opened) == sorted(inputs)
         manifest = json.loads((out / "manifest.json").read_text())
@@ -226,6 +258,23 @@ class TestJoint:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
         assert "weight exponent must be finite" in json.loads(lines[0])["message"]
+
+    def test_label_count_checked_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        def solve(*args, **kwargs):
+            raise AssertionError("solve reached with a short labels file")
+
+        monkeypatch.setattr(jointmds, "solve", solve)
+        rng = np.random.default_rng(16)
+        s1 = write_points(tmp_path / "x1.csv", rng.standard_normal((40, 2)))
+        short, full = tmp_path / "short.csv", tmp_path / "full.csv"
+        fileio.write_labels(short, rng.integers(0, 2, 30))
+        fileio.write_labels(full, rng.integers(0, 2, 40))
+        out = tmp_path / "out"
+        assert run_cli(["joint", s1, s1, "--labels1", short, "--labels2", full,
+                        "--out", out]) == 1
+        error = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert str(short) in error["message"] and "30" in error["message"]
+        assert not (out / "z1.csv").exists()
 
     def test_sparse_coupling_output(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -523,6 +572,15 @@ class TestEval:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["node_correctness"] == 1.0
         assert metrics["top3_accuracy"] == 1.0
+        # triplets are read by their .txt suffix, also in front of a compression suffix
+        triplets = tmp_path / "p.txt"
+        fileio.write_coupling_triplets(triplets, p)
+        packed = tmp_path / "p.txt.gz"
+        packed.write_bytes(gzip.compress(triplets.read_bytes()))
+        for path in (triplets, packed):
+            out = tmp_path / ("out-" + path.name)
+            assert run_cli(["eval", "--coupling", path, "--truth", tf, "--out", out]) == 0
+            assert json.loads((out / "metrics.json").read_text()) == metrics
 
     def test_truth_index_out_of_range(self, tmp_path, capsys):
         pf = tmp_path / "p.csv"

@@ -2,6 +2,7 @@ import bz2
 import gzip
 import hashlib
 import lzma
+import warnings
 
 import numpy as np
 import pytest
@@ -238,14 +239,21 @@ class TestLabelsAndTrace:
             "2cf24dba5fb0a30e26e83b2ac5b9e29e1b161e5c1fa7425e73043362938b9824"
         )
 
-    def test_sha256_bytes_matches_file(self, tmp_path):
-        path = tmp_path / "f.bin"
-        path.write_bytes(b"hello")
-        assert fileio.sha256_bytes(path.read_bytes()) == fileio.sha256_file(path)
+    @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n"])
+    def test_empty_input_is_invalid_input_without_warning(self, tmp_path, text):
+        # numpy's "input contained no data" warning once broke the JSON-lines stderr
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for read in (fileio.read_matrix, fileio.read_embedding, fileio.read_labels,
+                         fileio.read_match_indices, fileio.read_coupling_matrix):
+                with pytest.raises(InvalidInput, match="empty.csv: empty"):
+                    read(path)
 
 
 class TestCompressedInputs:
-    """Every reader decompresses .gz/.bz2/.xz, whether it reads the file or is given its bytes."""
+    """Every reader decompresses .gz/.bz2/.xz and hashes the bytes on disk."""
 
     @pytest.mark.parametrize("suffix, compress", [
         (".gz", gzip.compress), (".bz2", bz2.compress), (".xz", lzma.compress),
@@ -260,15 +268,19 @@ class TestCompressedInputs:
         labels.write_bytes(compress(b"0\n2\n1\n"))
         edges = tmp_path / ("e.txt" + suffix)
         edges.write_bytes(compress(b"0 1\n1 2 0.5\n"))
-        for data in (None, "bytes"):
-            def given(path):
-                return None if data is None else fileio.read_bytes(path)
-            assert np.array_equal(fileio.read_matrix(packed, data=given(packed)), m)
-            assert np.array_equal(fileio.read_labels(labels, data=given(labels)), [0, 2, 1])
-            assert fileio.read_edge_list(edges, data=given(edges)) == (
-                [(0, 1, 1.0), (1, 2, 0.5)], 3)
+        triplets = tmp_path / ("c.txt" + suffix)
+        triplets.write_bytes(compress(b"# 2 2\n0 1 0.5\n"))
+        digests = {path: hashlib.sha256() for path in (packed, labels, edges, triplets)}
+        assert np.array_equal(fileio.read_matrix(packed, digest=digests[packed]), m)
+        assert np.array_equal(fileio.read_labels(labels, digest=digests[labels]), [0, 2, 1])
+        assert fileio.read_edge_list(edges, digest=digests[edges]) == (
+            [(0, 1, 1.0), (1, 2, 0.5)], 3)
+        assert np.array_equal(fileio.read_coupling_triplets(triplets, digest=digests[triplets]),
+                              [[0, 0.5], [0, 0]])
         # the hash is that of the bytes on disk
-        assert fileio.sha256_file(packed) == fileio.sha256_bytes(packed.read_bytes())
+        for path, digest in digests.items():
+            assert digest.hexdigest() == fileio.sha256_file(path) == hashlib.sha256(
+                path.read_bytes()).hexdigest()
 
     def test_corrupt_archive_is_invalid_input(self, tmp_path):
         path = tmp_path / "m.csv.gz"
@@ -284,11 +296,9 @@ class TestCompressedInputs:
         packed = compress(b"1,2\n3,4\n" * 1000)
         path = tmp_path / ("d.csv" + suffix)
         path.write_bytes(packed[:20] + bytes(b ^ 0x55 for b in packed[20:60]) + packed[60:])
-        for data in (None, path.read_bytes()):
+        for read in (fileio.read_matrix, fileio.read_labels):
             with pytest.raises(InvalidInput, match=f"{path.name}: cannot decompress"):
-                fileio.read_matrix(path, data=data)
-            with pytest.raises(InvalidInput, match=f"{path.name}: cannot decompress"):
-                fileio.read_labels(path, data=data)
+                read(path)
 
     @pytest.mark.parametrize("suffix, compress, trailing", [
         ("", bytes, b""), (".gz", gzip.compress, b""),
