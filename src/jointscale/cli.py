@@ -413,8 +413,8 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
     d1 = _load_dissimilarity(path1, args, manifest)
     d2 = _load_dissimilarity(path2, args, manifest)
     w1 = _weights_for(d1, args)
-    # uniform weights of one size are one array: the solver only reads w
-    # (v_matrix_pinv, smacof._Evaluator, joint_smacof's _sym(w, out=), joint_objective)
+    # uniform weights of one size are one array: the solver never writes into
+    # w, and of uniform weights it reads only the one value (smacof._check_weights)
     uniform_pair = args.weight_exponent is None and d2.shape == d1.shape
     w2 = w1 if uniform_pair else _weights_for(d2, args)
     labels = _read_labels(manifest, label_paths, (d1.shape[0], d2.shape[0]))

@@ -51,7 +51,8 @@ SPARSE_DROP = 1e-12
 # a decompressing reader over a binary stream, by path suffix
 _UNPACK = {".gz": lambda raw: gzip.GzipFile(fileobj=raw), ".bz2": bz2.BZ2File,
            ".xz": lzma.LZMAFile}
-# what those readers raise on a damaged or truncated archive
+# what those readers raise on a damaged or truncated archive, and what a
+# failed disk read raises (an OSError with an errno)
 _UNPACK_ERRORS = (OSError, EOFError, lzma.LZMAError, zlib.error)
 _CHUNK = 1 << 20
 
@@ -79,21 +80,23 @@ def _stream(path: Path, digest=None):
     ``hashlib`` object) first when one is given, and what the block left
     unread is hashed on exit, so ``digest`` ends up with the hash of every
     byte on disk.  Read and decompression errors in the block raise
-    :class:`InvalidInput` naming ``path``.
+    :class:`InvalidInput` naming ``path``; only the archive reader's own
+    errors are reported as "cannot decompress".
     """
     try:
         source = open(path, "rb", buffering=0)
     except OSError as exc:
         raise InvalidInput(f"{path}: {exc}") from exc
     unpack = _UNPACK.get(path.suffix)
-    errors, what = (OSError, "") if unpack is None else (_UNPACK_ERRORS, "cannot decompress: ")
     with source:
         raw = io.BufferedReader(source if digest is None else _Hashed(source, digest), _CHUNK)
         try:
             yield raw if unpack is None else unpack(raw)
             while digest is not None and raw.read(_CHUNK):
                 pass
-        except errors as exc:
+        except _UNPACK_ERRORS as exc:
+            # a failed disk read carries the system's errno; the archive readers' errors do not
+            what = "cannot decompress: " if unpack and getattr(exc, "errno", None) is None else ""
             raise InvalidInput(f"{path}: {what}{exc}") from exc
 
 

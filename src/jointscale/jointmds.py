@@ -26,10 +26,10 @@ from . import _blas
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
 from .smacof import (FULL_MATRIX_FACTOR, _check_weights, joint_smacof, random_embedding, smacof,
-                     stress, v_matrix_pinv)
+                     stress)
 
-# unused here; bench/tracing.py wraps this name on this module
-from .smacof import assemble_joint  # noqa: F401
+# unused here; bench/tracing.py wraps these names on this module
+from .smacof import assemble_joint, v_matrix_pinv  # noqa: F401
 from .transport import Marginals, cost_matrix, entropic_gw, wasserstein_procrustes
 
 __all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "match_argmax"]
@@ -162,12 +162,11 @@ def _initial_embeddings(
 
 
 def _run_restart(
-    d1, d2, w1, w2, cfg: JointConfig, restart: int, v1_pinv, v2_pinv,
-    gw_coupling=None, on_outer=None, helper=None
+    d1, d2, w1, w2, cfg: JointConfig, restart: int, gw_coupling=None, on_outer=None, helper=None
 ) -> JointResult:
     z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
-    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v1_pinv, _helper=helper)
-    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, v_pinv=v2_pinv, _helper=helper)
+    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
+    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
     smacof_init_at_budget = (not r1.converged) + (not r2.converged)
 
     marginals = Marginals.uniform(d1.shape[0], d2.shape[0])
@@ -211,10 +210,8 @@ def _run_restart(
             reports.append(report)
         else:
             # zero penalty decouples the block problem into the two datasets
-            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, v_pinv=v1_pinv,
-                            _helper=helper)
-            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, v_pinv=v2_pinv,
-                            _helper=helper)
+            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, _helper=helper)
+            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, _helper=helper)
             objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
             reports += [r1, r2]
 
@@ -233,13 +230,11 @@ def _run_restart(
     )
 
 
-def _restart_outcome(d1, d2, w1, w2, cfg, v1_pinv, v2_pinv, gw_coupling, split, on_outer,
-                     restart: int):
+def _restart_outcome(d1, d2, w1, w2, cfg, gw_coupling, split, on_outer, restart: int):
     """One restart's ``JointResult``, or the ``NumericalFailure`` that ended it."""
     try:
         with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
-            return _run_restart(d1, d2, w1, w2, cfg, restart, v1_pinv, v2_pinv,
-                                gw_coupling, on_outer, helper)
+            return _run_restart(d1, d2, w1, w2, cfg, restart, gw_coupling, on_outer, helper)
     except NumericalFailure as exc:
         return exc
 
@@ -334,6 +329,10 @@ def solve(
     InvalidInput
         On an invalid configuration, inputs of mismatched shapes, a
         non-finite or negative weight, or ``threads < 1``.
+    DegenerateWeights
+        If a dataset's weights are not one value c > 0 off the diagonal and
+        their graph is disconnected.  A restart's initial ``smacof`` run
+        raises it, and unlike ``NumericalFailure`` it ends the solve.
     NumericalFailure
         Only if every restart fails; a failing restart is otherwise skipped.
     """
@@ -346,17 +345,13 @@ def solve(
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != d1.shape or w2.shape != d2.shape:
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
-    c1 = _check_weights(w1, "first weight matrix")
-    c2 = _check_weights(w2, "second weight matrix")
+    _check_weights(w1, "first weight matrix")
+    _check_weights(w2, "second weight matrix")
 
     # the restart pool and the helpers are the only parallelism: BLAS threads
     # would compete with them for the same cores; workers forked inside this
     # scope inherit the one-thread setting
     with _blas.single_threaded():
-        # weights with one value off the diagonal take the closed form: no V^+
-        v1_pinv = None if c1 is not None else v_matrix_pinv(w1)
-        v2_pinv = None if c2 is not None else v_matrix_pinv(w2)
-
         gw_coupling, gw_at_budget = None, 0
         if cfg.gw_init:
             # deterministic in the inputs, hence shared across restarts
@@ -369,7 +364,7 @@ def solve(
         # for the second row block of its Guttman steps when the threads allow
         workers = min(threads, cfg.restarts) if _CAN_FORK else 1
         split = threads >= 2 * workers
-        inputs = (d1, d2, w1, w2, cfg, v1_pinv, v2_pinv, gw_coupling, split)
+        inputs = (d1, d2, w1, w2, cfg, gw_coupling, split)
         if workers > 1:
             outcomes = _run_forked(workers, inputs, cfg.restarts, on_outer)
         else:

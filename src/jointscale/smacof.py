@@ -46,11 +46,11 @@ Schur complement on the smaller dataset, plus a multiple of J, is
 factored by Cholesky once per call (``_SchurStep``).  The solve's largest
 array is then that n_s x n_s factor, not the (n1 + n2)^2 V~.  Any other
 weights take the Laplacian pseudo-inverse (V + J/n)^{-1} - J/n by
-Cholesky factorization, of V in ``smacof`` (``v_matrix_pinv``) and of V~
-once per ``joint_smacof`` call, and a step is one product with it.  On
-``assemble_joint``'s dense block instance the cross weights differ from
-the within-dataset ones, so ``smacof`` on it takes that path and stays the
-reference the structured iteration is tested against.
+Cholesky factorization, of V once per ``smacof`` run (``v_matrix_pinv``)
+and of V~ once per ``joint_smacof`` call, and a step is one product with
+it.  On ``assemble_joint``'s dense block instance the cross weights differ
+from the within-dataset ones, so ``smacof`` on it takes that path and
+stays the reference the structured iteration is tested against.
 
 Every step takes its distances ``CHUNK_BYTES`` of whole rows at a time,
 through scratch arrays allocated once per run on the calling thread, so
@@ -65,19 +65,16 @@ its share of the stress terms and its rows of the V^+ (or V~^+) product;
 the Schur solve splits each of its two products with P into halves of
 their rows, and centring stays whole.  The solver hands the second block
 to a helper thread; without one the blocks run in turn.  The partition
-depends only on the row counts, so the bits of every result are the same
-with or without a helper.  A split step matches the one-block step to
-roundoff, since sums are taken in another order and BLAS rounds a product
-of fewer rows differently.
+depends only on the row counts, never on whether a helper runs, so the
+bits of every result are the same with or without one.  A split step
+matches the one-block step to roundoff, since sums are taken in another
+order and BLAS rounds a product of fewer rows differently.  A smaller
+step is one block; in ``joint_smacof`` it evaluates the two datasets in
+turn, then solves for the next configuration.
 
-A smaller step is one block; in ``joint_smacof`` it evaluates the two
-datasets in turn, then solves for the next configuration.  On a 2-core Xeon with
-4 MiB of L2 per core, serially (no helper), a two-block ``smacof`` step
-cost 35% more than one block at n = 100, 9% at 300 and -2% to +5% at
-400-700 rows, and 17-23% less from 725 rows on, where an n x n matrix
-(n^2 * 8 bytes) no longer fits in L2.  A 50-step ``joint_smacof`` pass
-(n1 = n2 = n/2) cost 45% more at n = 100-200, 1-7% more at 300-700 and
-8-15% less from 725 on.
+The split is there for the helper.  On a 2-core Xeon (one BLAS thread,
+n = 1000-2000), two blocks run in turn cost a step from 2% more to 9%
+less than one block, and a helper takes 20-33% off a ``smacof`` step.
 """
 
 from __future__ import annotations
@@ -115,8 +112,8 @@ FULL_MATRIX_FACTOR = 2.0
 DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_ITER = 300
 
-# a Guttman step over at least this many rows runs as two fixed row blocks;
-# below it one block is faster (see the module docstring)
+# a Guttman step over at least this many rows runs as two fixed row blocks,
+# the second on a helper thread when the solver has one (see the module docstring)
 SPLIT_ROWS = 725
 # bytes of distances a block computes at a time (whole rows): half of
 # a 4 MiB L2; with a helper, the fastest chunk tried (32 rows up to a whole
@@ -481,9 +478,9 @@ class _SchurStep:
 def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
     """Guttman steps from ``z`` until the stress drop falls below rtol * start stress.
 
-    ``blocks`` lists one or two ``(r0, r1, evaluate)`` that partition the
-    rows of Z: ``evaluate(z, bz)`` writes rows r0:r1 of B(Z) Z into ``bz``
-    and returns their share of the stress of ``z``.  ``step(bz, helper)``
+    ``blocks`` lists one or two callables over a partition of the rows of
+    Z: ``block(z, bz)`` writes its rows of B(Z) Z into ``bz`` and returns
+    their share of the stress of ``z``.  ``step(bz, helper)``
     returns the next configuration, V^+ B(Z) Z (or V~^+ B(Z) Z).  The
     second block, and any second block of the step, runs on ``helper`` when
     one is given; the blocks, and so the bits of every result, are the same
@@ -494,7 +491,7 @@ def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
     bz = np.empty(z.shape)
 
     def evaluate(z):
-        return sum(_run_blocks(helper, [partial(fn, z, bz) for _, _, fn in blocks]))
+        return sum(_run_blocks(helper, [partial(block, z, bz) for block in blocks]))
 
     value = evaluate(z)
     trajectory = [max(value, 0.0)]
@@ -517,11 +514,14 @@ def smacof(
     z0: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    v_pinv: np.ndarray | None = None,
     *,
     _helper=None,
 ) -> tuple[np.ndarray, StressReport]:
     """Guttman steps from ``z0`` until one lowers the stress by less than ``rtol`` of its start.
+
+    Weights with one value c > 0 off the diagonal step by the closed form
+    V^+ = (I - J/n) / (c n); other weights take ``v_matrix_pinv(w)`` once
+    per run, at cubic cost.
 
     Parameters
     ----------
@@ -536,11 +536,6 @@ def smacof(
         stops once the drop falls to that floor.
     max_iter : int
         Iteration budget.
-    v_pinv : ndarray, optional
-        Precomputed ``v_matrix_pinv(w)``, used for the steps when given.
-        Without it, weights with one value c > 0 off the diagonal take the
-        closed form V^+ = (I - J/n) / (c n); other weights compute it, at
-        cubic cost, so callers looping over couplings pass it in.
 
     Returns
     -------
@@ -553,20 +548,23 @@ def smacof(
         On mismatched shapes, invalid stopping parameters, or a non-finite
         or negative weight.
     DegenerateWeights
-        If ``v_pinv`` is computed and the weight graph is disconnected.
+        If the weights are not one value c > 0 off the diagonal and their
+        graph is disconnected.
+    NumericalFailure
+        If V + J/n is not numerically positive definite.
     """
     _check_stop(rtol, max_iter)
     z, d, w = _check_shapes(z0, d, w)
     c = _check_weights(w, "weight matrix")
     ev, n = _Evaluator(d, w, c), z.shape[0]
     bounds = _row_blocks(n, n >= SPLIT_ROWS)
-    if v_pinv is None and c is not None:
+    if c is not None:
         step = partial(_centred_step, c * n)
     else:
-        step = partial(_blocked_product, v_matrix_pinv(w) if v_pinv is None else v_pinv, bounds)
+        step = partial(_blocked_product, v_matrix_pinv(w), bounds)
     # eta_d^2 is counted once, in the first block
-    blocks = [(r0, r1, partial(ev.rows, r0, r1, ev.eta_d if r0 == 0 else 0.0,
-                               scratch=_chunk_scratch(r1 - r0, n)))
+    blocks = [partial(ev.rows, r0, r1, ev.eta_d if r0 == 0 else 0.0,
+                      scratch=_chunk_scratch(r1 - r0, n))
               for r0, r1 in bounds]
     return _majorize(blocks, step, z, max_iter, rtol, _helper)
 
@@ -606,8 +604,9 @@ def joint_smacof(
     Parameters
     ----------
     d1, d2, w1, w2 : ndarray
-        Per-dataset dissimilarities and finite, nonnegative weights; each
-        weight graph must be connected (``v_matrix_pinv`` checks this).
+        Per-dataset dissimilarities and finite, nonnegative weights.  Their
+        graphs' connectivity is not checked here; ``solve`` has each
+        dataset's initial ``smacof`` run check it.
     p : ndarray of shape (n1, n2)
         Nonnegative coupling with at least one positive entry.
     lam : float
@@ -681,10 +680,7 @@ def joint_smacof(
         cross = b @ _squared_norms(z2) - 2.0 * np.vdot(z1[h:], np.matmul(p[h:], z2, out=pz[h:]))
         return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch2) + lam * float(cross)
 
-    if split:
-        blocks = [(0, n1, first), (n1, n, second)]
-    else:
-        blocks = [(0, n, lambda z, bz: first(z, bz) + second(z, bz))]
+    blocks = [first, second] if split else [lambda z, bz: first(z, bz) + second(z, bz)]
     z, report = _majorize(blocks, step, np.vstack([z1, z2]), max_iter, rtol, _helper)
     return z[:n1], z[n1:], report
 

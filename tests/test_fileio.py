@@ -328,3 +328,23 @@ class TestCompressedInputs:
         with pytest.raises(InvalidInput, match="m.csv: .*Input/output error") as err:
             fileio.read_matrix(path, digest=hashlib.sha256())
         assert "decompress" not in str(err.value)
+
+    def test_read_error_on_an_archive_is_not_a_decompression_error(self, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "m.csv.gz"
+        path.write_bytes(gzip.compress(b"1,0\n0,1\n"))
+
+        def fail(self, b):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(fileio._Hashed, "readinto", fail)
+        with pytest.raises(InvalidInput, match=r"m.csv.gz: \[Errno 5\] Input/output error") as err:
+            fileio.read_matrix(path, digest=hashlib.sha256())
+        assert "decompress" not in str(err.value)
+
+    @pytest.mark.parametrize("hashed", [False, True])
+    def test_truncated_archive_is_a_decompression_error(self, tmp_path, hashed):
+        path = tmp_path / "m.csv.gz"
+        path.write_bytes(gzip.compress(b"1,2\n3,4\n" * 1000)[:-12])
+        with pytest.raises(InvalidInput, match="m.csv.gz: cannot decompress"):
+            fileio.read_matrix(path, digest=hashlib.sha256() if hashed else None)

@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from jointscale import (
     FULL_MATRIX_FACTOR,
+    DegenerateWeights,
     InvalidInput,
     JointConfig,
     Marginals,
@@ -394,9 +395,9 @@ class TestSolve:
         cfg.gw_init = False
         assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
 
-    def test_weight_connectivity_checked_once_per_dataset(self, monkeypatch):
-        # the joint passes need no connectivity check of their own
-        smacof_module = importlib.import_module("jointscale.smacof")
+    def test_weight_connectivity_checked_once_per_initial_smacof_run(self, monkeypatch):
+        # each restart's two initial smacof runs check it; the joint passes
+        # need no connectivity check of their own
         calls = []
 
         def counting(*args, **kwargs):
@@ -407,8 +408,20 @@ class TestSolve:
         rng = np.random.default_rng(17)
         d = pairwise_euclidean(rng.standard_normal((12, 2)))
         w = power_weight_matrix(d, 4.0)
-        solve(d, d, w, w, JointConfig(outer_iters=5, restarts=2, seed=0))
-        assert len(calls) == 2
+        cfg = JointConfig(outer_iters=5, restarts=2, seed=0)
+        solve(d, d, w, w, cfg, threads=1)
+        assert len(calls) == 2 * cfg.restarts
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_disconnected_weights_are_degenerate(self, threads):
+        # two components: nothing ties the first six points to the other six
+        rng = np.random.default_rng(18)
+        d = pairwise_euclidean(rng.standard_normal((12, 2)))
+        w = power_weight_matrix(d, 4.0)
+        w[:6, 6:] = w[6:, :6] = 0.0
+        with pytest.raises(DegenerateWeights, match="2 components"):
+            solve(d, d, power_weight_matrix(d, 4.0), w, JointConfig(outer_iters=2, restarts=2),
+                  threads=threads)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_uniform_weights_take_no_laplacian_inverse(self, monkeypatch, lam):
