@@ -48,11 +48,29 @@ def validate_dissimilarity(d: np.ndarray, name: str = "dissimilarity matrix") ->
         raise InvalidInput(f"{name} contains non-finite entries")
     if np.any(d < 0):
         raise InvalidInput(f"{name} contains negative entries")
-    if np.abs(d - d.T).max(initial=0.0) > SYMMETRY_TOL:
+    if _max_asymmetry(d) > SYMMETRY_TOL:
         raise InvalidInput(f"{name} is not symmetric within {SYMMETRY_TOL}")
     if np.any(np.diag(d) != 0):
         raise InvalidInput(f"{name} has a nonzero diagonal")
     return d
+
+
+def _max_asymmetry(a: np.ndarray) -> float:
+    """max |a - a^T| of a square ``a`` (0 if empty), NaN if the difference has one.
+
+    Taken in row blocks whose working set, the rows, the matching columns
+    and their difference, is about ``_BLOCK_BYTES``; the difference reuses
+    one buffer, so no n x n temporary is made.
+    """
+    n = a.shape[0]
+    rows = max(1, _BLOCK_BYTES // (24 * max(n, 1)))
+    buf = np.empty((min(rows, n), n))
+    worst = 0.0
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        diff = np.subtract(a[lo:hi], a[:, lo:hi].T, out=buf[:hi - lo])
+        worst = np.maximum(worst, np.abs(diff, out=diff).max())
+    return float(worst)
 
 
 def _symmetrize(d: np.ndarray) -> np.ndarray:
@@ -357,7 +375,7 @@ def graph_dissimilarity(adj: np.ndarray, mode: str = "hop") -> np.ndarray:
         raise InvalidInput(f"adjacency must be square, got shape {adj.shape}")
     if np.any(adj < 0):
         raise InvalidInput("adjacency entries must be nonnegative")
-    if np.abs(adj - adj.T).max(initial=0.0) > SYMMETRY_TOL:
+    if _max_asymmetry(adj) > SYMMETRY_TOL:
         raise InvalidInput("adjacency must be symmetric")
     if mode not in ("hop", "inverse-weight"):
         raise InvalidInput(f"unknown mode {mode!r}")

@@ -25,8 +25,8 @@ import numpy as np
 from . import _blas
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
-from .smacof import (FULL_MATRIX_FACTOR, _check_weights, joint_smacof, random_embedding, smacof,
-                     stress)
+from .smacof import (FULL_MATRIX_FACTOR, _check_connected, _check_weights, joint_smacof,
+                     random_embedding, smacof, stress)
 
 # unused here; bench/tracing.py wraps these names on this module
 from .smacof import assemble_joint, v_matrix_pinv  # noqa: F401
@@ -331,8 +331,8 @@ def solve(
         non-finite or negative weight, or ``threads < 1``.
     DegenerateWeights
         If a dataset's weights are not one value c > 0 off the diagonal and
-        their graph is disconnected.  A restart's initial ``smacof`` run
-        raises it, and unlike ``NumericalFailure`` it ends the solve.
+        their graph is disconnected; checked, naming the dataset, before
+        the warm start and the restarts.
     NumericalFailure
         Only if every restart fails; a failing restart is otherwise skipped.
     """
@@ -345,8 +345,9 @@ def solve(
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != d1.shape or w2.shape != d2.shape:
         raise InvalidInput("weight shapes must match their dissimilarity matrices")
-    _check_weights(w1, "first weight matrix")
-    _check_weights(w2, "second weight matrix")
+    for w, name in ((w1, "first weight matrix"), (w2, "second weight matrix")):
+        if _check_weights(w, name) is None:
+            _check_connected(w, f"graph of the {name}")
 
     # the restart pool and the helpers are the only parallelism: BLAS threads
     # would compete with them for the same cores; workers forked inside this

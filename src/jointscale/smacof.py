@@ -88,6 +88,7 @@ from scipy.linalg import blas, lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
+from .dissimilarity import _max_asymmetry
 from .errors import DegenerateWeights, InvalidInput, NumericalFailure
 
 __all__ = [
@@ -195,12 +196,6 @@ def _sym(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Whether ``a`` equals its transpose, compared in row blocks (no n x n temporary)."""
-    return all(np.array_equal(a[r0:r0 + _SYM_BLOCK], a[:, r0:r0 + _SYM_BLOCK].T)
-               for r0 in range(0, a.shape[0], _SYM_BLOCK))
-
-
 def _check_weights(w: np.ndarray, name: str) -> float | None:
     """The one off-diagonal value c > 0 of the square weights ``w``, or None if there is none.
 
@@ -221,6 +216,13 @@ def _check_weights(w: np.ndarray, name: str) -> float | None:
             and diag.max(initial=0.0) < np.inf):
         raise InvalidInput(f"{name} has non-finite or negative entries")
     return float(hi) if 0 < hi == lo else None
+
+
+def _check_connected(w: np.ndarray, name: str) -> None:
+    """Raise ``DegenerateWeights`` naming ``name`` if w's nonzero entries form a disconnected graph."""
+    n_comp, _ = connected_components((w != 0).astype(np.int8), directed=False)
+    if n_comp > 1:
+        raise DegenerateWeights(f"{name} has {n_comp} components; the MDS subproblem decouples")
 
 
 def _laplacian(sym_w: np.ndarray, out: np.ndarray) -> None:
@@ -286,11 +288,7 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
         raise InvalidInput(f"weight matrix must be square, got shape {w.shape}")
     if n == 1:
         return np.zeros((1, 1))
-    n_comp, _ = connected_components((w != 0).astype(np.int8), directed=False)
-    if n_comp > 1:
-        raise DegenerateWeights(
-            f"weight graph has {n_comp} components; the MDS subproblem decouples"
-        )
+    _check_connected(w, "weight graph")
     v = _sym(w)
     _laplacian(v, out=v)
     return _laplacian_pinv(v)
@@ -316,7 +314,7 @@ class _Evaluator:
         self.c = c
         if c is not None:
             self.eta_d = 0.5 * c * (np.vdot(d, d) - np.vdot(np.diagonal(d), np.diagonal(d)))
-            self.wd = d if _is_symmetric(d) else _sym(d)
+            self.wd = d if _max_asymmetry(d) == 0 else _sym(d)
             return
         wd = w * d
         self.eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))

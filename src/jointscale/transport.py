@@ -105,16 +105,11 @@ def cost_matrix(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
     return cdist(z1, z2, metric="sqeuclidean")
 
 
-def _lse_rows(m: np.ndarray) -> np.ndarray:
-    mx = np.max(m, axis=1)
+def _lse(m: np.ndarray, axis: int) -> np.ndarray:
+    """Log-sum-exp of ``m`` along ``axis``; a slice of all -inf gives -inf."""
+    mx = np.max(m, axis=axis, keepdims=True)
     safe = np.where(np.isfinite(mx), mx, 0.0)
-    return safe + np.log(np.exp(m - safe[:, None]).sum(axis=1))
-
-
-def _lse_cols(m: np.ndarray) -> np.ndarray:
-    mx = np.max(m, axis=0)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    return safe + np.log(np.exp(m - safe[None, :]).sum(axis=0))
+    return safe.squeeze(axis) + np.log(np.exp(m - safe).sum(axis=axis))
 
 
 def _kernel(mk: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -184,8 +179,8 @@ def _newton(mk, a, b, u, v, tol, max_steps):
     backtracked until it gains at least ``ARMIJO_FRACTION`` of the predicted
     ascent (see ``_step_length``).  Stops once the L1 marginal violation (rows plus columns) is
     below ``tol``, after ``max_steps`` steps, or when a factorization or
-    line search fails; returns the potentials, their violation and the
-    number of steps taken.
+    line search fails; returns the potentials, their coupling
+    exp(mk + u (+) v), its violation and the number of steps taken.
     """
     n = a.size
     steps = 0
@@ -195,7 +190,7 @@ def _newton(mk, a, b, u, v, tol, max_steps):
             rows, cols = p.sum(axis=1), p.sum(axis=0)
             violation = float(np.abs(rows - a).sum() + np.abs(cols - b).sum())
             if violation < tol or steps == max_steps:
-                return u, v, violation, steps
+                return u, v, p, violation, steps
             grad = np.concatenate((a - rows, (b - cols)[:-1]))
             diagonal = np.concatenate((rows, cols[:-1]))
             hess = np.diag(diagonal)  # the lower triangle is all the factorization reads
@@ -203,16 +198,16 @@ def _newton(mk, a, b, u, v, tol, max_steps):
             try:
                 factor = _factor(hess, diagonal)
             except linalg.LinAlgError:
-                return u, v, violation, steps
+                return u, v, p, violation, steps
             delta = linalg.cho_solve(factor, grad, check_finite=False)
             du, dv = delta[:n], np.append(delta[n:], 0.0)
             ascent = float(grad @ delta)
             linear = float(a @ du + b @ dv)
             if not (math.isfinite(ascent) and ascent > 0 and math.isfinite(linear)):
-                return u, v, violation, steps
+                return u, v, p, violation, steps
             t = _step_length(p, du, dv, linear, ascent)
             if t is None:
-                return u, v, violation, steps
+                return u, v, p, violation, steps
             u, v = u + t * du, v + t * dv
             p = _kernel(mk, u, v)
             steps += 1
@@ -263,7 +258,7 @@ def sinkhorn(
         Iteration budget at the target epsilon and L1 marginal tolerance.
     log : bool
         Also return a dict with the log potentials (``"u"``, ``"v"``;
-        the log coupling is -c / epsilon + u (+) v), the L1
+        the coupling is exp(-c / epsilon + u (+) v)), the L1
         marginal violation of the returned coupling, the scaling iteration
         counts at the target epsilon and in the warm-up (``"iterations"``,
         ``"warmup_iterations"``), the Newton steps taken
@@ -276,6 +271,9 @@ def sinkhorn(
     Returns
     -------
     ndarray of shape (n, n'), and a dict when ``log`` is set.
+        The coupling is the last phase's own: the scaling loop's kernel
+        scaled by its two scalings, or the last Newton iterate.  It equals
+        exp(-c / epsilon + u (+) v) of the returned potentials to rounding.
     """
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
@@ -295,17 +293,19 @@ def sinkhorn(
         log_a = np.log(a)
         log_b = np.log(b)
 
-    def scale(eps, u, v, budget):
+    def scale(mk, u, v, budget):
         # Multiplicative scaling on the stabilized kernel K = exp(mk + u (+) v):
         # the iterate's log potentials are u + log sa and v + log sb.  After
         # each sb update the column sums equal b exactly, so convergence is
         # tracked on the row sums sa * (K @ sb), whose second factor also
-        # gives the next sa: two matrix-vector products per iteration.
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            mk = -c / eps
+        # gives the next sa: two matrix-vector products per iteration.  The
+        # kernel, scaled in place by sa (x) sb, is the iterate's coupling.
+        def restart(u, v):
             k = _kernel(mk, u, v)
-            kb = k.sum(axis=1)
-            sa, sb = np.ones_like(a), np.ones_like(b)
+            return k, k.sum(axis=1), np.ones_like(a), np.ones_like(b)
+
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            k, kb, sa, sb = restart(u, v)
             violation = np.inf
             iterations = 0
             for iterations in range(1, budget + 1):
@@ -318,11 +318,9 @@ def sinkhorn(
                 else:
                     # the kernel under- or overflowed (stale warm start, tiny
                     # epsilon): redo this iteration in the log domain
-                    u = log_a - _lse_rows(mk + (v + np.log(sb))[None, :])
-                    v = log_b - _lse_cols(mk + u[:, None])
-                    sa, sb = np.ones_like(a), np.ones_like(b)
-                    k = _kernel(mk, u, v)
-                    kb = k.sum(axis=1)
+                    u = log_a - _lse(mk + (v + np.log(sb))[None, :], axis=1)
+                    v = log_b - _lse(mk + u[:, None], axis=0)
+                    k, kb, sa, sb = restart(u, v)
                     violation = float(np.abs(kb - a).sum())
                     if not math.isfinite(violation):
                         raise NumericalFailure("sinkhorn scaling produced non-finite marginals")
@@ -331,10 +329,10 @@ def sinkhorn(
                 if (sa.max() > ABSORB or sa.min() < 1.0 / ABSORB
                         or sb.max() > ABSORB or sb.min() < 1.0 / ABSORB):
                     u, v = u + np.log(sa), v + np.log(sb)
-                    sa, sb = np.ones_like(a), np.ones_like(b)
-                    k = _kernel(mk, u, v)
-                    kb = k.sum(axis=1)
-            return u + np.log(sa), v + np.log(sb), violation, iterations
+                    k, kb, sa, sb = restart(u, v)
+            k *= sa[:, None]
+            k *= sb[None, :]
+            return u + np.log(sa), v + np.log(sb), k, violation, iterations
 
     warmup_iterations = 0
     if warm_start is not None:
@@ -345,37 +343,35 @@ def sinkhorn(
         spread = float(c.max() - c.min()) if c.size else 0.0
         eps_run = spread / WARMUP_SPREAD_FACTOR
         while eps_run > epsilon:
-            u, v, _, used = scale(eps_run, u, v, WARMUP_STAGE_ITERS)
+            u, v, _, _, used = scale(-c / eps_run, u, v, WARMUP_STAGE_ITERS)
             warmup_iterations += used
             eps_next = max(eps_run / 2.0, epsilon)
             # potentials are f/eps; rescale to keep the dual variables continuous
             u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
             eps_run = eps_next
 
+    mk = -c / epsilon
     # Newton steps need positive marginals, else the Hessian is singular
     start = newton_start(a.size, b.size)
     newton_steps = 0
     max_steps = (max_iter - start) // start if a.min() > 0 and b.min() > 0 else 0
     if max_steps > 0:
-        u, v, violation, iterations = scale(epsilon, u, v, start)
+        u, v, p, violation, iterations = scale(mk, u, v, start)
         if violation >= tol:
-            u, v, violation, newton_steps = _newton(-c / epsilon, a, b, u, v, tol,
-                                                    max_steps)
+            u, v, p, violation, newton_steps = _newton(mk, a, b, u, v, tol, max_steps)
             remaining = max_iter - start * (1 + newton_steps)
             if violation >= tol and remaining > 0:
                 # Newton stopped short (a failed factorization or line search,
                 # or its share of the budget spent): scaling takes the rest
-                u, v, _, more = scale(epsilon, u, v, remaining)
+                u, v, p, _, more = scale(mk, u, v, remaining)
                 iterations += more
     else:
-        u, v, _, iterations = scale(epsilon, u, v, max_iter)
-    p = -c / epsilon + u[:, None] + v[None, :]
-    np.exp(p, out=p)
-    violation = float(
-        np.abs(p.sum(axis=1) - a).sum() + np.abs(p.sum(axis=0) - b).sum()
-    )
-    if not np.all(np.isfinite(p)):
+        u, v, p, _, iterations = scale(mk, u, v, max_iter)
+    rows = p.sum(axis=1)
+    # p >= 0, so a NaN or infinite entry leaves its row's sum non-finite
+    if not np.all(np.isfinite(rows)):
         raise NumericalFailure("sinkhorn coupling contains non-finite entries")
+    violation = float(np.abs(rows - a).sum() + np.abs(p.sum(axis=0) - b).sum())
     if log:
         info = {
             "u": u,

@@ -18,7 +18,7 @@ from jointscale import (
     uniform_weight_matrix,
 )
 from jointscale import dissimilarity
-from jointscale.dissimilarity import _smallest_k
+from jointscale.dissimilarity import _max_asymmetry, _smallest_k
 
 
 def brute_force_euclidean(x):
@@ -157,6 +157,29 @@ class TestPairwiseEuclideanAgainstCdist:
         x = features(n=50, p=11)
         scaled = pairwise_euclidean(np.ldexp(x, power))
         assert np.array_equal(scaled, np.ldexp(pairwise_euclidean(x), power))
+
+
+class TestMaxAsymmetry:
+    """Block by block, the same figure as np.abs(a - a.T).max()."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 600])
+    def test_matches_dense(self, n):
+        rows = dissimilarity._BLOCK_BYTES // (24 * max(n, 1))
+        if n == 600:
+            assert n > 2 * rows and n % rows  # over two blocks, the last one partial
+        rng = np.random.default_rng(n)
+        sym = rng.random((n, n))
+        sym += sym.T
+        assert _max_asymmetry(sym) == 0.0
+        a = sym + 1e-9 * rng.standard_normal((n, n))
+        if n > 1:
+            a[n - 1, n - 2] += 1.0  # seen only from the last block's rows
+        assert _max_asymmetry(a) == np.abs(a - a.T).max(initial=0.0)
+
+    def test_nan_propagates(self):
+        a = np.zeros((3, 3))
+        a[2, 1] = np.nan
+        assert np.isnan(_max_asymmetry(a))
 
 
 class TestSmallestK:

@@ -396,8 +396,9 @@ class TestSolve:
         assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
 
     def test_weight_connectivity_checked_once_per_initial_smacof_run(self, monkeypatch):
-        # each restart's two initial smacof runs check it; the joint passes
-        # need no connectivity check of their own
+        # solve checks each dataset once up front and each restart's two
+        # initial smacof runs check it again; the joint passes need no
+        # connectivity check of their own
         calls = []
 
         def counting(*args, **kwargs):
@@ -410,18 +411,23 @@ class TestSolve:
         w = power_weight_matrix(d, 4.0)
         cfg = JointConfig(outer_iters=5, restarts=2, seed=0)
         solve(d, d, w, w, cfg, threads=1)
-        assert len(calls) == 2 * cfg.restarts
+        assert len(calls) == 2 + 2 * cfg.restarts
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_disconnected_weights_are_degenerate(self, threads):
-        # two components: nothing ties the first six points to the other six
+    def test_disconnected_weights_are_degenerate(self, monkeypatch, threads):
+        # two components: nothing ties the first six points to the other six;
+        # the error names the dataset and comes before the GW warm start
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warm start run on disconnected weights")
+
+        monkeypatch.setattr(jointmds, "entropic_gw", forbidden)
         rng = np.random.default_rng(18)
         d = pairwise_euclidean(rng.standard_normal((12, 2)))
         w = power_weight_matrix(d, 4.0)
         w[:6, 6:] = w[6:, :6] = 0.0
-        with pytest.raises(DegenerateWeights, match="2 components"):
-            solve(d, d, power_weight_matrix(d, 4.0), w, JointConfig(outer_iters=2, restarts=2),
-                  threads=threads)
+        cfg = JointConfig(outer_iters=2, restarts=2, gw_init=True)
+        with pytest.raises(DegenerateWeights, match="second weight matrix has 2 components"):
+            solve(d, d, power_weight_matrix(d, 4.0), w, cfg, threads=threads)
 
     @pytest.mark.parametrize("lam", [0.0, 0.3])
     def test_uniform_weights_take_no_laplacian_inverse(self, monkeypatch, lam):

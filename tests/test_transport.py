@@ -9,6 +9,7 @@ from scipy.special import logsumexp, xlogy
 from jointscale import (
     InvalidInput,
     Marginals,
+    NumericalFailure,
     cost_matrix,
     entropic_gw,
     match_argmax,
@@ -70,12 +71,23 @@ def counting(monkeypatch, name):
     calls = []
     real = getattr(transport, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls.append(1)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(transport, name, wrapper)
     return calls
+
+
+def assert_coupling_of_potentials(p, c, eps, info):
+    """The returned coupling is exp(-c / eps + u (+) v) of the returned potentials.
+
+    To 1e-12 relative; below the smallest normal float, where entries carry
+    fewer significant bits, to that float absolutely.
+    """
+    np.testing.assert_allclose(
+        p, np.exp(-c / eps + info["u"][:, None] + info["v"][None, :]), rtol=1e-12,
+        atol=np.finfo(float).tiny)
 
 
 def marginal_violation(p, m):
@@ -226,7 +238,7 @@ class TestSinkhorn:
         m = Marginals.uniform(40, 40)
         _, prev = sinkhorn(c + 0.01 * rng.random((40, 40)), m, 0.01, tol=1e-9, log=True)
         warm = (prev["u"], prev["v"])
-        fallbacks = counting(monkeypatch, "_lse_cols")
+        fallbacks = counting(monkeypatch, "_lse")
         with scaling_only():
             p, info = sinkhorn(c, m, 0.01, tol=1e-9, log=True, warm_start=warm)
         oracle, iterations = log_domain_sinkhorn(c, m, 0.01, transport.SINKHORN_MAX_ITER,
@@ -234,6 +246,7 @@ class TestSinkhorn:
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
         assert not fallbacks
+        assert_coupling_of_potentials(p, c, 0.01, info)
         assert_matches_long_run(c, m, 0.01, transport.SINKHORN_MAX_ITER, 1e-9, warm)
 
     def test_matches_log_domain_oracle_cold_start(self):
@@ -245,6 +258,7 @@ class TestSinkhorn:
         oracle, iterations = log_domain_sinkhorn(c, m, 0.02, 20_000, 1e-9)
         assert info["warmup_iterations"] > 0
         assert info["converged"]
+        assert_coupling_of_potentials(p, c, 0.02, info)
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
         assert_matches_long_run(c, m, 0.02, 20_000, 1e-9)
@@ -283,13 +297,14 @@ class TestSinkhorn:
         eps = 1e-3 * float(c.max() - c.min())
         _, stale = sinkhorn(c_old, m, eps, max_iter=100_000, tol=1e-6, log=True)
         stale = (stale["u"], stale["v"])
-        fallbacks = counting(monkeypatch, "_lse_cols")
+        fallbacks = counting(monkeypatch, "_lse")
         with scaling_only():
             p, info = sinkhorn(c, m, eps, max_iter=100_000, tol=1e-4, log=True,
                                warm_start=stale)
         assert fallbacks
         assert info["converged"]
         assert marginal_violation(p, m) <= 1e-4
+        assert_coupling_of_potentials(p, c, eps, info)
         oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-4, stale)
         assert np.abs(p - oracle).sum() <= 1e-12
         assert info["iterations"] == iterations
@@ -311,13 +326,14 @@ class TestSinkhorn:
         m = Marginals.uniform(30, 30)
         eps = 0.01 * float(c.max() - c.min())
         kernels = counting(monkeypatch, "_kernel")
-        fallbacks = counting(monkeypatch, "_lse_cols")
+        fallbacks = counting(monkeypatch, "_lse")
         p, info = sinkhorn(c, m, eps, max_iter=50_000, tol=1e-9, log=True,
                            warm_start=(np.zeros(30), np.zeros(30)))
         assert len(kernels) > 1
         assert not fallbacks
         assert info["converged"]
         assert marginal_violation(p, m) <= 1e-9
+        assert_coupling_of_potentials(p, c, eps, info)
 
     def test_non_finite_cost_rejected(self):
         with pytest.raises(InvalidInput):
@@ -362,6 +378,7 @@ class TestSinkhornNewton:
         assert info["iterations"] == transport.newton_start(*c.shape)
         assert info["converged"]
         assert marginal_violation(p, m) < 1e-11
+        assert_coupling_of_potentials(p, c, eps, info)
         oracle, iterations = log_domain_sinkhorn(c, m, eps, 20_000, 1e-13, warm)
         assert iterations < 20_000
         assert np.abs(p - oracle).sum() <= 1e-10
@@ -373,7 +390,7 @@ class TestSinkhornNewton:
         spread = float(c.max() - c.min())
         eps = 1e-3 * spread
         stale = self.warm_started(earlier - spread, earlier - spread, m, eps, 1e-11)
-        fallbacks = counting(monkeypatch, "_lse_cols")
+        fallbacks = counting(monkeypatch, "_lse")
         p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=stale)
         assert fallbacks
         assert info["newton_steps"] > 0
@@ -476,6 +493,32 @@ class TestSinkhornNewton:
         assert info["newton_steps"] == 0
         assert info["iterations"] == iterations == budget
         assert np.abs(p - oracle).sum() <= 1e-12
+
+    def test_non_finite_coupling_raises(self, monkeypatch):
+        # room for one Newton step and nothing after it, so that step's
+        # kernel is the coupling returned: a NaN planted in the last kernel
+        # built must be caught on the way out
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        budget = 2 * transport.newton_start(15, 25)
+        real, built = transport._kernel, []
+        plant_at = 0
+
+        def planting(*args):
+            k = real(*args)
+            built.append(1)
+            if len(built) == plant_at:
+                k[0, 0] = np.nan
+            return k
+
+        monkeypatch.setattr(transport, "_kernel", planting)
+        _, info = sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, log=True, warm_start=warm)
+        assert info["newton_steps"] == 1
+        plant_at, built[:] = len(built), []
+        with pytest.raises(NumericalFailure, match="coupling contains non-finite"):
+            sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, warm_start=warm)
+        assert len(built) == plant_at
 
 
 class TestOrthogonalProcrustes:
