@@ -463,6 +463,9 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
 
 
 def cmd_joint(args) -> int:
+    # transfer accuracy, the one metric that reads labels, needs both files
+    if (args.labels1 is None) != (args.labels2 is None):
+        _fail("--labels1 and --labels2 must be given together")
     result, doc = _run_pair(args, _build_config(args), args.input1, args.input2,
                             (args.labels1, args.labels2))
     print(f"joint embedding done; final objective {result.final_objective:.6g} "

@@ -175,7 +175,7 @@ def _run_restart(
     ramp_iters = math.ceil(cfg.outer_iters / 2)
     epsilon = cfg.epsilon0
     trace: list[float] = []
-    potentials = eps_prev = None
+    potentials = None
     sinkhorn_at_budget = newton_steps = 0
     reports = []
     for t in range(1, cfg.outer_iters + 1):
@@ -183,10 +183,6 @@ def _run_restart(
         mean_cost = (np.vdot(z1, z1) / len(z1) + np.vdot(z2, z2) / len(z2)
                      - 2.0 * z1.mean(axis=0) @ z2.mean(axis=0))
         eps_eff = max(epsilon, EPSILON_FLOOR_FRACTION * float(mean_cost))
-        if potentials is not None:
-            # scaling potentials are dual values over epsilon; keep them warm
-            ratio = eps_prev / eps_eff
-            potentials = (potentials[0] * ratio, potentials[1] * ratio)
         coupling, rotation, wp_info = wasserstein_procrustes(
             z1, z2, marginals, eps_eff, cfg.inner_wp_iters, p0=coupling,
             sinkhorn_tol=WP_SINKHORN_TOL, warm_start=potentials,
@@ -194,7 +190,6 @@ def _run_restart(
         potentials = wp_info["potentials"]
         sinkhorn_at_budget += wp_info["sinkhorn_at_budget"]
         newton_steps += wp_info["newton_steps"]
-        eps_prev = eps_eff
         z1 = z1 @ rotation
 
         lam_t = cfg.lam

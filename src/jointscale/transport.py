@@ -18,6 +18,13 @@ two are alternated to align point sets with unknown correspondences.
 after their result, counting the Sinkhorn solves that stopped at their
 budget; ``sinkhorn`` returns the coupling, and its own info dict as well
 when called with ``log=True``, as both of them do.
+
+Dual potentials cross these calls as (f, g) in the cost's units: the
+coupling of cost C at regularization epsilon is
+P = exp((f (+) g - C) / epsilon).  They do not depend on epsilon, so the
+potentials of one solve warm-start the next at another epsilon as they are;
+only ``sinkhorn`` divides them by epsilon, on entry, and multiplies back on
+exit.
 """
 
 from __future__ import annotations
@@ -170,22 +177,23 @@ def _step_length(p, du, dv, linear, ascent):
     return None
 
 
-def _newton(mk, a, b, u, v, tol, max_steps):
+def _newton(mk, a, b, u, v, p, tol, max_steps):
     """Damped Newton ascent on the dual a.u + b.v - sum exp(mk + u (+) v).
 
-    The last entry of ``v`` stays pinned, which removes the dual's one flat
-    direction (u + s, v - s) and leaves the Hessian
-    [[diag(P1), P], [P^T, diag(P^T 1)]] positive definite.  Each step is
-    backtracked until it gains at least ``ARMIJO_FRACTION`` of the predicted
-    ascent (see ``_step_length``).  Stops once the L1 marginal violation (rows plus columns) is
-    below ``tol``, after ``max_steps`` steps, or when a factorization or
-    line search fails; returns the potentials, their coupling
-    exp(mk + u (+) v), its violation and the number of steps taken.
+    Starts from the potentials u, v and their coupling ``p``, as the
+    scaling loop returns them.  The last entry of ``v`` stays pinned, which
+    removes the dual's one flat direction (u + s, v - s) and leaves the
+    Hessian [[diag(P1), P], [P^T, diag(P^T 1)]] positive definite.  Each
+    step is backtracked until it gains at least ``ARMIJO_FRACTION`` of the
+    predicted ascent (see ``_step_length``).  Stops once the L1 marginal
+    violation (rows plus columns) is below ``tol``, after ``max_steps``
+    steps, or when a factorization or line search fails; returns the
+    potentials, their coupling exp(mk + u (+) v), its violation and the
+    number of steps taken.
     """
     n = a.size
     steps = 0
     with np.errstate(over="ignore"):
-        p = _kernel(mk, u, v)
         while True:
             rows, cols = p.sum(axis=1), p.sum(axis=0)
             violation = float(np.abs(rows - a).sum() + np.abs(cols - b).sum())
@@ -228,15 +236,16 @@ def sinkhorn(
     ``m``.  Each iteration updates both scaling potentials and stops once
     the L1 marginal violation (rows plus columns) falls below ``tol``.
     The updates are multiplicative on the kernel exp(-C/epsilon + u (+) v)
-    of the current log potentials u, v; the scalings are absorbed into u, v
-    when they leave [1/ABSORB, ABSORB], and an iteration whose kernel
-    products under- or overflow is redone in the log domain.  Both give
-    the same iterates as a log-domain loop up to rounding.  With zero
-    entries in the marginals every iteration after the first runs in the
-    log domain.
+    of the current log potentials u = f / epsilon, v = g / epsilon; the
+    scalings are absorbed into u, v when they leave [1/ABSORB, ABSORB],
+    and an iteration whose kernel products under- or overflow is redone in
+    the log domain.  Both give the same iterates as a log-domain loop up to
+    rounding.  With zero entries in the marginals every iteration after the
+    first runs in the log domain.
     When ``epsilon`` is small against the cost spread and no warm start is
-    given, the potentials are first run in at geometrically decaying
-    regularization; the fixed point solved for is unchanged.
+    given, the potentials (f, g) are first run in at geometrically decaying
+    regularization, each stage dividing them by its own epsilon; the fixed
+    point solved for is unchanged.
     A solve still short of ``tol`` after ``newton_start(n, n')`` iterations
     at the target epsilon is finished by damped Newton steps on the dual
     (see ``_newton``), each of which uses ``newton_start(n, n')`` iterations
@@ -257,23 +266,23 @@ def sinkhorn(
     max_iter, tol : int, float
         Iteration budget at the target epsilon and L1 marginal tolerance.
     log : bool
-        Also return a dict with the log potentials (``"u"``, ``"v"``;
-        the coupling is exp(-c / epsilon + u (+) v)), the L1
+        Also return a dict with the dual potentials in the cost's units
+        (``"f"``, ``"g"``; the coupling is exp((f (+) g - c) / epsilon)), the L1
         marginal violation of the returned coupling, the scaling iteration
         counts at the target epsilon and in the warm-up (``"iterations"``,
         ``"warmup_iterations"``), the Newton steps taken
         (``"newton_steps"``) and whether the violation is below ``tol``
         (``"converged"``).
-    warm_start : (u, v), optional
-        Log-domain scaling potentials to start from, e.g. from a previous
-        call on a nearby cost.
+    warm_start : (f, g), optional
+        Dual potentials in the cost's units to start from, e.g. those of a
+        previous call on a nearby cost, at any epsilon.
 
     Returns
     -------
     ndarray of shape (n, n'), and a dict when ``log`` is set.
         The coupling is the last phase's own: the scaling loop's kernel
         scaled by its two scalings, or the last Newton iterate.  It equals
-        exp(-c / epsilon + u (+) v) of the returned potentials to rounding.
+        exp((f (+) g - c) / epsilon) of the returned potentials to rounding.
     """
     if epsilon <= 0:
         raise InvalidInput(f"epsilon must be > 0, got {epsilon}")
@@ -336,21 +345,21 @@ def sinkhorn(
 
     warmup_iterations = 0
     if warm_start is not None:
-        u, v = np.asarray(warm_start[0], dtype=float), np.asarray(warm_start[1], dtype=float)
+        f, g = np.asarray(warm_start[0], dtype=float), np.asarray(warm_start[1], dtype=float)
     else:
-        u = np.zeros_like(a)
-        v = np.zeros_like(b)
+        f = np.zeros_like(a)
+        g = np.zeros_like(b)
         spread = float(c.max() - c.min()) if c.size else 0.0
         eps_run = spread / WARMUP_SPREAD_FACTOR
         while eps_run > epsilon:
-            u, v, _, _, used = scale(-c / eps_run, u, v, WARMUP_STAGE_ITERS)
+            u, v, _, _, used = scale(-c / eps_run, f / eps_run, g / eps_run,
+                                     WARMUP_STAGE_ITERS)
             warmup_iterations += used
-            eps_next = max(eps_run / 2.0, epsilon)
-            # potentials are f/eps; rescale to keep the dual variables continuous
-            u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
-            eps_run = eps_next
+            f, g = eps_run * u, eps_run * v
+            eps_run = max(eps_run / 2.0, epsilon)
 
     mk = -c / epsilon
+    u, v = f / epsilon, g / epsilon
     # Newton steps need positive marginals, else the Hessian is singular
     start = newton_start(a.size, b.size)
     newton_steps = 0
@@ -358,7 +367,7 @@ def sinkhorn(
     if max_steps > 0:
         u, v, p, violation, iterations = scale(mk, u, v, start)
         if violation >= tol:
-            u, v, p, violation, newton_steps = _newton(mk, a, b, u, v, tol, max_steps)
+            u, v, p, violation, newton_steps = _newton(mk, a, b, u, v, p, tol, max_steps)
             remaining = max_iter - start * (1 + newton_steps)
             if violation >= tol and remaining > 0:
                 # Newton stopped short (a failed factorization or line search,
@@ -374,8 +383,8 @@ def sinkhorn(
     violation = float(np.abs(rows - a).sum() + np.abs(p.sum(axis=0) - b).sum())
     if log:
         info = {
-            "u": u,
-            "v": v,
+            "f": epsilon * u,
+            "g": epsilon * v,
             "marginal_violation": violation,
             "iterations": iterations,
             "warmup_iterations": warmup_iterations,
@@ -428,11 +437,12 @@ def wasserstein_procrustes(
 
     Returns
     -------
-    (coupling, rotation, info), with the final scaling potentials under
-    ``info["potentials"]``, under ``"sinkhorn_at_budget"`` how many rounds'
-    transport solves stopped at their iteration budget short of
-    ``sinkhorn_tol``, and under ``"newton_steps"`` the Newton steps those
-    solves took.
+    (coupling, rotation, info), with the last solve's dual potentials
+    (f, g), in the cost's units, under ``info["potentials"]``; they
+    warm-start a later call at any epsilon through ``warm_start``.  Under
+    ``"sinkhorn_at_budget"``, how many rounds' transport solves stopped at
+    their iteration budget short of ``sinkhorn_tol``, and under
+    ``"newton_steps"`` the Newton steps those solves took.
     """
     if inner_iters < 1:
         raise InvalidInput(f"inner_iters must be >= 1, got {inner_iters}")
@@ -454,7 +464,7 @@ def wasserstein_procrustes(
             log=True,
             warm_start=potentials,
         )
-        potentials = (info["u"], info["v"])
+        potentials = (info["f"], info["g"])
         at_budget += not info["converged"]
         newton_steps += info["newton_steps"]
         rotation = orthogonal_procrustes(z1, coupling, z2)
@@ -474,7 +484,10 @@ def entropic_gw(
     Mirror-descent iterations with squared difference loss: each step builds
     the gradient cost of <L(d1, d2) x P, P> at the current coupling,
     proximally regularized by the KL to the current iterate, and re-projects
-    with Sinkhorn.  Starts from the product coupling and makes at most
+    with Sinkhorn.  The proximal term is read off the last solve: its
+    coupling is exp((f (+) g - cost) / epsilon), so the next cost is
+    gradient + cost - (f (+) g), from the product coupling's f = epsilon
+    log a, g = epsilon log b and cost 0 at the start.  Makes at most
     ``GW_OUTER_ITERS`` steps, stopping once a step changes the coupling by
     less than ``GW_TOL`` in L1.
 
@@ -491,21 +504,22 @@ def entropic_gw(
     if d1.shape != (a.size, a.size) or d2.shape != (b.size, b.size):
         raise InvalidInput("dissimilarity shapes do not match the marginals")
     const = (d1**2 @ a)[:, None] + (d2**2 @ b)[None, :]
+    # the product coupling, exp((f (+) g - cost) / epsilon) of these
     coupling = np.outer(a, b)
-    log_coupling = np.log(coupling)
-    potentials = None
+    cost, f, g = 0.0, epsilon * np.log(a), epsilon * np.log(b)
+    potentials = None  # the first solve starts cold, through sinkhorn's warm-up
     at_budget = 0
     for _ in range(GW_OUTER_ITERS):
         grad = const - 2.0 * d1 @ coupling @ d2
-        # KL-proximal (mirror) step keeps iterates sharp at small epsilon
-        cost = grad - epsilon * log_coupling
+        # KL-proximal (mirror) step keeps iterates sharp at small epsilon:
+        # cost - (f (+) g) is -epsilon log P of the current coupling
+        cost = grad + cost - f[:, None] - g[None, :]
         cost -= cost.min()
         new, info = sinkhorn(cost, m, epsilon, log=True, warm_start=potentials)
         at_budget += not info["converged"]
         delta = float(np.abs(new - coupling).sum())
         coupling = new
-        potentials = (info["u"], info["v"])
-        log_coupling = -cost / epsilon + potentials[0][:, None] + potentials[1][None, :]
+        potentials = f, g = info["f"], info["g"]
         if delta < GW_TOL:
             break
     return coupling, {"sinkhorn_at_budget": at_budget}

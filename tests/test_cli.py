@@ -540,6 +540,21 @@ def test_input_flag_ignored_by_kind_rejected(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--labels1", "--labels2"])
+def test_joint_lone_labels_flag_rejected(tmp_path, capsys, flag):
+    # no metric reads one labels file alone; the inputs do not exist, so the
+    # pair is checked before any file is read
+    out = tmp_path / "o"
+    assert run_cli(["joint", "missing.csv", "missing.csv", flag, "missing.txt",
+                    "--out", out]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["level"] == "error"
+    assert record["message"] == "--labels1 and --labels2 must be given together"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["match", "g1.txt", "g2.txt"], ["eval"]])
 def test_kind_flag_rejected(tmp_path, command):
     # match always reads edge lists and eval reads no dissimilarity input

@@ -117,6 +117,23 @@ class TestPairwiseEuclideanAgainstCdist:
         d = self.assert_close(x)
         assert np.array_equal(d, whole)
 
+    def test_scattered_near_pairs_in_wide_rows(self, monkeypatch):
+        # the second half repeats the first with 1e-9 jitter: 500 near pairs,
+        # one in each row of the upper half, each recomputed on its own
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((500, 2000))
+        x = np.vstack([x, x + 1e-9 * rng.standard_normal(x.shape)])
+        recomputed, real = [], dissimilarity._recompute
+
+        def counting(d, x, a, b, scale):
+            recomputed.append(a.size)
+            real(d, x, a, b, scale)
+
+        monkeypatch.setattr(dissimilarity, "_recompute", counting)
+        d = self.assert_close(x)
+        assert sum(recomputed) == 500
+        assert np.all(d[np.arange(500), np.arange(500, 1000)] < 1e-7)
+
     def test_exact_duplicates_are_exactly_zero(self):
         x = features()
         x = np.vstack([x, x[::3], x[:2]]) + 1e3

@@ -456,6 +456,15 @@ class TestSolve:
         with pytest.raises(InvalidInput, match=f"{name} weight matrix"):
             solve(d, d, *w, JointConfig(outer_iters=2, restarts=1))
 
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_empty_dissimilarity_rejected(self, which):
+        d = [pairwise_euclidean(np.random.default_rng(13).standard_normal((10, 2)))] * 2
+        w = [uniform_weight_matrix(10)] * 2
+        d[which], w[which] = np.zeros((0, 0)), np.zeros((0, 0))
+        name = ("first", "second")[which]
+        with pytest.raises(InvalidInput, match=f"{name} dissimilarity matrix is empty"):
+            solve(*d, *w, JointConfig(outer_iters=2, restarts=1))
+
     def test_invalid_weights_shape(self):
         rng = np.random.default_rng(13)
         d = pairwise_euclidean(rng.standard_normal((10, 2)))

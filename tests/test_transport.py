@@ -36,7 +36,9 @@ def log_domain_sinkhorn(c, m, eps, max_iter, tol, warm_start=None):
     """Plain log-domain Sinkhorn with the same warm-up and stopping rule.
 
     The oracle for the kernel-domain loop: returns the coupling and the
-    iteration count at the target epsilon.
+    iteration count at the target epsilon.  As in ``sinkhorn``, the warm
+    start and the potentials between warm-up stages are in the cost's units,
+    divided by each stage's epsilon.
     """
     with np.errstate(divide="ignore"):
         log_a, log_b = np.log(m.a), np.log(m.b)
@@ -53,16 +55,15 @@ def log_domain_sinkhorn(c, m, eps, max_iter, tol, warm_start=None):
         return u, v, used
 
     if warm_start is not None:
-        u, v = warm_start
+        f, g = warm_start
     else:
-        u, v = np.zeros(c.shape[0]), np.zeros(c.shape[1])
+        f, g = np.zeros(c.shape[0]), np.zeros(c.shape[1])
         eps_run = float(c.max() - c.min()) / transport.WARMUP_SPREAD_FACTOR
         while eps_run > eps:
-            u, v, _ = scale(eps_run, u, v, transport.WARMUP_STAGE_ITERS)
-            eps_next = max(eps_run / 2.0, eps)
-            u, v = u * (eps_run / eps_next), v * (eps_run / eps_next)
-            eps_run = eps_next
-    u, v, used = scale(eps, u, v, max_iter)
+            u, v, _ = scale(eps_run, f / eps_run, g / eps_run, transport.WARMUP_STAGE_ITERS)
+            f, g = eps_run * u, eps_run * v
+            eps_run = max(eps_run / 2.0, eps)
+    u, v, used = scale(eps, f / eps, g / eps, max_iter)
     return np.exp(-c / eps + u[:, None] + v[None, :]), used
 
 
@@ -80,13 +81,13 @@ def counting(monkeypatch, name):
 
 
 def assert_coupling_of_potentials(p, c, eps, info):
-    """The returned coupling is exp(-c / eps + u (+) v) of the returned potentials.
+    """The returned coupling is exp((f (+) g - c) / eps) of the returned potentials.
 
     To 1e-12 relative; below the smallest normal float, where entries carry
     fewer significant bits, to that float absolutely.
     """
     np.testing.assert_allclose(
-        p, np.exp(-c / eps + info["u"][:, None] + info["v"][None, :]), rtol=1e-12,
+        p, np.exp((info["f"][:, None] + info["g"][None, :] - c) / eps), rtol=1e-12,
         atol=np.finfo(float).tiny)
 
 
@@ -199,7 +200,7 @@ class TestSinkhorn:
         assert np.abs(p.sum(axis=1) - m.a).sum() + np.abs(p.sum(axis=0) - m.b).sum() <= 1e-9
 
     def test_dual_trace_monotone(self):
-        # the entropic dual eps (u.a + v.b - sum P) after k iterations from a
+        # the entropic dual f.a + g.b - eps sum P after k iterations from a
         # fixed start, replayed for every k up to convergence, never decreases
         rng = np.random.default_rng(2)
         c = rng.random((6, 6))
@@ -213,7 +214,7 @@ class TestSinkhorn:
                 p, info_k = sinkhorn(c, m, eps, max_iter=k, tol=1e-12, log=True,
                                      warm_start=zeros)
                 assert info_k["iterations"] == k
-                trace.append(eps * (info_k["u"] @ m.a + info_k["v"] @ m.b - p.sum()))
+                trace.append(info_k["f"] @ m.a + info_k["g"] @ m.b - eps * p.sum())
         assert len(trace) > 100
         assert np.all(np.diff(trace) >= -1e-10)
         assert_matches_long_run(c, m, eps, transport.SINKHORN_MAX_ITER, 1e-12, zeros)
@@ -237,7 +238,7 @@ class TestSinkhorn:
         c = rng.random((40, 40))
         m = Marginals.uniform(40, 40)
         _, prev = sinkhorn(c + 0.01 * rng.random((40, 40)), m, 0.01, tol=1e-9, log=True)
-        warm = (prev["u"], prev["v"])
+        warm = (prev["f"], prev["g"])
         fallbacks = counting(monkeypatch, "_lse")
         with scaling_only():
             p, info = sinkhorn(c, m, 0.01, tol=1e-9, log=True, warm_start=warm)
@@ -296,7 +297,7 @@ class TestSinkhorn:
         m = Marginals.uniform(20, 20)
         eps = 1e-3 * float(c.max() - c.min())
         _, stale = sinkhorn(c_old, m, eps, max_iter=100_000, tol=1e-6, log=True)
-        stale = (stale["u"], stale["v"])
+        stale = (stale["f"], stale["g"])
         fallbacks = counting(monkeypatch, "_lse")
         with scaling_only():
             p, info = sinkhorn(c, m, eps, max_iter=100_000, tol=1e-4, log=True,
@@ -315,7 +316,7 @@ class TestSinkhorn:
         fallbacks.clear()
         p, info = default_solve(c, m, eps, 100_000, 1e-11, stale)
         assert fallbacks
-        oracle, _ = log_domain_sinkhorn(c, m, eps, 1000, 0.0, (info["u"], info["v"]))
+        oracle, _ = log_domain_sinkhorn(c, m, eps, 1000, 0.0, (info["f"], info["g"]))
         assert np.abs(p - oracle).sum() <= 1e-10
 
     def test_absorbing_run_meets_tolerance(self, monkeypatch):
@@ -334,6 +335,45 @@ class TestSinkhorn:
         assert info["converged"]
         assert marginal_violation(p, m) <= 1e-9
         assert_coupling_of_potentials(p, c, eps, info)
+
+    @pytest.mark.parametrize("power", [-7, 3])
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_potentials_are_in_cost_units(self, power, start):
+        # scaling cost, epsilon and the warm start by a power of two s leaves
+        # every quotient by epsilon with the same bits: the same coupling, and
+        # s times the potentials
+        c, earlier, m = cloud_costs(15, 25, 3)
+        eps = 1e-3 * float(c.max() - c.min())
+        s = 2.0**power
+        warm = None
+        if start == "warm":
+            _, prev = sinkhorn(earlier, m, eps, tol=1e-9, log=True)
+            warm = (prev["f"], prev["g"])
+        p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        scaled_warm = None if warm is None else (s * warm[0], s * warm[1])
+        p_s, info_s = sinkhorn(s * c, m, s * eps, tol=1e-11, log=True,
+                               warm_start=scaled_warm)
+        assert (info["warmup_iterations"] > 0) == (start == "cold")
+        assert info["newton_steps"] > 0
+        assert np.array_equal(p_s, p)
+        assert np.array_equal(info_s["f"], s * info["f"])
+        assert np.array_equal(info_s["g"], s * info["g"])
+
+    def test_warm_start_at_a_decayed_epsilon(self):
+        # the outer loop's pattern: the potentials of a solve at eps start
+        # the next solve, at 0.95 eps on a nearby cost, as they are
+        c, earlier, m = cloud_costs(30, 30, 4)
+        eps = 0.01 * float(c.max() - c.min())
+        _, prev = sinkhorn(earlier, m, eps, tol=1e-9, log=True)
+        warm = (prev["f"], prev["g"])
+        with scaling_only():
+            p, info = sinkhorn(c, m, 0.95 * eps, tol=1e-9, log=True, warm_start=warm)
+        oracle, iterations = log_domain_sinkhorn(c, m, 0.95 * eps,
+                                                 transport.SINKHORN_MAX_ITER, 1e-9, warm)
+        assert info["converged"]
+        assert info["warmup_iterations"] == 0
+        assert np.abs(p - oracle).sum() <= 1e-12
+        assert info["iterations"] == iterations
 
     def test_non_finite_cost_rejected(self):
         with pytest.raises(InvalidInput):
@@ -359,7 +399,7 @@ class TestSinkhornNewton:
     def warm_started(c, earlier, m, eps, tol):
         _, prev = sinkhorn(earlier, m, eps, max_iter=100_000, tol=tol, log=True)
         assert prev["converged"]
-        return prev["u"], prev["v"]
+        return prev["f"], prev["g"]
 
     @pytest.mark.parametrize("case", ["square", "rectangular"])
     def test_matches_long_log_domain_run(self, case):
@@ -422,7 +462,7 @@ class TestSinkhornNewton:
         assert info["newton_steps"] > 0
         assert info["converged"]
         assert marginal_violation(p, m) < 1e-9
-        step, _ = log_domain_sinkhorn(c, m, eps, 1, 0.0, (info["u"], info["v"]))
+        step, _ = log_domain_sinkhorn(c, m, eps, 1, 0.0, (info["f"], info["g"]))
         assert np.abs(step - p).sum() <= 1e-9
 
     def test_zero_mass_keeps_scaling_path(self):
@@ -466,7 +506,7 @@ class TestSinkhornNewton:
 
     def test_dual_never_decreases(self):
         # replayed with room for k Newton steps, k = 0, 1, ..., the dual
-        # eps (u.a + v.b - sum P) of the returned potentials never decreases
+        # f.a + g.b - eps sum P of the returned potentials never decreases
         c, earlier, m = cloud_costs(15, 25, 0)
         eps = 1e-3 * float(c.max() - c.min())
         warm = self.warm_started(c, earlier, m, eps, 1e-11)
@@ -478,7 +518,7 @@ class TestSinkhornNewton:
                                warm_start=warm)
             assert info["iterations"] == start
             assert info["newton_steps"] == k
-            trace.append(eps * (info["u"] @ m.a + info["v"] @ m.b - p.sum()))
+            trace.append(info["f"] @ m.a + info["g"] @ m.b - eps * p.sum())
         assert len(trace) >= 3
         assert np.all(np.diff(trace) >= -1e-12)
 
@@ -493,6 +533,25 @@ class TestSinkhornNewton:
         assert info["newton_steps"] == 0
         assert info["iterations"] == iterations == budget
         assert np.abs(p - oracle).sum() <= 1e-12
+
+    def test_newton_starts_from_the_scaling_coupling(self, monkeypatch):
+        # the coupling the scaling loop returns is Newton's first iterate:
+        # no kernel is built between the scaling loop's last one and the
+        # first Newton step's line search
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        events = []
+        for name in ("_kernel", "_newton", "_step_length"):
+            def wrapper(*args, _real=getattr(transport, name), _name=name, **kwargs):
+                events.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(transport, name, wrapper)
+        _, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        assert info["newton_steps"] > 0
+        entered = events.index("_newton")
+        assert "_kernel" in events[:entered]
+        assert events[entered + 1:entered + 3] == ["_step_length", "_kernel"]
 
     def test_non_finite_coupling_raises(self, monkeypatch):
         # room for one Newton step and nothing after it, so that step's
