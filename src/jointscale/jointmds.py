@@ -293,7 +293,11 @@ def solve(
     w1, w2 : ndarray
         Stress weights for each dataset.
     cfg : JointConfig
-        Solver hyperparameters; restart r uses seed ``cfg.seed + r``.
+        Solver hyperparameters; restart r uses seed ``cfg.seed + r``.  With
+        ``cfg.gw_init`` every restart starts from one entropic
+        Gromov-Wasserstein coupling of the two inputs, except when every
+        dissimilarity is 0: then every coupling is GW-optimal, and the
+        restarts start as they do without it.
     threads : int
         Cores the solver may use, >= 1.  Restarts run on a pool of
         ``min(threads, cfg.restarts)`` processes forked from the caller, so
@@ -349,7 +353,9 @@ def solve(
     # scope inherit the one-thread setting
     with _blas.single_threaded():
         gw_coupling, gw_at_budget = None, 0
-        if cfg.gw_init:
+        # when every dissimilarity is 0 every coupling is GW-optimal, and the
+        # GW epsilon, a share of their mean square, would be 0
+        if cfg.gw_init and (d1.any() or d2.any()):
             # deterministic in the inputs, hence shared across restarts
             gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
             gw_coupling, gw_info = entropic_gw(

@@ -8,11 +8,16 @@ the kernel is rebuilt, so the kernel stays representable however small the
 regularization; an iteration whose kernel products under- or overflow anyway
 (a stale warm start, say) is redone in the log domain.  A solve whose scaling
 stalls at the target regularization is finished by Newton steps on the dual
-(Brauer, Clason, Lorenz & Wirth 2017): they start once the scaling loop has
-made about as many matrix-vector products as one dense Newton solve costs,
-and hand the rest of the budget back to scaling if a factorization or line
-search fails.  The orthogonal factor is recovered from a d x d SVD, and the
-two are alternated to align point sets with unknown correspondences.
+(Brauer, Clason, Lorenz & Wirth 2017).  The scaling loop has a share of the
+budget before them, ``newton_start`` iterations, about as much work as one
+dense Newton solve.  Sinkhorn converges linearly (Franklin & Lorenz 1989),
+so the loop measures its rate every ``STALL_WINDOW`` iterations and hands
+over as soon as that rate cannot reach the tolerance within the share; if
+Newton then takes no step, scaling finishes the share and Newton is tried
+again.  Newton hands the rest of the budget back to scaling if a
+factorization or line search fails.  The orthogonal factor is recovered
+from a d x d SVD, and the two are alternated to align point sets with
+unknown correspondences.
 
 ``wasserstein_procrustes`` and ``entropic_gw`` always return an info dict
 after their result, counting the Sinkhorn solves that stopped at their
@@ -64,9 +69,14 @@ WARMUP_STAGE_ITERS = 100
 # once one of them leaves [1/ABSORB, ABSORB]
 ABSORB = 1e3
 
-# Newton steps on the dual may start after no fewer scaling iterations than
-# this; each step uses as much of the iteration budget as the wait before it
+# the wait before Newton steps on the dual is no shorter than this many
+# scaling iterations; each step uses as much of the iteration budget as the
+# wait
 NEWTON_MIN_START = 100
+# before Newton, the scaling loop measures its linear rate over windows of
+# this many iterations and hands over as soon as that rate cannot reach the
+# tolerance within the wait
+STALL_WINDOW = 10
 # Armijo fraction of the predicted dual ascent a Newton step must achieve,
 # and the shortest step tried before the line search counts as failed
 ARMIJO_FRACTION = 1e-4
@@ -131,10 +141,26 @@ def newton_start(n: int, m: int) -> int:
 
     A Cholesky factorization of the (n+m-1)-square dual Hessian costs about
     (n+m)^3 / 6 multiply-adds, as many as (n+m)^3 / (6nm) products with the
-    n x m kernel; the wait is that many iterations, at least
-    ``NEWTON_MIN_START``.  It depends on the problem's size only.
+    n x m kernel.  The wait is that many iterations, at least
+    ``NEWTON_MIN_START``; an iteration makes two kernel products, so it is
+    twice as many products as the factorization costs.  It depends on the
+    problem's size only; a loop whose measured rate shows it stalling hands
+    over before it (see ``_stalled``).
     """
     return max(NEWTON_MIN_START, (n + m) ** 3 // (6 * n * m))
+
+
+def _stalled(violation, earlier, tol, left):
+    """Whether scaling at its measured rate misses ``tol`` in ``left`` iterations.
+
+    The rate is rho = (violation / earlier)^(1 / STALL_WINDOW), from the
+    violation ``earlier`` one window back.  Sinkhorn converges linearly, so
+    at 0 < rho < 1 it needs log(tol / violation) / log rho more iterations,
+    and it stalls when that exceeds ``left``: violation * rho^left > tol.  A
+    rate of 1 or more, or of 0 (no window yet), never stalls.
+    """
+    rate = (violation / earlier) ** (1.0 / STALL_WINDOW)
+    return 0.0 < rate < 1.0 and violation * rate**left > tol
 
 
 def _factor(hess, diagonal):
@@ -246,14 +272,25 @@ def sinkhorn(
     given, the potentials (f, g) are first run in at geometrically decaying
     regularization, each stage dividing them by its own epsilon; the fixed
     point solved for is unchanged.
-    A solve still short of ``tol`` after ``newton_start(n, n')`` iterations
-    at the target epsilon is finished by damped Newton steps on the dual
-    (see ``_newton``), each of which uses ``newton_start(n, n')`` iterations
-    of the budget; a budget below two such shares takes no Newton step.  If
-    a factorization fails even with a ridge (see ``_factor``), or a line
+    A solve still short of ``tol`` after ``start = newton_start(n, n')``
+    iterations at the target epsilon is finished by damped Newton steps on
+    the dual (see ``_newton``), each of which uses ``start`` iterations of
+    the budget; a budget below two such shares takes no Newton step.  The
+    scaling loop hands over before ``start`` once it stalls: every
+    ``STALL_WINDOW`` iterations it takes the rate rho = (v_j / v_{j-w})^(1/w)
+    of its L1 violation v over the last w = ``STALL_WINDOW`` iterations, and
+    at iteration j hands over once 0 < rho < 1 and log(tol / v_j) / log rho
+    > start - j, that is, once this rate cannot reach ``tol`` within the
+    share.  An iteration redone in the log domain restarts the window.  If
+    that early Newton attempt takes no step, scaling finishes the share and
+    Newton is tried again at ``start``.  Newton takes at most
+    (``max_iter`` - iterations) // ``start`` steps, so the scaling
+    iterations plus ``start`` per Newton step never exceed ``max_iter``.
+    If a factorization fails even with a ridge (see ``_factor``), or a line
     search fails, scaling resumes from the Newton iterate for the rest of
-    the budget.  Marginals with zero entries make the Hessian singular and
-    never take the Newton path.
+    the budget, ``max_iter`` - iterations - ``start`` x Newton steps.
+    Marginals with zero entries make the Hessian singular and never take
+    the Newton path.
 
     Parameters
     ----------
@@ -302,13 +339,16 @@ def sinkhorn(
         log_a = np.log(a)
         log_b = np.log(b)
 
-    def scale(mk, u, v, budget):
+    def scale(mk, u, v, budget, watch=False):
         # Multiplicative scaling on the stabilized kernel K = exp(mk + u (+) v):
         # the iterate's log potentials are u + log sa and v + log sb.  After
         # each sb update the column sums equal b exactly, so convergence is
         # tracked on the row sums sa * (K @ sb), whose second factor also
         # gives the next sa: two matrix-vector products per iteration.  The
         # kernel, scaled in place by sa (x) sb, is the iterate's coupling.
+        # With ``watch`` set the loop also stops, short of ``tol``, once the
+        # rate over its last STALL_WINDOW iterations cannot reach ``tol``
+        # within the budget (see ``_stalled``).
         def restart(u, v):
             k = _kernel(mk, u, v)
             return k, k.sum(axis=1), np.ones_like(a), np.ones_like(b)
@@ -317,6 +357,8 @@ def sinkhorn(
             k, kb, sa, sb = restart(u, v)
             violation = np.inf
             iterations = 0
+            # the rate window: the violation STALL_WINDOW iterations back
+            window_at, window_violation = 0, np.inf
             for iterations in range(1, budget + 1):
                 sa = a / kb
                 sb_next = b / (k.T @ sa)
@@ -333,8 +375,14 @@ def sinkhorn(
                     violation = float(np.abs(kb - a).sum())
                     if not math.isfinite(violation):
                         raise NumericalFailure("sinkhorn scaling produced non-finite marginals")
+                    # a rate taken across the redo would not be the loop's
+                    window_at, window_violation = iterations, violation
                 if violation < tol:
                     break
+                if watch and iterations - window_at == STALL_WINDOW:
+                    if _stalled(violation, window_violation, tol, budget - iterations):
+                        break
+                    window_at, window_violation = iterations, violation
                 if (sa.max() > ABSORB or sa.min() < 1.0 / ABSORB
                         or sb.max() > ABSORB or sb.min() < 1.0 / ABSORB):
                     u, v = u + np.log(sa), v + np.log(sb)
@@ -363,17 +411,26 @@ def sinkhorn(
     # Newton steps need positive marginals, else the Hessian is singular
     start = newton_start(a.size, b.size)
     newton_steps = 0
-    max_steps = (max_iter - start) // start if a.min() > 0 and b.min() > 0 else 0
-    if max_steps > 0:
-        u, v, p, violation, iterations = scale(mk, u, v, start)
+    if max_iter >= 2 * start and a.min() > 0 and b.min() > 0:
+        # each Newton step uses `start` iterations of the budget
+        u, v, p, violation, iterations = scale(mk, u, v, start, watch=True)
         if violation >= tol:
-            u, v, p, violation, newton_steps = _newton(mk, a, b, u, v, p, tol, max_steps)
-            remaining = max_iter - start * (1 + newton_steps)
-            if violation >= tol and remaining > 0:
-                # Newton stopped short (a failed factorization or line search,
-                # or its share of the budget spent): scaling takes the rest
-                u, v, p, _, more = scale(mk, u, v, remaining)
-                iterations += more
+            u, v, p, violation, newton_steps = _newton(
+                mk, a, b, u, v, p, tol, (max_iter - iterations) // start)
+        if violation >= tol and newton_steps == 0 and iterations < start:
+            # the stalled loop handed over early and Newton took no step:
+            # scaling finishes the share and Newton is tried again after it
+            u, v, p, violation, more = scale(mk, u, v, start - iterations)
+            iterations += more
+            if violation >= tol:
+                u, v, p, violation, newton_steps = _newton(
+                    mk, a, b, u, v, p, tol, (max_iter - iterations) // start)
+        remaining = max_iter - iterations - start * newton_steps
+        if violation >= tol and remaining > 0:
+            # Newton stopped short (a failed factorization or line search,
+            # or its share of the budget spent): scaling takes the rest
+            u, v, p, _, more = scale(mk, u, v, remaining)
+            iterations += more
     else:
         u, v, p, _, iterations = scale(mk, u, v, max_iter)
     rows = p.sum(axis=1)
@@ -489,7 +546,9 @@ def entropic_gw(
     gradient + cost - (f (+) g), from the product coupling's f = epsilon
     log a, g = epsilon log b and cost 0 at the start.  Makes at most
     ``GW_OUTER_ITERS`` steps, stopping once a step changes the coupling by
-    less than ``GW_TOL`` in L1.
+    less than ``GW_TOL`` in L1.  Rows and columns of zero mass carry no
+    coupling: the problem is solved on the marginals' support, and its
+    coupling is returned with zero rows and columns put back.
 
     Returns
     -------
@@ -503,6 +562,14 @@ def entropic_gw(
     a, b = m.a, m.b
     if d1.shape != (a.size, a.size) or d2.shape != (b.size, b.size):
         raise InvalidInput("dissimilarity shapes do not match the marginals")
+    rows, cols = a > 0, b > 0
+    if not (rows.all() and cols.all()):
+        # epsilon log a, and the potentials of an empty row, would be -inf
+        inner, info = entropic_gw(d1[np.ix_(rows, rows)], d2[np.ix_(cols, cols)],
+                                  Marginals(a[rows], b[cols]), epsilon)
+        coupling = np.zeros((a.size, b.size))
+        coupling[np.ix_(rows, cols)] = inner
+        return coupling, info
     const = (d1**2 @ a)[:, None] + (d2**2 @ b)[None, :]
     # the product coupling, exp((f (+) g - cost) / epsilon) of these
     coupling = np.outer(a, b)

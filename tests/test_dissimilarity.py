@@ -134,6 +134,36 @@ class TestPairwiseEuclideanAgainstCdist:
         assert sum(recomputed) == 500
         assert np.all(d[np.arange(500), np.arange(500, 1000)] < 1e-7)
 
+    @pytest.mark.parametrize("layout", ["consecutive", "interleaved"])
+    def test_rows_with_many_near_pairs(self, layout, monkeypatch):
+        # a cluster of 1e-3 spread beside far points: every pair inside it is
+        # near, so its rows are recomputed a row at a time, against one slice
+        # of consecutive partners or, with far points between them, gathered
+        # ones; the last rows have too few pairs and go with the others
+        rng = np.random.default_rng(7)
+        cluster = 1e-3 * rng.standard_normal((150, 50))
+        cluster[[40, 90]] = cluster[[10, 11]]  # exact duplicates
+        far = 1e6 + rng.standard_normal((150, 50))
+        if layout == "consecutive":
+            x, dup = np.vstack([far[:1], cluster]), np.array([[11, 41], [12, 91]])
+        else:
+            x = np.empty((300, 50))
+            x[0::2], x[1::2] = cluster, far
+            dup = np.array([[20, 80], [22, 180]])
+        recomputed, real = [], dissimilarity._recompute
+
+        def counting(d, x, a, b, scale):
+            recomputed.append(a.size)
+            real(d, x, a, b, scale)
+
+        monkeypatch.setattr(dissimilarity, "_recompute", counting)
+        d = self.assert_close(x)
+        assert sum(recomputed) >= 150 * 149 // 2
+        assert np.all(d[dup[:, 0], dup[:, 1]] == 0)
+        assert np.array_equal(d, d.T)
+        monkeypatch.setattr(dissimilarity, "_BLOCK_BYTES", 2000)
+        assert np.array_equal(pairwise_euclidean(x), d)
+
     def test_exact_duplicates_are_exactly_zero(self):
         x = features()
         x = np.vstack([x, x[::3], x[:2]]) + 1e3

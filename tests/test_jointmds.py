@@ -395,6 +395,25 @@ class TestSolve:
         cfg.gw_init = False
         assert solve(d, d, w, w, cfg).gw_sinkhorn_at_budget == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_gw_init_on_all_zero_dissimilarities(self, monkeypatch, n):
+        # every coupling is GW-optimal, and the GW epsilon, a share of the
+        # mean square dissimilarity, would be 0: the warm start is skipped,
+        # and the solve is the one made without it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warm start run on all-zero dissimilarities")
+
+        monkeypatch.setattr(jointmds, "entropic_gw", forbidden)
+        d, w = np.zeros((n, n)), uniform_weight_matrix(n)
+        cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=True)
+        res = solve(d, d, w, w, cfg)
+        cfg.gw_init = False
+        plain = solve(d, d, w, w, cfg)
+        assert res.final_objective == plain.final_objective == 0.0
+        assert np.array_equal(res.p, plain.p)
+        assert np.array_equal(res.z1, plain.z1) and np.array_equal(res.z2, plain.z2)
+
     def test_weight_connectivity_checked_once_per_initial_smacof_run(self, monkeypatch):
         # solve checks each dataset once up front and each restart's two
         # initial smacof runs check it again; the joint passes need no

@@ -1,4 +1,5 @@
 import functools
+import math
 from contextlib import contextmanager
 from itertools import permutations
 
@@ -119,6 +120,30 @@ def assert_matches_long_run(c, m, eps, max_iter, tol, warm_start=None):
     oracle, iterations = log_domain_sinkhorn(c, m, eps, 100_000, 1e-13, warm_start)
     assert iterations < 100_000
     assert np.abs(p - oracle).sum() <= 1e-10
+
+
+def stall_handover(c, m, eps, tol, warm_start):
+    """The iteration at which the default solve hands its stalled scaling to Newton.
+
+    Read off plain-scaling replays of the same solve: a budget below two
+    shares takes no Newton step, so the replay with budget j walks the
+    default solve's first j iterates.  Applies the rule as stated: at each
+    window end j, hand over once the rate rho over the window is in (0, 1)
+    and log(tol / v_j) / log rho > newton_start - j.  None when no window
+    end before ``newton_start`` hands over.
+    """
+    start, window = transport.newton_start(*c.shape), transport.STALL_WINDOW
+    earlier = np.inf
+    for j in range(window, start, window):
+        _, info = sinkhorn(c, m, eps, max_iter=j, tol=tol, log=True, warm_start=warm_start)
+        if info["converged"]:
+            return None
+        now = info["marginal_violation"]
+        rate = (now / earlier) ** (1 / window)
+        if 0 < rate < 1 and math.log(tol / now) / math.log(rate) > start - j:
+            return j
+        earlier = now
+    return None
 
 
 def cloud_costs(n, m, seed):
@@ -415,7 +440,9 @@ class TestSinkhornNewton:
         warm = self.warm_started(c, earlier, m, eps, 1e-11)
         p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
         assert info["newton_steps"] > 0
-        assert info["iterations"] == transport.newton_start(*c.shape)
+        # the stalled scaling hands over at the second window's end, not
+        # after the full wait of newton_start = 100 iterations
+        assert info["iterations"] == stall_handover(c, m, eps, 1e-11, warm) == 20
         assert info["converged"]
         assert marginal_violation(p, m) < 1e-11
         assert_coupling_of_potentials(p, c, eps, info)
@@ -432,10 +459,16 @@ class TestSinkhornNewton:
         stale = self.warm_started(earlier - spread, earlier - spread, m, eps, 1e-11)
         fallbacks = counting(monkeypatch, "_lse")
         p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=stale)
-        assert fallbacks
+        assert len(fallbacks) == 2  # one iteration redone: two log-sum-exps
         assert info["newton_steps"] > 0
         assert info["converged"]
         assert marginal_violation(p, m) < 1e-11
+        # that redo is the first iteration and restarts the rate window, so
+        # the stalled loop hands over one window after it
+        fallbacks.clear()
+        sinkhorn(c, m, eps, max_iter=1, tol=1e-11, warm_start=stale)
+        assert len(fallbacks) == 2
+        assert info["iterations"] == 1 + transport.STALL_WINDOW
         oracle, _ = log_domain_sinkhorn(c, m, eps, 20_000, 1e-13, stale)
         assert np.abs(p - oracle).sum() <= 1e-10
 
@@ -504,23 +537,103 @@ class TestSinkhornNewton:
         assert info["iterations"] == iterations
         assert np.abs(p - oracle).sum() <= 1e-12
 
-    def test_dual_never_decreases(self):
-        # replayed with room for k Newton steps, k = 0, 1, ..., the dual
-        # f.a + g.b - eps sum P of the returned potentials never decreases
+    def test_dual_never_decreases(self, monkeypatch):
+        # Newton run one step per call, which walks the same iterates as one
+        # call (it keeps nothing between steps but the potentials and their
+        # coupling): the dual u.a + v.b - sum P, from the scaling loop's
+        # handover on, never decreases
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        real, trace = transport._newton, []
+
+        def stepwise(mk, a, b, u, v, p, tol, max_steps):
+            trace.append(eps * (u @ a + v @ b - p.sum()))
+            steps = 0
+            while True:
+                u, v, p, violation, took = real(mk, a, b, u, v, p, tol, 1)
+                if not took:
+                    return u, v, p, violation, steps
+                trace.append(eps * (u @ a + v @ b - p.sum()))
+                steps += 1
+                if steps == max_steps:
+                    return u, v, p, violation, steps
+
+        monkeypatch.setattr(transport, "_newton", stepwise)
+        _, info = sinkhorn(c, m, eps, tol=1e-14, log=True, warm_start=warm)
+        monkeypatch.undo()
+        _, whole = sinkhorn(c, m, eps, tol=1e-14, log=True, warm_start=warm)
+        assert info["iterations"] == whole["iterations"] == stall_handover(
+            c, m, eps, 1e-14, warm) == 20
+        assert info["newton_steps"] == whole["newton_steps"] == len(trace) - 1
+        assert np.array_equal(info["f"], whole["f"])
+        assert len(trace) >= 3
+        assert np.all(np.diff(trace) >= -1e-12)
+
+    def test_fast_scaling_never_hands_over_early(self, monkeypatch):
+        # at epsilon = 3% of the spread the scaling rate, measured at four
+        # window ends, reaches the tolerance inside the wait, so the window
+        # never stops the loop: the same bits with the window switched off
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 0.03 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        assert info["converged"]
+        assert info["newton_steps"] == 0
+        assert 4 * transport.STALL_WINDOW < info["iterations"] < transport.newton_start(15, 25)
+        monkeypatch.setattr(transport, "STALL_WINDOW", 10**9)
+        p_off, info_off = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        assert np.array_equal(p_off, p)
+        assert np.array_equal(info_off["f"], info["f"])
+        assert np.array_equal(info_off["g"], info["g"])
+        assert info_off["iterations"] == info["iterations"]
+
+    def test_early_newton_without_a_step_retries_after_the_wait(self, monkeypatch):
+        # the first Newton attempt, at the early handover, is made to take
+        # no step: scaling finishes the share and Newton, tried again at
+        # its end, converges
         c, earlier, m = cloud_costs(15, 25, 0)
         eps = 1e-3 * float(c.max() - c.min())
         warm = self.warm_started(c, earlier, m, eps, 1e-11)
         start = transport.newton_start(15, 25)
-        _, full = sinkhorn(c, m, eps, tol=1e-14, log=True, warm_start=warm)
-        trace = []
-        for k in range(full["newton_steps"] + 1):
-            p, info = sinkhorn(c, m, eps, max_iter=start * (k + 1), tol=1e-14, log=True,
-                               warm_start=warm)
-            assert info["iterations"] == start
-            assert info["newton_steps"] == k
-            trace.append(info["f"] @ m.a + info["g"] @ m.b - eps * p.sum())
-        assert len(trace) >= 3
-        assert np.all(np.diff(trace) >= -1e-12)
+        real, entered = transport._newton, []
+
+        def failing_once(mk, a, b, u, v, p, tol, max_steps):
+            entered.append(max_steps)
+            if len(entered) == 1:
+                return u, v, p, marginal_violation(p, m), 0
+            return real(mk, a, b, u, v, p, tol, max_steps)
+
+        monkeypatch.setattr(transport, "_newton", failing_once)
+        p, info = sinkhorn(c, m, eps, tol=1e-11, log=True, warm_start=warm)
+        # entered at iteration 20 and again at the wait's end, each time with
+        # as many steps as the budget left holds
+        assert entered == [(transport.SINKHORN_MAX_ITER - 20) // start,
+                           (transport.SINKHORN_MAX_ITER - start) // start]
+        assert info["iterations"] == start
+        assert info["newton_steps"] > 0
+        assert info["converged"]
+        assert marginal_violation(p, m) < 1e-11
+        assert_coupling_of_potentials(p, c, eps, info)
+        oracle, _ = log_domain_sinkhorn(c, m, eps, 20_000, 1e-13, warm)
+        assert np.abs(p - oracle).sum() <= 1e-10
+
+    @pytest.mark.parametrize("failure", [None, "line search"])
+    @pytest.mark.parametrize("extra", [0, 1, 19, 20, 21, 99, 250])
+    def test_scaling_and_newton_share_the_budget(self, monkeypatch, failure, extra):
+        # scaling iterations plus newton_start per Newton step never exceed
+        # max_iter, whether Newton converges, runs out of steps or fails
+        c, earlier, m = cloud_costs(15, 25, 0)
+        eps = 1e-3 * float(c.max() - c.min())
+        warm = self.warm_started(c, earlier, m, eps, 1e-11)
+        if failure:
+            monkeypatch.setattr(transport, "ARMIJO_FRACTION", 1e6)
+        start = transport.newton_start(15, 25)
+        budget = 2 * start + extra
+        _, info = sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, log=True,
+                           warm_start=warm)
+        assert info["iterations"] + start * info["newton_steps"] <= budget
+        assert (info["newton_steps"] > 0) == (failure is None)
 
     def test_budget_below_two_starts_takes_no_newton_step(self):
         c, earlier, m = cloud_costs(15, 25, 0)
@@ -554,13 +667,16 @@ class TestSinkhornNewton:
         assert events[entered + 1:entered + 3] == ["_step_length", "_kernel"]
 
     def test_non_finite_coupling_raises(self, monkeypatch):
-        # room for one Newton step and nothing after it, so that step's
-        # kernel is the coupling returned: a NaN planted in the last kernel
-        # built must be caught on the way out
+        # room for two Newton steps after the stalled scaling's handover and
+        # nothing after them, so the last step's kernel is the coupling
+        # returned: a NaN planted in the last kernel built must be caught on
+        # the way out
         c, earlier, m = cloud_costs(15, 25, 0)
         eps = 1e-3 * float(c.max() - c.min())
         warm = self.warm_started(c, earlier, m, eps, 1e-11)
-        budget = 2 * transport.newton_start(15, 25)
+        handover = stall_handover(c, m, eps, 1e-14, warm)
+        assert handover == 20
+        budget = handover + 2 * transport.newton_start(15, 25)
         real, built = transport._kernel, []
         plant_at = 0
 
@@ -573,7 +689,8 @@ class TestSinkhornNewton:
 
         monkeypatch.setattr(transport, "_kernel", planting)
         _, info = sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, log=True, warm_start=warm)
-        assert info["newton_steps"] == 1
+        assert info["iterations"] == handover
+        assert info["newton_steps"] == 2
         plant_at, built[:] = len(built), []
         with pytest.raises(NumericalFailure, match="coupling contains non-finite"):
             sinkhorn(c, m, eps, max_iter=budget, tol=1e-14, warm_start=warm)
@@ -717,6 +834,27 @@ class TestEntropicGW:
     def test_single_point(self):
         p, _ = entropic_gw(np.zeros((1, 1)), np.zeros((1, 1)), Marginals.uniform(1, 1), 0.1)
         assert np.allclose(p, [[1.0]])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a, b", [
+        ([0.25, 0.25, 0.25, 0.25, 0.0], [0.25, 0.25, 0.25, 0.25, 0.0]),
+        ([0.0, 0.25, 0.25, 0.0, 0.25, 0.25], [0.25, 0.25, 0.0, 0.25, 0.25]),
+    ], ids=["last point", "scattered"])
+    def test_zero_mass_solved_on_the_support(self, a, b):
+        # the empty rows and columns stay 0, and the support's block is the
+        # coupling of the problem restricted to the support, bit for bit
+        a, b = np.array(a), np.array(b)
+        rng = np.random.default_rng(15)
+        d1 = pairwise_euclidean(rng.standard_normal((a.size, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((b.size, 2)))
+        rows, cols = a > 0, b > 0
+        p, info = entropic_gw(d1, d2, Marginals(a, b), 0.05)
+        block, block_info = entropic_gw(d1[np.ix_(rows, rows)], d2[np.ix_(cols, cols)],
+                                        Marginals(a[rows], b[cols]), 0.05)
+        assert np.array_equal(p[np.ix_(rows, cols)], block)
+        assert np.all(p[~rows] == 0.0) and np.all(p[:, ~cols] == 0.0)
+        assert info == block_info
+        assert marginal_violation(p, Marginals(a, b)) <= 1e-5
 
     def test_marginals_respected(self):
         rng = np.random.default_rng(14)
