@@ -25,13 +25,21 @@ from .errors import (
     JointScaleError,
     NumericalFailure,
 )
-from .jointmds import JointConfig, JointResult, joint_objective, match_argmax, solve
+from .jointmds import (
+    JointConfig,
+    JointResult,
+    joint_objective,
+    match_argmax,
+    seeded_restarts,
+    solve,
+)
 from .metrics import accuracy, foscttm, knn_transfer, node_correctness, rmsd_d, topk_accuracy
 from .smacof import (
     FULL_MATRIX_FACTOR,
     JointBlocks,
     StressReport,
     assemble_joint,
+    classical_embedding,
     joint_smacof,
     random_embedding,
     smacof,
@@ -68,6 +76,7 @@ __all__ = [
     "StressReport",
     "JointBlocks",
     "random_embedding",
+    "classical_embedding",
     "stress",
     "v_matrix_pinv",
     "smacof",
@@ -82,6 +91,7 @@ __all__ = [
     "JointConfig",
     "JointResult",
     "joint_objective",
+    "seeded_restarts",
     "solve",
     "match_argmax",
     "foscttm",

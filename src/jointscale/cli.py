@@ -433,6 +433,10 @@ def _run_pair(args, cfg: JointConfig, path1, path2, label_paths=(None, None),
         "openblas": [{"library": name, "threads": get(), "threads_in_solve": 1}
                      for name, (get, _) in _blas.openblas_pools().items()],
     }
+    if jointmds.seeded_restarts(d1, d2, cfg) == 0:
+        # every restart starts from a reflection of the classical scalings
+        _log("info", "no restart draws from the seed", seed=cfg.seed,
+             restarts=cfg.restarts, reflections=2**cfg.dim)
     result = jointmds.solve(d1, d2, w1, w2, cfg, threads=args.threads,
                             on_outer=on_outer)
     _write_joint_outputs(args, manifest, result)

@@ -7,8 +7,12 @@ first embedding, and (iii) a joint majorization pass on the coupled block
 instance (``joint_smacof``, which never builds that instance).  The entropic
 regularization decays geometrically across outer iterations; the matching
 penalty ramps up over the first half of the run when ``lambda_anneal`` is
-set.  Restarts differ only in their seed and the smallest final objective
+set.  Restarts differ only in their start and the smallest final objective
 wins; ``solve`` runs them on worker processes forked from the caller.
+Without a Gromov-Wasserstein warm start every restart starts from the two
+datasets' classical scalings, restart r with the axes of the second one
+negated by the bits of r; restarts past those 2^dim reflections, and every
+restart after a warm start, start from a seeded random configuration.
 """
 
 from __future__ import annotations
@@ -25,14 +29,15 @@ import numpy as np
 from . import _blas
 from .dissimilarity import validate_dissimilarity
 from .errors import InvalidInput, NumericalFailure
-from .smacof import (FULL_MATRIX_FACTOR, _check_connected, _check_weights, joint_smacof,
-                     random_embedding, smacof, stress)
+from .smacof import (FULL_MATRIX_FACTOR, _check_connected, _check_weights, classical_embedding,
+                     joint_smacof, random_embedding, smacof, stress)
 
 # unused here; bench/tracing.py wraps these names on this module
 from .smacof import assemble_joint, v_matrix_pinv  # noqa: F401
 from .transport import Marginals, cost_matrix, entropic_gw, wasserstein_procrustes
 
-__all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "match_argmax"]
+__all__ = ["JointConfig", "JointResult", "joint_objective", "solve", "seeded_restarts",
+           "match_argmax"]
 
 INIT_SMACOF_MAX_ITER = 300
 EPSILON_FLOOR_FRACTION = 1e-3
@@ -153,18 +158,45 @@ def _init_scale(d1: np.ndarray, d2: np.ndarray) -> float:
     return float(total / count)
 
 
+def _gw_epsilon(d1: np.ndarray, d2: np.ndarray) -> float:
+    """The warm start's entropic regularization, a share of the mean square dissimilarity."""
+    return GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
+
+
+def seeded_restarts(d1: np.ndarray, d2: np.ndarray, cfg: JointConfig) -> int:
+    """How many of ``solve``'s restarts start from a configuration drawn from ``cfg.seed``.
+
+    With a Gromov-Wasserstein warm start that runs, every restart does;
+    otherwise only those past the 2^dim reflections of the classical starts.
+    """
+    if cfg.gw_init and _gw_epsilon(d1, d2) > 0:
+        return cfg.restarts
+    return max(0, cfg.restarts - 2**cfg.dim)
+
+
 def _initial_embeddings(
-    d1: np.ndarray, d2: np.ndarray, cfg: JointConfig, restart: int
+    d1: np.ndarray, d2: np.ndarray, cfg: JointConfig, restart: int, classical=None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Restart ``restart``'s start configurations.
+
+    Given ``classical``, each dataset's classical embedding, restart r < 2^dim
+    starts from them with axis k of the second negated where bit k of r is
+    set.  Any other restart starts from a random configuration drawn from
+    seed ``cfg.seed + r``.
+    """
+    if classical is not None and restart < 2**cfg.dim:
+        z1, z2 = classical
+        return z1, z2 * [-1.0 if restart >> k & 1 else 1.0 for k in range(cfg.dim)]
     n1 = d1.shape[0]
     z = random_embedding(n1 + d2.shape[0], cfg.dim, cfg.seed + restart, _init_scale(d1, d2))
     return z[:n1], z[n1:]
 
 
 def _run_restart(
-    d1, d2, w1, w2, cfg: JointConfig, restart: int, gw_coupling=None, on_outer=None, helper=None
+    d1, d2, w1, w2, cfg: JointConfig, restart: int, gw_coupling=None, classical=None,
+    on_outer=None, helper=None
 ) -> JointResult:
-    z1, z2 = _initial_embeddings(d1, d2, cfg, restart)
+    z1, z2 = _initial_embeddings(d1, d2, cfg, restart, classical)
     z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
     z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
     smacof_init_at_budget = (not r1.converged) + (not r2.converged)
@@ -225,11 +257,13 @@ def _run_restart(
     )
 
 
-def _restart_outcome(d1, d2, w1, w2, cfg, gw_coupling, split, on_outer, restart: int):
+def _restart_outcome(d1, d2, w1, w2, cfg, gw_coupling, classical, split, on_outer,
+                     restart: int):
     """One restart's ``JointResult``, or the ``NumericalFailure`` that ended it."""
     try:
         with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
-            return _run_restart(d1, d2, w1, w2, cfg, restart, gw_coupling, on_outer, helper)
+            return _run_restart(d1, d2, w1, w2, cfg, restart, gw_coupling, classical,
+                                on_outer, helper)
     except NumericalFailure as exc:
         return exc
 
@@ -293,11 +327,18 @@ def solve(
     w1, w2 : ndarray
         Stress weights for each dataset.
     cfg : JointConfig
-        Solver hyperparameters; restart r uses seed ``cfg.seed + r``.  With
-        ``cfg.gw_init`` every restart starts from one entropic
-        Gromov-Wasserstein coupling of the two inputs, except when every
-        dissimilarity is 0: then every coupling is GW-optimal, and the
-        restarts start as they do without it.
+        Solver hyperparameters.  With ``cfg.gw_init`` every restart starts
+        from one entropic Gromov-Wasserstein coupling of the two inputs and
+        from a random configuration drawn from seed ``cfg.seed + r`` for
+        restart r.  The warm start is skipped when its regularization, a
+        share of the mean square dissimilarity, is 0: when every
+        dissimilarity is 0, and so every coupling is GW-optimal, or when
+        their squares underflow.  Then, as without ``cfg.gw_init``, restart
+        r < 2^dim starts from each dataset's classical scaling
+        (``smacof.classical_embedding``, computed once per solve), with axis
+        k of the second dataset's negated where bit k of r is set, and only
+        later restarts draw from seed ``cfg.seed + r``.  The seed then has
+        no effect unless ``cfg.restarts > 2^dim`` (see ``seeded_restarts``).
     threads : int
         Cores the solver may use, >= 1.  Restarts run on a pool of
         ``min(threads, cfg.restarts)`` processes forked from the caller, so
@@ -352,21 +393,23 @@ def solve(
     # would compete with them for the same cores; workers forked inside this
     # scope inherit the one-thread setting
     with _blas.single_threaded():
-        gw_coupling, gw_at_budget = None, 0
-        # when every dissimilarity is 0 every coupling is GW-optimal, and the
-        # GW epsilon, a share of their mean square, would be 0
-        if cfg.gw_init and (d1.any() or d2.any()):
+        gw_coupling, gw_at_budget, classical = None, 0, None
+        # the GW epsilon is 0 when every dissimilarity is 0, and then every
+        # coupling is GW-optimal, or when their squares underflow
+        gw_eps = _gw_epsilon(d1, d2) if cfg.gw_init else 0.0
+        if gw_eps > 0:
             # deterministic in the inputs, hence shared across restarts
-            gw_eps = GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
             gw_coupling, gw_info = entropic_gw(
                 d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
             gw_at_budget = gw_info["sinkhorn_at_budget"]
+        else:
+            classical = (classical_embedding(d1, cfg.dim), classical_embedding(d2, cfg.dim))
 
         # at most `workers` restarts run at once; each gets a one-worker helper
         # for the second row block of its Guttman steps when the threads allow
         workers = min(threads, cfg.restarts) if _CAN_FORK else 1
         split = threads >= 2 * workers
-        inputs = (d1, d2, w1, w2, cfg, gw_coupling, split)
+        inputs = (d1, d2, w1, w2, cfg, gw_coupling, classical, split)
         if workers > 1:
             outcomes = _run_forked(workers, inputs, cfg.restarts, on_outer)
         else:

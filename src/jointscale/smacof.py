@@ -5,10 +5,27 @@ summed over the upper triangle (i < j).  The symmetric full-matrix double
 sum is exactly ``FULL_MATRIX_FACTOR`` times this value; reported numbers
 state which convention they use.
 
-Each majorization step is a Guttman transform Z -> V^+ B(Z) Z, which never
-increases the stress (sandwich inequality).  A step makes one n x n
-distance pass: w * d is divided by the distances in place, and the row
-sums of that ratio and one product with Z give B(Z) Z.  The stress of Z
+Each majorization step is an over-relaxed Guttman transform
+
+    Z+ = Z + omega (G(Z) - Z),    G(Z) = V^+ B(Z) Z,
+
+with omega = ``RELAXATION`` (de Leeuw & Heiser 1980; Borg & Groenen 2005,
+ch. 8).  It never increases the stress.  The majorizer of the stress at Z,
+tau(X) = eta_d^2 + tr X^T V X - 2 tr X^T B(Z) Z, is a quadratic in the
+V-norm with its minimum at G(Z), so
+
+    tau(Z+) = tau(G) + (1 - omega)^2 ||Z - G||_V^2 <= tau(G) + ||Z - G||_V^2
+            = tau(Z) = stress(Z)
+
+for every omega in [0, 2], and stress(Z+) <= tau(Z+) (sandwich inequality).
+Over-relaxation reaches the same stopping rule in fewer steps: at 1.5 the
+joint passes of the ``swiss300`` benchmark take about a quarter fewer,
+while at 1.8 two of twelve measured runs stalled and at 2 the steps
+oscillate.  The plain step is omega = 1.  The relaxed update is
+elementwise, so it keeps every result bitwise independent of the helper
+thread.  A step makes one n x n distance pass: w * d is divided by the
+distances in place, and the row sums of that ratio and one product with Z
+give B(Z) Z.  The stress of Z
 comes from the same pass through the SMACOF identity
 
     stress(Z) = eta_d^2 + eta^2(Z) - 2 rho(Z),
@@ -84,7 +101,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, eigh, lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
@@ -96,6 +113,7 @@ __all__ = [
     "StressReport",
     "JointBlocks",
     "random_embedding",
+    "classical_embedding",
     "stress",
     "v_matrix_pinv",
     "smacof",
@@ -121,6 +139,10 @@ SPLIT_ROWS = 725
 # block) at n = 2000, and within 12% of the fastest at n = 1000
 CHUNK_BYTES = 1 << 21
 
+# omega of the over-relaxed step Z + omega (V^+ B(Z) Z - Z); any value in
+# [0, 2] keeps the stress monotone (see the module docstring)
+RELAXATION = 1.5
+
 # rows per block when the Cholesky inverse is mirrored into a full matrix
 _SYM_BLOCK = 128
 
@@ -130,8 +152,8 @@ class StressReport:
     """Trajectory of one majorization run.
 
     ``per_iteration[0]`` is the stress of the initial configuration;
-    subsequent entries follow each Guttman transform.  The sequence is
-    non-increasing up to roundoff.  Values come from the SMACOF identity
+    subsequent entries follow each over-relaxed Guttman step.  The
+    sequence is non-increasing up to roundoff.  Values come from the SMACOF identity
     eta_d^2 + eta^2 - 2 rho, so their absolute error is a few machine
     epsilons times eta_d^2 = sum_{i<j} w_ij d_ij^2; near a realizable
     instance that error dominates, and values are clamped at 0.
@@ -161,6 +183,37 @@ def random_embedding(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarra
     """Deterministic Gaussian start configuration with standard deviation ``scale``."""
     rng = np.random.default_rng(seed)
     return scale * rng.standard_normal((n, d))
+
+
+def classical_embedding(d: np.ndarray, dim: int) -> np.ndarray:
+    """Classical (Torgerson 1952) scaling of the dissimilarities ``d`` in ``dim`` dimensions.
+
+    Column k is the k-th eigenvector of -1/2 J D^2 J (J the centring
+    matrix, D^2 the squared dissimilarities), largest eigenvalue first,
+    scaled by the square root of its eigenvalue clipped at 0.  Columns past
+    n are zero.  Each eigenvector's largest-magnitude entry is made
+    positive (the first of them on a tie), so the result does not depend on
+    the LAPACK build.  The eigenproblem is solved on d / max d and the
+    result scaled back, so squaring d neither overflows nor underflows.
+    """
+    d = np.asarray(d, dtype=float)
+    n = d.shape[0]
+    z = np.zeros((n, dim))
+    top = float(d.max(initial=0.0))
+    if top == 0.0:
+        return z
+    b = np.divide(d, top)
+    b *= b
+    b -= b.mean(axis=0)
+    b -= b.mean(axis=1)[:, None]
+    b *= -0.5
+    k = min(dim, n)
+    values, vectors = eigh(b, subset_by_index=[n - k, n - 1], overwrite_a=True)
+    values, vectors = values[::-1], vectors[:, ::-1]
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(k)]
+    z[:, :k] = vectors * (np.sign(lead) * np.sqrt(np.maximum(values, 0.0)))
+    z *= top
+    return z
 
 
 def _check_shapes(z: np.ndarray, d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -478,8 +531,10 @@ def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
 
     ``blocks`` lists one or two callables over a partition of the rows of
     Z: ``block(z, bz)`` writes its rows of B(Z) Z into ``bz`` and returns
-    their share of the stress of ``z``.  ``step(bz, helper)``
-    returns the next configuration, V^+ B(Z) Z (or V~^+ B(Z) Z).  The
+    their share of the stress of ``z``.  ``step(bz, helper)`` returns the
+    Guttman transform G(Z) = V^+ B(Z) Z (or V~^+ B(Z) Z), and the next
+    configuration is Z + ``RELAXATION`` (G(Z) - Z), which covers every kind
+    of step alike.  The
     second block, and any second block of the step, runs on ``helper`` when
     one is given; the blocks, and so the bits of every result, are the same
     either way.  The stop compares the values as computed; the trajectory
@@ -496,7 +551,7 @@ def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
     threshold = rtol * trajectory[0]
     converged = False
     for _ in range(max_iter):
-        z = step(bz, helper)
+        z = z + RELAXATION * (step(bz, helper) - z)
         previous = value
         value = evaluate(z)
         trajectory.append(max(value, 0.0))

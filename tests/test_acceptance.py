@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The two timed criteria (1 and 6) assert their wall-clock budgets.
 """
 
+import importlib
 import time
 from itertools import permutations
 
@@ -13,6 +14,8 @@ import pytest
 import jointscale as js
 from jointscale import fileio
 from jointscale.cli import main as cli_main
+
+smacof_module = importlib.import_module("jointscale.smacof")
 
 
 def report(criterion: int, detail: str) -> None:
@@ -147,6 +150,21 @@ def test_criterion_6_joint_mds_swiss_roll(swiss_roll_geodesics):
     assert fos <= 0.05
     assert elapsed <= 120.0
     report(6, f"FOSCTTM {fos:.4f} (restart {res.restart_index}), {elapsed:.0f}s")
+
+
+def test_relaxed_steps_shorten_criterion_6(swiss_roll_geodesics, monkeypatch):
+    # criterion 6's solve with over-relaxed Guttman steps and with plain
+    # ones (omega = 1): the winner reaches the same stopping rules in fewer
+    # joint steps
+    _, d1g, d2g, w = swiss_roll_geodesics
+    cfg = js.JointConfig(dim=2, lam=0.1, epsilon0=1.0, alpha=0.95, outer_iters=60,
+                         inner_wp_iters=5, inner_smacof_iters=25, restarts=4, seed=0)
+    relaxed = js.solve(d1g, d2g, w, w, cfg, threads=2)
+    monkeypatch.setattr(smacof_module, "RELAXATION", 1.0)
+    plain = js.solve(d1g, d2g, w, w, cfg, threads=2)
+    assert relaxed.joint_guttman_steps < plain.joint_guttman_steps
+    report(6, f"winner's joint Guttman steps {relaxed.joint_guttman_steps} relaxed, "
+              f"{plain.joint_guttman_steps} plain")
 
 
 def test_criterion_7_transfer_accuracy_swiss_roll(swiss_roll_geodesics):

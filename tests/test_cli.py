@@ -371,6 +371,21 @@ class TestJoint:
         assert f"--threads must be >= 1, got {threads}" in record["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra,logged", [
+        ([], True),  # 2 restarts, 4 reflections of the classical starts
+        (["--restarts", "5"], False),  # the fifth draws from the seed
+        (["--gw-init"], False),  # every restart after a warm start does
+    ])
+    def test_seed_without_effect_is_logged(self, tmp_path, capsys, extra, logged):
+        src = write_points(tmp_path / "x.csv", np.random.default_rng(8).standard_normal((10, 3)))
+        assert run_cli(["joint", src, src, "--dim", "2", "--iters", "2", "--restarts", "2",
+                        "--seed", "4", "--out", tmp_path / "o"] + extra) == 0
+        records = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        unseeded = [r for r in records if r["message"] == "no restart draws from the seed"]
+        expected = [{"level": "info", "message": "no restart draws from the seed",
+                     "seed": 4, "restarts": 2, "reflections": 4}]
+        assert unseeded == (expected if logged else [])
+
     def test_subproblems_at_budget_reported(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(7)
         src = write_points(tmp_path / "x.csv", rng.standard_normal((12, 3)))

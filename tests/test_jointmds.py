@@ -15,6 +15,7 @@ from jointscale import (
     Marginals,
     NumericalFailure,
     assemble_joint,
+    classical_embedding,
     cost_matrix,
     entropic_gw,
     foscttm,
@@ -22,6 +23,7 @@ from jointscale import (
     match_argmax,
     pairwise_euclidean,
     power_weight_matrix,
+    random_embedding,
     smacof,
     solve,
     stress,
@@ -137,7 +139,8 @@ class TestSolve:
 
         # replayed under the one-thread BLAS that solve runs, for the same bits
         with _blas.single_threaded():
-            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0)
+            classical = (classical_embedding(d1, 2), classical_embedding(d2, 2))
+            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0, classical)
             z1, _ = smacof(d1, w1, z1, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
             z2, _ = smacof(d2, w2, z2, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
             m = Marginals.uniform(25, 20)
@@ -240,14 +243,31 @@ class TestSolve:
         ratio = scaled.z1 / base.z1
         assert np.abs(ratio - c).max() <= 1e-6
 
-    def test_objective_trace_non_increasing_with_slack(self):
+    def test_objective_trace_non_increasing_with_slack(self, monkeypatch):
+        # the trace is stress + 2 lam <P, C> and leaves out the coupling's
+        # entropy H(P).  Outer iteration t lowers stress + 2 lam (<P, C> -
+        # eps_t H(P)) at its own eps_t (Procrustes, Sinkhorn and the
+        # majorization pass each lower it), so the trace changes by at most
+        # 2 lam eps_t (H(P_t) - H(P_t-1)) and rises only where the entropy does
+        couplings = []
+
+        def recording(z1, z2, marginals, eps, *args, **kwargs):
+            out = wasserstein_procrustes(z1, z2, marginals, eps, *args, **kwargs)
+            couplings.append((eps, out[0]))
+            return out
+
+        monkeypatch.setattr(jointmds, "wasserstein_procrustes", recording)
         rng = np.random.default_rng(9)
         d = pairwise_euclidean(rng.standard_normal((30, 2)))
         w = uniform_weight_matrix(30)
         cfg = JointConfig(dim=2, lam=0.1, outer_iters=15, restarts=1, seed=2)
         res = solve(d, d, w, w, cfg)
-        increases = np.diff(np.array(res.objective_trace))
-        assert increases.max(initial=-np.inf) <= 1e-6
+        assert len(couplings) == cfg.outer_iters
+        entropy = [-np.sum(p[p > 0] * np.log(p[p > 0])) for _, p in couplings]
+        for t in range(1, cfg.outer_iters):
+            rise = res.objective_trace[t] - res.objective_trace[t - 1]
+            allowed = 2.0 * cfg.lam * couplings[t][0] * (entropy[t] - entropy[t - 1])
+            assert rise <= allowed + 1e-6
 
     @pytest.mark.parametrize("lam", [0.1, 0.0])
     def test_final_objective_is_joint_objective(self, lam):
@@ -287,14 +307,11 @@ class TestSolve:
         d = pairwise_euclidean(rng.standard_normal((16, 2)))
         w = uniform_weight_matrix(16)
         cfg = JointConfig(outer_iters=3, restarts=3, seed=4)
-        res = solve(d, d, w, w, cfg)
-        singles = [
-            solve(d, d, w, w, JointConfig(outer_iters=3, restarts=1, seed=4 + r))
-            for r in range(3)
-        ]
-        best = min(range(3), key=lambda r: (singles[r].final_objective, r))
+        last = {}
+        res = solve(d, d, w, w, cfg, on_outer=lambda r, t, obj: last.__setitem__(r, obj))
+        best = min(range(3), key=lambda r: (last[r], r))
         assert res.restart_index == best
-        assert res.final_objective == singles[best].final_objective
+        assert res.final_objective == last[best]
 
     def test_gw_init_runs(self):
         rng = np.random.default_rng(12)
@@ -307,9 +324,11 @@ class TestSolve:
 
     def test_counts_subproblems_at_budget(self, monkeypatch):
         # one Sinkhorn iteration per transport solve and one initial Guttman
-        # step per dataset stop every one of them at its budget
+        # step per dataset stop every one of them at its budget; the points
+        # span 3-D, so the 2-D classical start is no exact fit that one step
+        # could finish
         rng = np.random.default_rng(16)
-        d = pairwise_euclidean(rng.standard_normal((15, 2)))
+        d = pairwise_euclidean(rng.standard_normal((15, 3)))
         w = uniform_weight_matrix(15)
         cfg = JointConfig(outer_iters=3, inner_wp_iters=2, restarts=2, seed=0)
         normal = solve(d, d, w, w, cfg)
@@ -496,10 +515,10 @@ def failing_restart(bad: set):
     """``_initial_embeddings`` that raises ``NumericalFailure`` for the restarts in ``bad``."""
     real = jointmds._initial_embeddings
 
-    def initial(d1, d2, cfg, restart):
+    def initial(d1, d2, cfg, restart, *args):
         if restart in bad:
             raise NumericalFailure(f"planted failure of restart {restart}")
-        return real(d1, d2, cfg, restart)
+        return real(d1, d2, cfg, restart, *args)
     return initial
 
 
@@ -514,6 +533,7 @@ class TestRestartPool:
         return d1, d2, uniform_weight_matrix(14), uniform_weight_matrix(11)
 
     @pytest.mark.parametrize("threads,restarts,split_rows", [
+        (2, 2, smacof_module.SPLIT_ROWS),  # one worker per restart
         (2, 3, smacof_module.SPLIT_ROWS),  # more restarts than workers
         (4, 2, 2),  # every step split, the second block on each worker's helper
     ])
@@ -545,14 +565,14 @@ class TestRestartPool:
 
     def test_failing_restart_skipped(self, monkeypatch, instance):
         cfg = JointConfig(outer_iters=3, restarts=3, seed=1)
-        singles = [solve(*instance, JointConfig(outer_iters=3, restarts=1, seed=1 + r))
-                   for r in range(3)]
-        best = min((0, 2), key=lambda r: (singles[r].final_objective, r))
+        last = {}
+        solve(*instance, cfg, on_outer=lambda r, t, obj: last.__setitem__(r, obj))
+        best = min((0, 2), key=lambda r: (last[r], r))
         monkeypatch.setattr(jointmds, "_initial_embeddings", failing_restart({1}))
         seen = []
         res = solve(*instance, cfg, threads=2, on_outer=lambda r, *_: seen.append(r))
         assert res.restart_index == best
-        assert res.final_objective == singles[best].final_objective
+        assert res.final_objective == last[best]
         assert sorted(set(seen)) == [0, 2]
         assert multiprocessing.active_children() == []
 
@@ -601,3 +621,138 @@ class TestRestartPool:
         unforked = solve(*instance, cfg, threads=2)
         assert np.array_equal(serial.z1, unforked.z1)
         assert seen == [(os.getpid(), False)] * 4 + [(os.getpid(), True)] * 4
+
+
+class TestStarts:
+    """Classical-scaling starts under axis reflections, and the seeded fallback."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_restart_flips_second_axes_by_its_bits(self, dim):
+        rng = np.random.default_rng(30)
+        d1 = pairwise_euclidean(rng.standard_normal((9, 3)))
+        d2 = pairwise_euclidean(rng.standard_normal((7, 3)))
+        classical = (classical_embedding(d1, dim), classical_embedding(d2, dim))
+        cfg = JointConfig(dim=dim, seed=5)
+        for r in range(2**dim):
+            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, r, classical)
+            signs = np.array([-1.0 if r >> k & 1 else 1.0 for k in range(dim)])
+            assert np.array_equal(z1, classical[0])
+            assert np.array_equal(z2, classical[1] * signs)
+        # past the 2^dim reflections, and without classical starts, the seed draws
+        for r, given in ((2**dim, classical), (2**dim + 3, classical), (0, None), (1, None)):
+            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, r, given)
+            z = random_embedding(16, dim, 5 + r, jointmds._init_scale(d1, d2))
+            assert np.array_equal(z1, z[:9]) and np.array_equal(z2, z[9:])
+
+    @pytest.mark.parametrize("gw_init", [False, True])
+    def test_classical_embedding_computed_once_per_solve(self, monkeypatch, fork_log, gw_init):
+        # each dataset's classical scaling is computed in the caller, and the
+        # forked workers inherit it; a warm start keeps the seeded starts
+        calls = []
+
+        def counting(d, dim):
+            calls.append(d.shape[0])
+            return classical_embedding(d, dim)
+
+        def recording(d1, d2, cfg, restart, classical=None):
+            fork_log.append([restart, classical is not None])
+            return real(d1, d2, cfg, restart, classical)
+
+        real = jointmds._initial_embeddings
+        monkeypatch.setattr(jointmds, "classical_embedding", counting)
+        monkeypatch.setattr(jointmds, "_initial_embeddings", recording)
+        rng = np.random.default_rng(31)
+        d1 = pairwise_euclidean(rng.standard_normal((12, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((10, 2)))
+        cfg = JointConfig(outer_iters=2, restarts=3, seed=0, gw_init=gw_init)
+        solve(d1, d2, uniform_weight_matrix(12), uniform_weight_matrix(10), cfg, threads=2)
+        assert calls == ([] if gw_init else [12, 10])
+        assert sorted(fork_log.read()) == [[r, not gw_init] for r in range(3)]
+
+    @pytest.mark.parametrize("dim,restarts,gw_init,zero,expected", [
+        (2, 4, False, False, 0), (2, 6, False, False, 2), (1, 3, False, False, 1),
+        (2, 3, True, False, 3), (2, 3, True, True, 0), (3, 9, True, True, 1),
+    ])
+    def test_seeded_restarts(self, dim, restarts, gw_init, zero, expected):
+        d = pairwise_euclidean(np.random.default_rng(32).standard_normal((6, 2)))
+        if zero:
+            d = np.zeros_like(d)
+        cfg = JointConfig(dim=dim, restarts=restarts, gw_init=gw_init)
+        assert jointmds.seeded_restarts(d, d, cfg) == expected
+
+    def test_seed_matters_only_past_the_reflections(self):
+        rng = np.random.default_rng(33)
+        d = pairwise_euclidean(rng.standard_normal((10, 2)))
+        w = uniform_weight_matrix(10)
+        a = solve(d, d, w, w, JointConfig(dim=1, outer_iters=2, restarts=2, seed=0))
+        b = solve(d, d, w, w, JointConfig(dim=1, outer_iters=2, restarts=2, seed=7))
+        assert np.array_equal(a.z1, b.z1) and a.objective_trace == b.objective_trace
+        seen = {}
+        for seed in (0, 7):
+            on_outer = functools.partial(lambda s, r, t, obj: seen.__setitem__((s, r), obj), seed)
+            solve(d, d, w, w, JointConfig(dim=1, outer_iters=2, restarts=3, seed=seed),
+                  on_outer=on_outer)
+        assert seen[0, 0] == seen[7, 0] and seen[0, 1] == seen[7, 1]
+        assert seen[0, 2] != seen[7, 2]
+
+    @pytest.mark.filterwarnings("error")
+    def test_gw_init_skipped_when_its_epsilon_underflows(self, monkeypatch):
+        # the squares of 1e-170 d underflow, so the warm start's epsilon is 0:
+        # it is skipped and the solve is the one made without it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("warm start run at epsilon 0")
+
+        monkeypatch.setattr(jointmds, "entropic_gw", forbidden)
+        d = 1e-170 * pairwise_euclidean(np.random.default_rng(0).standard_normal((6, 2)))
+        w = uniform_weight_matrix(6)
+        cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=True)
+        assert jointmds._gw_epsilon(d, d) == 0.0 and d.any()
+        res = solve(d, d, w, w, cfg)
+        cfg.gw_init = False
+        plain = solve(d, d, w, w, cfg)
+        assert res.objective_trace == plain.objective_trace
+        assert np.array_equal(res.p, plain.p)
+        assert np.array_equal(res.z1, plain.z1) and np.array_equal(res.z2, plain.z2)
+
+
+def edge_case(kind: str):
+    """Dissimilarities (d1, d2) of the start edge cases."""
+    rng = np.random.default_rng(35)
+
+    def points(n, p=2):
+        return pairwise_euclidean(rng.standard_normal((n, p)))
+
+    if kind.startswith("n = "):
+        n = int(kind[4:])
+        return points(n), points(n)
+    if kind == "n1 != n2":
+        return points(9), points(5)
+    if kind == "duplicate points":
+        x = rng.standard_normal((8, 2))
+        x[[3, 6]] = x[1]
+        return pairwise_euclidean(x), points(8)
+    if kind == "all zero":
+        return np.zeros((5, 5)), np.zeros((5, 5))
+    return (float(kind[4:]) * points(7) for _ in range(2))
+
+
+EDGE_CASES = ["n = 1", "n = 2", "n = 3", "n1 != n2", "duplicate points", "all zero",
+              "d x 1e-150", "d x 1e150"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gw_init", [False, True])
+@pytest.mark.parametrize("kind", EDGE_CASES)
+def test_start_edge_cases(kind, gw_init):
+    # dim = 3 is more than n for the smallest inputs; every case solves
+    # without a warning, to finite outputs
+    d1, d2 = edge_case(kind)
+    n1, n2 = d1.shape[0], d2.shape[0]
+    w1, w2 = uniform_weight_matrix(n1), uniform_weight_matrix(n2)
+    cfg = JointConfig(dim=3, outer_iters=3, restarts=3, seed=0, gw_init=gw_init)
+    res = solve(d1, d2, w1, w2, cfg)
+    assert res.z1.shape == (n1, 3) and res.z2.shape == (n2, 3)
+    for value in (res.z1, res.z2, res.p, res.final_objective):
+        assert np.all(np.isfinite(value))
+    direct = joint_objective(res.z1, res.z2, d1, d2, w1, w2, res.p, np.eye(3), cfg.lam)
+    assert abs(res.final_objective - direct) <= 1e-9 * max(direct, np.finfo(float).tiny)

@@ -15,6 +15,7 @@ from jointscale import (
     InvalidInput,
     NumericalFailure,
     assemble_joint,
+    classical_embedding,
     joint_objective,
     joint_smacof,
     pairwise_euclidean,
@@ -140,8 +141,19 @@ class TestVMatrixPinv:
 
 
 def guttman_step(z, d, w):
-    """One majorization step V^+ B(Z) Z: a one-step ``smacof`` run."""
+    """One majorization step Z + omega (V^+ B(Z) Z - Z): a one-step ``smacof`` run."""
     return smacof(d, w, z, rtol=0.0, max_iter=1)[0]
+
+
+def relaxed(z, transform):
+    """The over-relaxed step from ``z`` given its Guttman transform V^+ B(Z) Z."""
+    return z + smacof_module.RELAXATION * (transform - z)
+
+
+@pytest.fixture
+def plain_step(monkeypatch):
+    """Take the plain Guttman step, omega = 1."""
+    monkeypatch.setattr(smacof_module, "RELAXATION", 1.0)
 
 
 class TestGuttmanTransform:
@@ -155,11 +167,12 @@ class TestGuttmanTransform:
         assert np.abs(out - z).max() < 1e-10
 
     def test_coincident_points_map_to_zero(self):
+        # the transform of coincident points is zero; the step relaxes toward it
         z = np.ones((5, 2))
         d = pairwise_euclidean(np.random.default_rng(9).standard_normal((5, 2)))
         w = uniform_weight_matrix(5)
         out = guttman_step(z, d, w)
-        assert np.all(out == 0)
+        assert np.all(out == relaxed(z, np.zeros_like(z)))
 
     def test_stress_strictly_decreases_generic(self):
         rng = np.random.default_rng(10)
@@ -177,12 +190,14 @@ class TestGuttmanTransform:
             assert stress(out, d, w) <= stress(z, d, w) + 1e-12
 
     def test_centered_output_with_uniform_weights(self):
+        # the transform is centred, so the step keeps (1 - omega) of the centroid
         rng = np.random.default_rng(12)
         z = rng.standard_normal((9, 3)) + 5.0
         d = pairwise_euclidean(rng.standard_normal((9, 3)))
         w = uniform_weight_matrix(9)
         out = guttman_step(z, d, w)
-        assert np.abs(out.mean(axis=0)).max() <= 1e-10
+        centroid = relaxed(z, np.zeros_like(z)).mean(axis=0)
+        assert np.abs(out.mean(axis=0) - centroid).max() <= 1e-10
 
 
 def dense_b_times(z, d, w):
@@ -224,7 +239,7 @@ class TestStressIdentity:
         d = pairwise_euclidean(rng.standard_normal((n, 3))) * rng.uniform(0.5, 1.5, (n, n))
         w = rng.random((n, n))
         z0 = rng.standard_normal((n, 2))
-        expected = v_matrix_pinv(w) @ dense_b_times(z0, d, w)
+        expected = relaxed(z0, v_matrix_pinv(w) @ dense_b_times(z0, d, w))
         step = guttman_step(z0, d, w)
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
         for k in (1, 4, 12):
@@ -245,7 +260,7 @@ class TestStressIdentity:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out, report = smacof(d, w, z, rtol=0.0, max_iter=1)
-        expected = v_matrix_pinv(w) @ dense_b_times(z, d, w)
+        expected = relaxed(z, v_matrix_pinv(w) @ dense_b_times(z, d, w))
         assert np.all(np.isfinite(out))
         assert np.abs(out - expected).max() <= 1e-12 * np.abs(expected).max()
         start = stress(z, d, w)
@@ -274,7 +289,7 @@ class TestSmacof:
         # the identity's roundoff near zero stress is clamped, never negative
         assert min(report.per_iteration) >= 0.0
 
-    def test_exact_start_converges_fast(self):
+    def test_exact_start_converges_fast(self, plain_step):
         rng = np.random.default_rng(14)
         z = rng.standard_normal((10, 2))
         d = pairwise_euclidean(z)
@@ -282,6 +297,22 @@ class TestSmacof:
         _, report = smacof(d, w, z, rtol=1e-9, max_iter=100)
         assert report.converged
         assert report.iterations_used <= 2
+
+    def test_exact_start_relaxed_steps_only_translate(self):
+        # the transform of an exact start is the start centred, so each
+        # relaxed step moves the centroid to (1 - omega) of itself and leaves
+        # the shape alone; the run stops once roundoff shows no drop
+        rng = np.random.default_rng(14)
+        z0 = rng.standard_normal((10, 2))
+        d = pairwise_euclidean(z0)
+        w = uniform_weight_matrix(10)
+        z, report = smacof(d, w, z0, rtol=1e-9, max_iter=100)
+        assert report.converged
+        assert report.iterations_used <= 3
+        k = report.iterations_used
+        centroid = (1.0 - smacof_module.RELAXATION) ** k * z0.mean(axis=0)
+        assert np.abs(z - (z0 - z0.mean(axis=0) + centroid)).max() <= 1e-12
+        assert max(report.per_iteration) <= 1e-13 * np.sum(np.triu(d) ** 2) / 100
 
     def test_exact_start_reports_nonnegative_stress(self):
         # on these seeds the identity's roundoff puts the start stress just below 0
@@ -636,22 +667,38 @@ class TestUniformWeights:
         np.fill_diagonal(w, 0.0)
         z0 = rng.standard_normal((n, 2))
         closed, r_closed = smacof(d, w, z0, 0.0, 20)
-        # the dense oracle: 20 products with the explicit V^+
+        # the dense oracle: 20 relaxed steps with the explicit V^+
         product, expected = z0, [stress(z0, d, w)]
         for _ in range(20):
-            product = v_matrix_pinv(w) @ dense_b_times(product, d, w)
+            product = relaxed(product, v_matrix_pinv(w) @ dense_b_times(product, d, w))
             expected.append(stress(product, d, w))
         assert np.abs(closed - product).max() <= 1e-12 * np.abs(product).max()
         expected = np.array(expected)
         assert np.abs(np.array(r_closed.per_iteration) - expected).max() <= 1e-12 * expected[0]
-        assert np.abs(closed.mean(axis=0)).max() <= 1e-12 * np.abs(closed).max()
+        # each transform is centred: the centroid shrinks by (1 - omega) a step
+        centroid = (1.0 - smacof_module.RELAXATION) ** 20 * z0.mean(axis=0)
+        assert np.abs(closed.mean(axis=0) - centroid).max() <= 1e-12 * np.abs(closed).max()
 
-    def test_two_points_fit_in_one_step(self):
+    def test_two_points_fit_in_one_step(self, plain_step):
         d = np.array([[0.0, 3.0], [3.0, 0.0]])
         w = np.array([[0.0, 0.25], [0.25, 0.0]])
         z, report = smacof(d, w, np.array([[0.0, 1.0], [2.0, 0.0]]), 0.0, 1)
         assert abs(np.linalg.norm(z[0] - z[1]) - 3.0) <= 1e-14
         assert report.per_iteration[-1] <= 1e-14
+
+    def test_two_points_relaxed_step_overshoots_the_fit(self):
+        # the transform puts the points 3 apart on their line; the relaxed
+        # step lands at omega 3 + (1 - omega) sqrt(5), past the fit
+        omega = smacof_module.RELAXATION
+        d = np.array([[0.0, 3.0], [3.0, 0.0]])
+        w = np.array([[0.0, 0.25], [0.25, 0.0]])
+        z0 = np.array([[0.0, 1.0], [2.0, 0.0]])
+        z, report = smacof(d, w, z0, 0.0, 1)
+        gap = omega * 3.0 + (1.0 - omega) * np.sqrt(5.0)
+        direction = (z0[0] - z0[1]) / np.sqrt(5.0)
+        assert np.abs(z[0] - z[1] - gap * direction).max() <= 1e-14
+        assert np.abs(z.mean(axis=0) - (1.0 - omega) * z0.mean(axis=0)).max() <= 1e-14
+        assert abs(report.per_iteration[-1] - 0.25 * (gap - 3.0) ** 2) <= 1e-14
 
     def test_asymmetric_dissimilarities(self):
         # one weight, d not symmetric: B(Z) is built from sym(d)
@@ -660,7 +707,7 @@ class TestUniformWeights:
         d = pairwise_euclidean(rng.standard_normal((n, 3))) * rng.uniform(0.5, 1.5, (n, n))
         w = uniform_weight_matrix(n)
         z0 = rng.standard_normal((n, 2))
-        expected = v_matrix_pinv(w) @ dense_b_times(z0, d, w)
+        expected = relaxed(z0, v_matrix_pinv(w) @ dense_b_times(z0, d, w))
         step = smacof(d, w, z0, rtol=0.0, max_iter=1)[0]
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
         z, report = smacof(d, w, z0, rtol=0.0, max_iter=12)
@@ -733,3 +780,108 @@ class TestRunBlocks:
         with ThreadPoolExecutor(max_workers=1) as helper:
             first, second = smacof_module._run_blocks(helper, [threading.get_ident] * 2)
         assert first == threading.get_ident() != second
+
+
+class TestRelaxedStep:
+    """Over-relaxed steps, Z + omega (V^+ B(Z) Z - Z), in every kind of step."""
+
+    @pytest.mark.parametrize("rows", [UNSPLIT, 2])
+    @pytest.mark.parametrize("kind,lam", [
+        ("closed form", None), ("V+ product", None),
+        ("Schur", 0.05), ("Schur", 0.7), ("V~+ product", 0.05), ("V~+ product", 0.7),
+    ])
+    def test_stress_never_increases(self, split_at, kind, lam, rows):
+        # one weight per dataset steps by the closed form (smacof) or the
+        # Schur solve (joint_smacof), other weights by a product with V^+ or V~^+
+        split_at(rows)
+        uniform = kind in ("closed form", "Schur")
+        d1, d2, w1, w2, p, z1, z2 = (uniform_instance if uniform else coupled_instance)(31)
+        if kind in ("closed form", "V+ product"):
+            _, report = smacof(d1, w1, z1, 0.0, 80)
+        else:
+            _, _, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 80)
+        assert smacof_module.RELAXATION == 1.5
+        assert np.diff(report.per_iteration).max() <= 1e-12 * report.per_iteration[0]
+
+    def test_joint_step_matches_relaxed_dense_oracle(self, split_at):
+        # the relaxation acts on the whole configuration after the step, in
+        # one block or in two
+        d1, d2, w1, w2, p, z1, z2 = coupled_instance(32)
+        split_at(UNSPLIT)
+        whole = np.vstack(joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 1)[:2])
+        split_at(2)
+        split = np.vstack(joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 1)[:2])
+        blocks = assemble_joint(d1, d2, w1, w2, p, 0.3, z1, z2)
+        transform = v_matrix_pinv(blocks.w_tilde) @ dense_b_times(blocks.z_tilde, blocks.d_tilde,
+                                                                   blocks.w_tilde)
+        expected = relaxed(blocks.z_tilde, transform)
+        for z in (whole, split):
+            assert np.abs(z - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+class TestClassicalEmbedding:
+    def test_recovers_a_euclidean_configuration(self):
+        x = np.random.default_rng(40).standard_normal((12, 3))
+        d = pairwise_euclidean(x)
+        z = classical_embedding(d, 3)
+        assert np.abs(pairwise_euclidean(z) - d).max() <= 1e-12 * d.max()
+        assert np.abs(z.mean(axis=0)).max() <= 1e-12 * np.abs(z).max()
+        # columns by decreasing eigenvalue: decreasing spread
+        spread = np.sum(z**2, axis=0)
+        assert np.all(np.diff(spread) < 0)
+
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_largest_entry_of_each_axis_is_positive(self, seed):
+        x = np.random.default_rng(seed).standard_normal((15, 4))
+        for d in (pairwise_euclidean(x), pairwise_euclidean(-x[:, ::-1])):
+            z = classical_embedding(d, 4)
+            lead = z[np.argmax(np.abs(z), axis=0), np.arange(4)]
+            assert np.all(lead > 0)
+
+    @pytest.mark.parametrize("vector", [[-0.5, 0.5, 0.5, -0.5], [0.5, -0.5, -0.5, 0.5]])
+    def test_ties_go_to_the_first_index(self, monkeypatch, vector):
+        # whichever sign the eigensolver returns, the first of the tied
+        # largest-magnitude entries ends up positive
+        def solved(b, subset_by_index, overwrite_a):
+            return np.array([4.0]), np.array(vector)[:, None]
+
+        monkeypatch.setattr(smacof_module, "eigh", solved)
+        # sqrt(4) times the vector, on d / max d with max d = 3
+        z = classical_embedding(pairwise_euclidean(np.arange(4.0)[:, None]), 1)
+        assert np.array_equal(z.ravel(), [3.0, -3.0, -3.0, 3.0])
+        monkeypatch.undo()
+        z = classical_embedding(np.array([[0.0, 2.0], [2.0, 0.0]]), 2)
+        assert np.abs(z - [[1.0, 0.0], [-1.0, 0.0]]).max() <= 1e-15
+
+    def test_negative_eigenvalues_clipped(self):
+        # a triangle-inequality violation makes -1/2 J D^2 J indefinite
+        d = np.array([[0.0, 1.0, 1.0, 5.0], [1.0, 0.0, 1.0, 1.0],
+                      [1.0, 1.0, 0.0, 1.0], [5.0, 1.0, 1.0, 0.0]])
+        j = np.eye(4) - 1.0 / 4
+        values = np.linalg.eigvalsh(-0.5 * j @ (d**2) @ j)
+        assert values.min() < -1e-6
+        z = classical_embedding(d, 4)
+        assert np.all(np.isfinite(z))
+        spread = np.sort(np.sum(z**2, axis=0))[::-1]
+        expected = np.sort(np.maximum(values, 0.0))[::-1]
+        assert np.abs(spread - expected).max() <= 1e-12 * expected.max()
+
+    @pytest.mark.parametrize("n,dim", [(1, 2), (2, 3), (3, 5)])
+    def test_dimensions_past_n_are_zero(self, n, dim):
+        d = pairwise_euclidean(np.random.default_rng(n).standard_normal((n, 4)))
+        z = classical_embedding(d, dim)
+        assert z.shape == (n, dim)
+        assert np.all(z[:, n:] == 0)
+        assert np.abs(pairwise_euclidean(z) - d).max() <= 1e-12 * max(d.max(), 1.0)
+
+    def test_all_zero_dissimilarities(self):
+        assert np.array_equal(classical_embedding(np.zeros((4, 4)), 2), np.zeros((4, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales(self, scale):
+        d = pairwise_euclidean(np.random.default_rng(44).standard_normal((9, 3)))
+        z = classical_embedding(scale * d, 2)
+        expected = scale * classical_embedding(d, 2)
+        assert np.all(np.isfinite(z))
+        assert np.abs(z - expected).max() <= 1e-12 * np.abs(expected).max()
