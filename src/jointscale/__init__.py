@@ -36,7 +36,6 @@ from .jointmds import (
 from .metrics import accuracy, foscttm, knn_transfer, node_correctness, rmsd_d, topk_accuracy
 from .smacof import (
     FULL_MATRIX_FACTOR,
-    JointBlocks,
     StressReport,
     assemble_joint,
     classical_embedding,
@@ -74,7 +73,6 @@ __all__ = [
     "uniform_weight_matrix",
     "FULL_MATRIX_FACTOR",
     "StressReport",
-    "JointBlocks",
     "random_embedding",
     "classical_embedding",
     "stress",

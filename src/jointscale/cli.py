@@ -148,16 +148,20 @@ def _config_value(key: str, value, path: str):
 def _seed(args: argparse.Namespace, doc: dict | None = None) -> int:
     """Seed precedence: --seed flag > config file > $JOINTSCALE_SEED > 0."""
     if args.seed is not None:
-        return args.seed
-    if doc and "seed" in doc:
-        return doc["seed"]
-    env_seed = os.environ.get("JOINTSCALE_SEED")
-    if env_seed is None:
-        return 0
-    try:
-        return int(env_seed)
-    except ValueError:
-        _fail(f"$JOINTSCALE_SEED must be an integer, got {env_seed!r}")
+        seed, source = args.seed, "--seed"
+    elif doc and "seed" in doc:
+        seed, source = doc["seed"], f"config file {args.config}: 'seed'"
+    else:
+        env_seed = os.environ.get("JOINTSCALE_SEED")
+        if env_seed is None:
+            return 0
+        try:
+            seed, source = int(env_seed), "$JOINTSCALE_SEED"
+        except ValueError:
+            _fail(f"$JOINTSCALE_SEED must be an integer, got {env_seed!r}")
+    if seed < 0:
+        _fail(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _build_config(args: argparse.Namespace, **defaults) -> JointConfig:

@@ -172,38 +172,15 @@ def _recompute(d: np.ndarray, x: np.ndarray, a: np.ndarray, b: np.ndarray,
     """Set ``d`` at the pairs (a, b) and (b, a) to the distance between
     those rows of ``x`` scaled by ``scale``, taken from their difference.
 
-    The pairs come sorted by row, as ``np.nonzero`` lists them.  A row with
-    many pairs is read once and subtracted from all of its partners at a
-    time, which are read as one slice when they are consecutive rows; the
-    pairs of the other rows are taken together, each from its own two rows.
-    Both go in blocks whose row differences fill about ``_BLOCK_BYTES`` and
-    give a pair the same bits.  Identical rows give exactly 0.
+    Each pair is taken from its own two rows, in blocks of pairs whose row
+    differences fill about ``_BLOCK_BYTES``.  Identical rows give exactly 0.
     """
     step = max(1, _BLOCK_BYTES // (8 * x.shape[1]))
-    first = np.flatnonzero(np.diff(a, prepend=-1))
-    pairs = np.diff(np.append(first, a.size))
-    # a row's own pass costs about as much overhead as differencing 4096
-    # floats pair by pair (measured): rows with fewer go with the others
-    alone = pairs * x.shape[1] >= 4096
-    if alone.any():
-        for lo, hi in zip(first[alone], first[alone] + pairs[alone]):
-            i = a[lo]
-            for lo in range(lo, hi, step):
-                j = b[lo:min(lo + step, hi)]
-                partners = x[j[0]:j[-1] + 1] if j[-1] - j[0] + 1 == j.size else x[j]
-                _set_distances(d, i, j, x[i] - partners, scale)
-        batched = np.repeat(~alone, pairs)
-        a, b = a[batched], b[batched]
     for lo in range(0, a.size, step):
         i, j = a[lo:lo + step], b[lo:lo + step]
-        _set_distances(d, i, j, x[i] - x[j], scale)
-
-
-def _set_distances(d: np.ndarray, i, j: np.ndarray, diff: np.ndarray,
-                   scale: float) -> None:
-    """Set ``d`` at (i, j) and (j, i) to the row norms of ``diff`` times ``scale``."""
-    diff *= scale  # a power of two: the same bits as scaling each row
-    d[i, j] = d[j, i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        diff = x[i] - x[j]
+        diff *= scale  # a power of two: the same bits as scaling each row
+        d[i, j] = d[j, i] = np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
 def _smallest_k(a: np.ndarray, k: int) -> np.ndarray:
@@ -414,7 +391,8 @@ def power_weight_matrix(d: np.ndarray, exponent: float = 4.0) -> np.ndarray:
     """Stress weights w_ij = d_ij^(-exponent) with zero diagonal.
 
     Off-diagonal distances must be strictly positive; duplicated nodes have
-    to be deduplicated upstream.  The exponent must be finite.
+    to be deduplicated upstream.  The exponent must be finite, and no weight
+    may overflow.
     """
     if not np.isfinite(exponent):
         raise InvalidInput(f"weight exponent must be finite, got {exponent}")
@@ -424,7 +402,11 @@ def power_weight_matrix(d: np.ndarray, exponent: float = 4.0) -> np.ndarray:
     if np.any(d[mask] == 0):
         raise DegenerateInput("zero off-diagonal dissimilarity; cannot take inverse power")
     w = np.zeros_like(d)
-    w[mask] = d[mask] ** (-exponent)
+    with np.errstate(over="ignore"):
+        w[mask] = d[mask] ** (-exponent)
+    if not np.all(np.isfinite(w)):
+        raise DegenerateInput(
+            f"dissimilarities to the power {-exponent} overflow; rescale them")
     return w
 
 

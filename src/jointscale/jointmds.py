@@ -69,10 +69,10 @@ class JointConfig:
     def validate(self) -> "JointConfig":
         if self.dim < 1:
             raise InvalidInput(f"dim must be >= 1, got {self.dim}")
-        if self.lam < 0:
-            raise InvalidInput(f"lambda must be >= 0, got {self.lam}")
-        if self.epsilon0 <= 0:
-            raise InvalidInput(f"epsilon0 must be > 0, got {self.epsilon0}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise InvalidInput(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.epsilon0) and self.epsilon0 > 0):
+            raise InvalidInput(f"epsilon0 must be finite and > 0, got {self.epsilon0}")
         if not 0 < self.alpha <= 1:
             raise InvalidInput(f"alpha must be in (0, 1], got {self.alpha}")
         if self.outer_iters < 1:
@@ -81,6 +81,8 @@ class JointConfig:
             raise InvalidInput("inner iteration budgets must be >= 1")
         if self.restarts < 1:
             raise InvalidInput(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         return self
 
 

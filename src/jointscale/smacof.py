@@ -106,12 +106,11 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import cdist
 
 from .dissimilarity import _max_asymmetry
-from .errors import DegenerateWeights, InvalidInput, NumericalFailure
+from .errors import DegenerateInput, DegenerateWeights, InvalidInput, NumericalFailure
 
 __all__ = [
     "FULL_MATRIX_FACTOR",
     "StressReport",
-    "JointBlocks",
     "random_embedding",
     "classical_embedding",
     "stress",
@@ -162,21 +161,6 @@ class StressReport:
     per_iteration: list[float]
     iterations_used: int
     converged: bool
-
-
-@dataclass
-class JointBlocks:
-    """Block instance turning the coupled two-dataset subproblem into one MDS.
-
-    The dissimilarity cross blocks are zero, the weight cross blocks carry
-    the coupling scaled by the matching penalty, and the embedding is the
-    vertical stack of both configurations.
-    """
-
-    d_tilde: np.ndarray
-    w_tilde: np.ndarray
-    z_tilde: np.ndarray
-    n1: int
 
 
 def random_embedding(n: int, d: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -368,14 +352,21 @@ class _Evaluator:
         if c is not None:
             self.eta_d = 0.5 * c * (np.vdot(d, d) - np.vdot(np.diagonal(d), np.diagonal(d)))
             self.wd = d if _max_asymmetry(d) == 0 else _sym(d)
-            return
-        wd = w * d
-        self.eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
-        # in place: numpy buffers the overlapping transpose
-        wd += wd.T
-        wd *= 0.5
-        self.wd, self.w = wd, w
-        self.s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+        else:
+            wd = w * d
+            self.eta_d = 0.5 * (np.vdot(wd, d) - np.vdot(np.diagonal(wd), np.diagonal(d)))
+            # in place: numpy buffers the overlapping transpose
+            wd += wd.T
+            wd *= 0.5
+            self.wd, self.w = wd, w
+            self.s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+        if (self.eta_d < np.finfo(float).tiny
+                and np.count_nonzero(self.wd > 0) > np.count_nonzero(np.diagonal(self.wd) > 0)):
+            # the stress terms would be subnormal or zero: the steps stall or
+            # collapse Z where the distances' squares underflow
+            raise DegenerateInput(
+                f"dissimilarities too small: their weighted sum of squares {self.eta_d:.3g} "
+                "is below the smallest normal float; rescale them")
 
     def rows(self, r0: int, r1: int, offset: float, z: np.ndarray, bz: np.ndarray,
              scratch: np.ndarray) -> float:
@@ -658,8 +649,8 @@ def joint_smacof(
     ----------
     d1, d2, w1, w2 : ndarray
         Per-dataset dissimilarities and finite, nonnegative weights.  Their
-        graphs' connectivity is not checked here; ``solve`` has each
-        dataset's initial ``smacof`` run check it.
+        graphs' connectivity is not checked here; ``solve`` checks it before
+        any majorization runs.
     p : ndarray of shape (n1, n2)
         Nonnegative coupling with at least one positive entry.
     lam : float
@@ -747,12 +738,14 @@ def assemble_joint(
     lam: float,
     z1: np.ndarray,
     z2: np.ndarray,
-) -> JointBlocks:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble the block MDS instance coupling two datasets through ``p``.
 
-    The cross weights are ``lam * p`` and its transpose against a zero cross
-    dissimilarity target, so the block stress reproduces the coupled
-    objective with the rotation absorbed into ``z1``.
+    Returns ``(d_tilde, w_tilde, z_tilde)``: the dissimilarity cross blocks
+    are zero, the weight cross blocks are ``lam * p`` and its transpose, and
+    the embedding is the vertical stack of ``z1`` and ``z2``, so the block
+    stress reproduces the coupled objective with the rotation absorbed into
+    ``z1``.
     """
     z1, d1, w1 = _check_shapes(z1, d1, w1)
     z2, d2, w2 = _check_shapes(z2, d2, w2)
@@ -772,5 +765,4 @@ def assemble_joint(
     w_tilde[n1:, n1:] = w2
     w_tilde[:n1, n1:] = lam * p
     w_tilde[n1:, :n1] = lam * p.T
-    z_tilde = np.vstack([z1, z2])
-    return JointBlocks(d_tilde, w_tilde, z_tilde, n1)
+    return d_tilde, w_tilde, np.vstack([z1, z2])

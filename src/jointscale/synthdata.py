@@ -43,6 +43,8 @@ class GenSpec:
             raise InvalidInput("projected dimensions must be >= 3")
         if self.noise_sigma is not None and self.noise_sigma < 0:
             raise InvalidInput("noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
         return self
 
 

@@ -397,7 +397,7 @@ def sinkhorn(
     else:
         f = np.zeros_like(a)
         g = np.zeros_like(b)
-        spread = float(c.max() - c.min()) if c.size else 0.0
+        spread = float(c.max() - c.min())
         eps_run = spread / WARMUP_SPREAD_FACTOR
         while eps_run > epsilon:
             u, v, _, _, used = scale(-c / eps_run, f / eps_run, g / eps_run,
@@ -410,13 +410,14 @@ def sinkhorn(
     u, v = f / epsilon, g / epsilon
     # Newton steps need positive marginals, else the Hessian is singular
     start = newton_start(a.size, b.size)
+    newton = max_iter >= 2 * start and a.min() > 0 and b.min() > 0
+    # each Newton step uses `start` iterations of the budget
+    u, v, p, violation, iterations = scale(mk, u, v, start if newton else max_iter,
+                                           watch=newton)
     newton_steps = 0
-    if max_iter >= 2 * start and a.min() > 0 and b.min() > 0:
-        # each Newton step uses `start` iterations of the budget
-        u, v, p, violation, iterations = scale(mk, u, v, start, watch=True)
-        if violation >= tol:
-            u, v, p, violation, newton_steps = _newton(
-                mk, a, b, u, v, p, tol, (max_iter - iterations) // start)
+    if newton and violation >= tol:
+        u, v, p, violation, newton_steps = _newton(
+            mk, a, b, u, v, p, tol, (max_iter - iterations) // start)
         if violation >= tol and newton_steps == 0 and iterations < start:
             # the stalled loop handed over early and Newton took no step:
             # scaling finishes the share and Newton is tried again after it
@@ -425,14 +426,12 @@ def sinkhorn(
             if violation >= tol:
                 u, v, p, violation, newton_steps = _newton(
                     mk, a, b, u, v, p, tol, (max_iter - iterations) // start)
-        remaining = max_iter - iterations - start * newton_steps
-        if violation >= tol and remaining > 0:
-            # Newton stopped short (a failed factorization or line search,
-            # or its share of the budget spent): scaling takes the rest
-            u, v, p, _, more = scale(mk, u, v, remaining)
-            iterations += more
-    else:
-        u, v, p, _, iterations = scale(mk, u, v, max_iter)
+    remaining = max_iter - iterations - start * newton_steps
+    if violation >= tol and remaining > 0:
+        # Newton stopped short (a failed factorization or line search, or its
+        # share of the budget spent): scaling takes the rest
+        u, v, p, _, more = scale(mk, u, v, remaining)
+        iterations += more
     rows = p.sum(axis=1)
     # p >= 0, so a NaN or infinite entry leaves its row's sum non-finite
     if not np.all(np.isfinite(rows)):

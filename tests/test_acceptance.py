@@ -286,9 +286,9 @@ def test_criterion_11_objective_block_equivalence():
         p /= p.sum()
         lam = float(rng.random()) + 0.05
         direct = js.joint_objective(z1, z2, d1, d2, w1, w2, p, np.eye(dim), lam)
-        blocks = js.assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+        d_tilde, w_tilde, z_tilde = js.assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
         via_blocks = js.FULL_MATRIX_FACTOR * js.stress(
-            blocks.z_tilde, blocks.d_tilde, blocks.w_tilde
+            z_tilde, d_tilde, w_tilde
         )
         worst = max(worst, abs(direct - via_blocks))
     assert worst <= 1e-10

@@ -757,3 +757,52 @@ class TestSeedEnvFallback:
         record = json.loads(lines[0])
         assert record["level"] == "error"
         assert "JOINTSCALE_SEED" in record["message"]
+
+
+class TestBadSolverSettings:
+    """Bad solver settings and seeds fail by name, before any output exists."""
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, argv, named):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", out]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["level"] == "error"
+        assert named in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["joint", "x.csv", "x.csv", "--gw-init"],
+        ["embed", "x.csv"],
+        ["gen", "--kind", "swiss_roll", "--n", "10", "--p1", "3", "--p2", "3"],
+    ])
+    def test_negative_seed_flag(self, tmp_path, capsys, monkeypatch, command):
+        write_points(tmp_path / "x.csv", np.random.default_rng(17).standard_normal((8, 2)))
+        monkeypatch.chdir(tmp_path)
+        self.assert_rejected(tmp_path, capsys, command + ["--seed", "-1"], "--seed")
+
+    def test_negative_env_seed(self, tmp_path, capsys, monkeypatch):
+        src = write_points(tmp_path / "x.csv", np.random.default_rng(18).standard_normal((8, 2)))
+        monkeypatch.setenv("JOINTSCALE_SEED", "-3")
+        self.assert_rejected(tmp_path, capsys, ["joint", src, src, "--gw-init"],
+                             "$JOINTSCALE_SEED")
+
+    def test_negative_config_seed(self, tmp_path, capsys):
+        src = write_points(tmp_path / "x.csv", np.random.default_rng(19).standard_normal((8, 2)))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        self.assert_rejected(tmp_path, capsys, ["joint", src, src, "--config", cfg], "'seed'")
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--lambda", "nan", "lam"), ("--lambda", "inf", "lam"),
+        ("--epsilon", "inf", "epsilon0"), ("--epsilon", "nan", "epsilon0"),
+    ])
+    def test_non_finite_setting(self, tmp_path, capsys, monkeypatch, flag, value, named):
+        def solve(*args, **kwargs):
+            raise AssertionError(f"solve reached with {flag} {value}")
+
+        monkeypatch.setattr(jointmds, "solve", solve)
+        src = write_points(tmp_path / "x.csv", np.random.default_rng(20).standard_normal((8, 2)))
+        self.assert_rejected(tmp_path, capsys, ["joint", src, src, flag, value], named)

@@ -137,9 +137,9 @@ class TestPairwiseEuclideanAgainstCdist:
     @pytest.mark.parametrize("layout", ["consecutive", "interleaved"])
     def test_rows_with_many_near_pairs(self, layout, monkeypatch):
         # a cluster of 1e-3 spread beside far points: every pair inside it is
-        # near, so its rows are recomputed a row at a time, against one slice
-        # of consecutive partners or, with far points between them, gathered
-        # ones; the last rows have too few pairs and go with the others
+        # near and recomputed from its own two rows, whether the cluster's rows
+        # are consecutive or have far points between them; a smaller block of
+        # pairs gives the same bits
         rng = np.random.default_rng(7)
         cluster = 1e-3 * rng.standard_normal((150, 50))
         cluster[[40, 90]] = cluster[[10, 11]]  # exact duplicates
@@ -607,6 +607,13 @@ class TestWeights:
         d = np.zeros((2, 2))
         with pytest.raises(DegenerateInput):
             power_weight_matrix(d, 4.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale,exponent", [(1e-100, 4.0), (1e200, -2.0)])
+    def test_power_weight_overflow_is_degenerate(self, scale, exponent):
+        d = scale * pairwise_euclidean(np.random.default_rng(9).standard_normal((6, 2)))
+        with pytest.raises(DegenerateInput, match="overflow"):
+            power_weight_matrix(d, exponent)
 
     @pytest.mark.parametrize("exponent", [np.inf, -np.inf, np.nan])
     def test_power_weight_non_finite_exponent(self, exponent):

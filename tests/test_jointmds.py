@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from jointscale import (
     FULL_MATRIX_FACTOR,
+    DegenerateInput,
     DegenerateWeights,
     InvalidInput,
     JointConfig,
@@ -70,9 +71,9 @@ class TestJointObjective:
             d1, d2, w1, w2, z1, z2, p = random_instance(rng, 7, 5, 3)
             lam = float(rng.random()) + 0.1
             direct = joint_objective(z1, z2, d1, d2, w1, w2, p, np.eye(3), lam)
-            blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+            d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
             via_blocks = FULL_MATRIX_FACTOR * stress(
-                blocks.z_tilde, blocks.d_tilde, blocks.w_tilde
+                z_tilde, d_tilde, w_tilde
             )
             assert abs(direct - via_blocks) <= 1e-10
 
@@ -117,6 +118,14 @@ class TestJointConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidInput):
             JointConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("lam", float("nan")), ("lam", float("inf")),
+        ("epsilon0", float("inf")), ("epsilon0", float("nan")), ("seed", -1),
+    ])
+    def test_rejects_non_finite_or_negative_by_name(self, field, value):
+        with pytest.raises(InvalidInput, match=f"^{field} must be"):
+            JointConfig(**{field: value}).validate()
 
 
 class TestSolve:
@@ -698,21 +707,19 @@ class TestStarts:
     @pytest.mark.filterwarnings("error")
     def test_gw_init_skipped_when_its_epsilon_underflows(self, monkeypatch):
         # the squares of 1e-170 d underflow, so the warm start's epsilon is 0:
-        # it is skipped and the solve is the one made without it
+        # it is skipped, and both solves fail by name in the first majorization
+        # instead of collapsing Z
         def forbidden(*args, **kwargs):
             raise AssertionError("warm start run at epsilon 0")
 
         monkeypatch.setattr(jointmds, "entropic_gw", forbidden)
         d = 1e-170 * pairwise_euclidean(np.random.default_rng(0).standard_normal((6, 2)))
         w = uniform_weight_matrix(6)
-        cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=True)
         assert jointmds._gw_epsilon(d, d) == 0.0 and d.any()
-        res = solve(d, d, w, w, cfg)
-        cfg.gw_init = False
-        plain = solve(d, d, w, w, cfg)
-        assert res.objective_trace == plain.objective_trace
-        assert np.array_equal(res.p, plain.p)
-        assert np.array_equal(res.z1, plain.z1) and np.array_equal(res.z2, plain.z2)
+        for gw_init in (True, False):
+            cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=gw_init)
+            with pytest.raises(DegenerateInput, match="dissimilarities too small"):
+                solve(d, d, w, w, cfg)
 
 
 def edge_case(kind: str):

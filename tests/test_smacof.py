@@ -11,6 +11,7 @@ import pytest
 
 from jointscale import (
     FULL_MATRIX_FACTOR,
+    DegenerateInput,
     DegenerateWeights,
     InvalidInput,
     NumericalFailure,
@@ -362,16 +363,16 @@ class TestAssembleJoint:
         z1, d1, w1 = random_instance(rng, 6, 2)
         z2, d2, w2 = random_instance(rng, 4, 2)
         p = np.full((6, 4), 1.0 / 24)
-        blocks = assemble_joint(d1, d2, w1, w2, p, 0.0, z1, z2)
-        joint = stress(blocks.z_tilde, blocks.d_tilde, blocks.w_tilde)
+        d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, 0.0, z1, z2)
+        joint = stress(z_tilde, d_tilde, w_tilde)
         assert abs(joint - stress(z1, d1, w1) - stress(z2, d2, w2)) < 1e-12
 
     def test_single_pair_cross_term(self):
         z1 = np.array([[1.0, 2.0]])
         z2 = np.array([[4.0, 6.0]])
         d0 = np.zeros((1, 1))
-        blocks = assemble_joint(d0, d0, d0, d0, np.array([[1.0]]), 1.0, z1, z2)
-        joint = stress(blocks.z_tilde, blocks.d_tilde, blocks.w_tilde)
+        d_tilde, w_tilde, z_tilde = assemble_joint(d0, d0, d0, d0, np.array([[1.0]]), 1.0, z1, z2)
+        joint = stress(z_tilde, d_tilde, w_tilde)
         assert joint == pytest.approx(np.sum((z1 - z2) ** 2))
 
     def test_block_structure(self):
@@ -379,11 +380,11 @@ class TestAssembleJoint:
         z1, d1, w1 = random_instance(rng, 5, 3)
         z2, d2, w2 = random_instance(rng, 3, 3)
         p = rng.random((5, 3))
-        blocks = assemble_joint(d1, d2, w1, w2, p, 0.7, z1, z2)
-        assert np.all(blocks.d_tilde[:5, 5:] == 0)
-        assert np.array_equal(blocks.w_tilde[:5, 5:], 0.7 * p)
-        assert np.array_equal(blocks.w_tilde[5:, :5], 0.7 * p.T)
-        assert np.array_equal(blocks.z_tilde, np.vstack([z1, z2]))
+        d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, 0.7, z1, z2)
+        assert np.all(d_tilde[:5, 5:] == 0)
+        assert np.array_equal(w_tilde[:5, 5:], 0.7 * p)
+        assert np.array_equal(w_tilde[5:, :5], 0.7 * p.T)
+        assert np.array_equal(z_tilde, np.vstack([z1, z2]))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(18)
@@ -442,8 +443,8 @@ class TestJointSmacof:
     @pytest.mark.parametrize("seed,rtol", [(3, 1e-9), (8, 1e-6)])
     def test_matches_dense_block_instance(self, lam, seed, rtol):
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(seed)
-        blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
-        z_dense, dense = smacof(blocks.d_tilde, blocks.w_tilde, blocks.z_tilde,
+        d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+        z_dense, dense = smacof(d_tilde, w_tilde, z_tilde,
                                 rtol=rtol, max_iter=300)
         s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, rtol, 300)
         assert report.iterations_used == dense.iterations_used
@@ -625,8 +626,8 @@ class TestUniformWeights:
         split_at(rows)
         d1, d2, w1, w2, p, z1, z2 = uniform_instance(4, n1, n2, c, coupling)
         for _ in range(5):
-            blocks = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
-            z_dense, dense = smacof(blocks.d_tilde, blocks.w_tilde, blocks.z_tilde,
+            d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, lam, z1, z2)
+            z_dense, dense = smacof(d_tilde, w_tilde, z_tilde,
                                     rtol=0.0, max_iter=1)
             s1, s2, report = joint_smacof(d1, d2, w1, w2, p, lam, z1, z2, 0.0, 1)
             z = np.vstack([s1, s2])
@@ -713,6 +714,27 @@ class TestUniformWeights:
         z, report = smacof(d, w, z0, rtol=0.0, max_iter=12)
         for value, at in ((report.per_iteration[0], z0), (report.per_iteration[-1], z)):
             assert abs(value - stress(at, d, w)) <= 1e-12 * stress(at, d, w)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("uniform", [True, False])
+    @pytest.mark.parametrize("scale", [1e-160, 1e-170])
+    def test_dissimilarities_below_the_arithmetic_are_degenerate(self, uniform, scale):
+        # their squares are subnormal or zero: the steps would stall or
+        # collapse Z, so both solvers fail by name before the first step
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(7, n1=6, n2=5)
+        if not uniform:
+            w1 = w1 * np.random.default_rng(7).uniform(0.5, 1.5, w1.shape)
+        with pytest.raises(DegenerateInput, match="dissimilarities too small"):
+            smacof(scale * d1, w1, z1)
+        with pytest.raises(DegenerateInput, match="dissimilarities too small"):
+            joint_smacof(scale * d1, d2, w1, w2, p, 0.3, z1, z2)
+
+    def test_all_zero_dissimilarities_still_solve(self):
+        d1, _, w1, _, _, z1, _ = uniform_instance(7, n1=6, n2=5)
+        z, report = smacof(np.zeros_like(d1), w1, z1)
+        # Z shrinks towards the origin, the fit of all-zero dissimilarities
+        assert np.all(np.isfinite(z))
+        assert report.per_iteration[-1] < 1e-6 * report.per_iteration[0]
 
     def test_zero_weights_are_degenerate(self):
         d = pairwise_euclidean(np.random.default_rng(3).standard_normal((5, 2)))
@@ -811,12 +833,46 @@ class TestRelaxedStep:
         whole = np.vstack(joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 1)[:2])
         split_at(2)
         split = np.vstack(joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 1)[:2])
-        blocks = assemble_joint(d1, d2, w1, w2, p, 0.3, z1, z2)
-        transform = v_matrix_pinv(blocks.w_tilde) @ dense_b_times(blocks.z_tilde, blocks.d_tilde,
-                                                                   blocks.w_tilde)
-        expected = relaxed(blocks.z_tilde, transform)
+        d_tilde, w_tilde, z_tilde = assemble_joint(d1, d2, w1, w2, p, 0.3, z1, z2)
+        transform = v_matrix_pinv(w_tilde) @ dense_b_times(z_tilde, d_tilde, w_tilde)
+        expected = relaxed(z_tilde, transform)
         for z in (whole, split):
             assert np.abs(z - expected).max() <= 1e-10 * np.abs(expected).max()
+
+
+class TestReflections:
+    """Majorization commutes with negating axes of the start, bit for bit.
+
+    Restarts that start from reflections of one classical scaling rest on
+    this: negating an axis of Z negates that axis of every later iterate and
+    leaves every stress value as it is.
+    """
+
+    @pytest.mark.parametrize("signs", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
+    @pytest.mark.parametrize("kind", ["closed form", "V+ product", "split with helper"])
+    def test_smacof(self, split_at, kind, signs):
+        s = np.array(signs)
+        make = uniform_instance if kind == "closed form" else coupled_instance
+        d, _, w, _, _, z0, _ = make(41)
+        if kind == "split with helper":
+            split_at(2)
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                z, report = smacof(d, w, z0, 0.0, 30, _helper=helper)
+                flipped, flipped_report = smacof(d, w, z0 * s, 0.0, 30, _helper=helper)
+        else:
+            z, report = smacof(d, w, z0, 0.0, 30)
+            flipped, flipped_report = smacof(d, w, z0 * s, 0.0, 30)
+        assert np.array_equal(flipped, z * s)
+        assert flipped_report.per_iteration == report.per_iteration
+
+    @pytest.mark.parametrize("signs", [(-1.0, 1.0), (-1.0, -1.0)])
+    def test_joint_schur_pass(self, signs):
+        s = np.array(signs)
+        d1, d2, w1, w2, p, z1, z2 = uniform_instance(42)
+        y1, y2, report = joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 30)
+        f1, f2, flipped = joint_smacof(d1, d2, w1, w2, p, 0.3, z1 * s, z2 * s, 0.0, 30)
+        assert np.array_equal(f1, y1 * s) and np.array_equal(f2, y2 * s)
+        assert flipped.per_iteration == report.per_iteration
 
 
 class TestClassicalEmbedding:

@@ -33,6 +33,10 @@ class TestGenerate:
         with pytest.raises(InvalidInput):
             GenSpec(kind="torus", n=10).validate()
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidInput, match="seed must be >= 0"):
+            GenSpec(kind="swiss_roll", n=10, seed=-1).validate()
+
 
 class TestStandardize:
     def test_two_value_column(self):
