@@ -110,8 +110,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help="cores the solver may use, >= 1: restarts run in parallel in "
                         "processes forked from this one (on Linux; elsewhere one after "
                         "another), progress is logged from this process as each restart "
-                        "finishes, and a restart with a spare core hands a helper thread "
-                        "the second row block of each large majorization step; OpenBLAS "
+                        "finishes, and a spare core runs the second dataset's majorization "
+                        "beside the first's; OpenBLAS "
                         "runs on one thread inside the solve, and results do not depend "
                         "on this count (default: the usable cores, here %(default)s)")
 

@@ -11,8 +11,10 @@ set.  Restarts differ only in their start and the smallest final objective
 wins; ``solve`` runs them on worker processes forked from the caller.
 Without a Gromov-Wasserstein warm start every restart starts from the two
 datasets' classical scalings, restart r with the axes of the second one
-negated by the bits of r; restarts past those 2^dim reflections, and every
-restart after a warm start, start from a seeded random configuration.
+negated by the bits of r, and these restarts share one initial run per
+dataset.  Restarts past those 2^dim reflections, and every restart after a
+warm start, start from a seeded random configuration.  A spare core runs
+the second dataset's majorization beside the first's.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ import numpy as np
 
 from . import _blas
 from .dissimilarity import validate_dissimilarity
-from .errors import InvalidInput, NumericalFailure
-from .smacof import (FULL_MATRIX_FACTOR, _check_connected, _check_weights, classical_embedding,
-                     joint_smacof, random_embedding, smacof, stress)
+from .errors import DegenerateInput, InvalidInput, NumericalFailure
+from .smacof import (FULL_MATRIX_FACTOR, _check_connected, _check_weights, _run_blocks,
+                     classical_embedding, joint_smacof, random_embedding, smacof, stress)
 
 # unused here; bench/tracing.py wraps these names on this module
 from .smacof import assemble_joint, v_matrix_pinv  # noqa: F401
@@ -162,7 +164,8 @@ def _init_scale(d1: np.ndarray, d2: np.ndarray) -> float:
 
 def _gw_epsilon(d1: np.ndarray, d2: np.ndarray) -> float:
     """The warm start's entropic regularization, a share of the mean square dissimilarity."""
-    return GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
+    with np.errstate(over="ignore"):
+        return GW_EPSILON_FRACTION * float(np.mean(d1**2) + np.mean(d2**2))
 
 
 def seeded_restarts(d1: np.ndarray, d2: np.ndarray, cfg: JointConfig) -> int:
@@ -176,31 +179,33 @@ def seeded_restarts(d1: np.ndarray, d2: np.ndarray, cfg: JointConfig) -> int:
     return max(0, cfg.restarts - 2**cfg.dim)
 
 
-def _initial_embeddings(
-    d1: np.ndarray, d2: np.ndarray, cfg: JointConfig, restart: int, classical=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Restart ``restart``'s start configurations.
+def _smacof_pair(d1, d2, w1, w2, z1, z2, max_iter: int, helper) -> list:
+    """Both datasets' ``smacof`` runs, the second beside the first on ``helper`` if given."""
+    return _run_blocks(helper, [lambda: smacof(d1, w1, z1, max_iter=max_iter),
+                                lambda: smacof(d2, w2, z2, max_iter=max_iter)])
 
-    Given ``classical``, each dataset's classical embedding, restart r < 2^dim
-    starts from them with axis k of the second negated where bit k of r is
-    set.  Any other restart starts from a random configuration drawn from
-    seed ``cfg.seed + r``.
+
+def _initial_embeddings(d1, d2, w1, w2, cfg: JointConfig, restart: int, starts, helper):
+    """Restart ``restart``'s majorized starts, ``((z1, report1), (z2, report2))``.
+
+    Restart r < 2^dim takes the shared initial runs ``starts``, if given,
+    with axis k of the second negated where bit k of r is set.  Any other
+    restart runs its own from a random configuration drawn from seed
+    ``cfg.seed + r``.
     """
-    if classical is not None and restart < 2**cfg.dim:
-        z1, z2 = classical
-        return z1, z2 * [-1.0 if restart >> k & 1 else 1.0 for k in range(cfg.dim)]
+    if starts is not None and restart < 2**cfg.dim:
+        (z1, r1), (z2, r2) = starts
+        return (z1, r1), (z2 * [-1.0 if restart >> k & 1 else 1.0 for k in range(cfg.dim)], r2)
     n1 = d1.shape[0]
     z = random_embedding(n1 + d2.shape[0], cfg.dim, cfg.seed + restart, _init_scale(d1, d2))
-    return z[:n1], z[n1:]
+    return _smacof_pair(d1, d2, w1, w2, z[:n1], z[n1:], INIT_SMACOF_MAX_ITER, helper)
 
 
 def _run_restart(
-    d1, d2, w1, w2, cfg: JointConfig, restart: int, gw_coupling=None, classical=None,
+    d1, d2, w1, w2, cfg: JointConfig, restart: int, gw_coupling=None, starts=None,
     on_outer=None, helper=None
 ) -> JointResult:
-    z1, z2 = _initial_embeddings(d1, d2, cfg, restart, classical)
-    z1, r1 = smacof(d1, w1, z1, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
-    z2, r2 = smacof(d2, w2, z2, max_iter=INIT_SMACOF_MAX_ITER, _helper=helper)
+    (z1, r1), (z2, r2) = _initial_embeddings(d1, d2, w1, w2, cfg, restart, starts, helper)
     smacof_init_at_budget = (not r1.converged) + (not r2.converged)
 
     marginals = Marginals.uniform(d1.shape[0], d2.shape[0])
@@ -239,8 +244,8 @@ def _run_restart(
             reports.append(report)
         else:
             # zero penalty decouples the block problem into the two datasets
-            z1, r1 = smacof(d1, w1, z1, max_iter=cfg.inner_smacof_iters, _helper=helper)
-            z2, r2 = smacof(d2, w2, z2, max_iter=cfg.inner_smacof_iters, _helper=helper)
+            (z1, r1), (z2, r2) = _smacof_pair(d1, d2, w1, w2, z1, z2, cfg.inner_smacof_iters,
+                                              helper)
             objective = FULL_MATRIX_FACTOR * (r1.per_iteration[-1] + r2.per_iteration[-1])
             reports += [r1, r2]
 
@@ -259,12 +264,12 @@ def _run_restart(
     )
 
 
-def _restart_outcome(d1, d2, w1, w2, cfg, gw_coupling, classical, split, on_outer,
+def _restart_outcome(d1, d2, w1, w2, cfg, gw_coupling, starts, split, on_outer,
                      restart: int):
     """One restart's ``JointResult``, or the ``NumericalFailure`` that ended it."""
     try:
         with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as helper:
-            return _run_restart(d1, d2, w1, w2, cfg, restart, gw_coupling, classical,
+            return _run_restart(d1, d2, w1, w2, cfg, restart, gw_coupling, starts,
                                 on_outer, helper)
     except NumericalFailure as exc:
         return exc
@@ -336,22 +341,23 @@ def solve(
         share of the mean square dissimilarity, is 0: when every
         dissimilarity is 0, and so every coupling is GW-optimal, or when
         their squares underflow.  Then, as without ``cfg.gw_init``, restart
-        r < 2^dim starts from each dataset's classical scaling
-        (``smacof.classical_embedding``, computed once per solve), with axis
-        k of the second dataset's negated where bit k of r is set, and only
-        later restarts draw from seed ``cfg.seed + r``.  The seed then has
-        no effect unless ``cfg.restarts > 2^dim`` (see ``seeded_restarts``).
+        r < 2^dim starts from each dataset's initial ``smacof`` run from its
+        classical scaling (``smacof.classical_embedding``; both made once
+        per solve), with axis k of the second dataset's negated where bit k
+        of r is set, and only later restarts draw from seed ``cfg.seed + r``.
+        The seed then has no effect unless ``cfg.restarts > 2^dim`` (see ``seeded_restarts``).
     threads : int
         Cores the solver may use, >= 1.  Restarts run on a pool of
         ``min(threads, cfg.restarts)`` processes forked from the caller, so
         they do not share one interpreter lock; with one, they run in the
         calling thread.  Off Linux, where the solver does not fork, they
-        always run one after another in the calling thread.  When
-        ``threads`` is at least twice the restarts running at once, each
-        restart also gets a one-worker helper thread, which computes the
-        second row block of every Guttman step that ``smacof`` and
-        ``joint_smacof`` split (see ``smacof.SPLIT_ROWS``).  The blocks
-        depend only on the row counts, so results are bitwise identical for
+        always run one after another in the calling thread.  A spare core
+        runs the second dataset: with ``threads > 1`` the shared initial
+        runs go side by side, the second on a helper thread shut down
+        before the pool forks; with ``threads`` at least twice the restarts
+        running at once, each restart's helper runs its second ``smacof``
+        runs and blocks of joint passes (see ``smacof.SPLIT_ROWS``).  No run
+        is split by the thread count, so results are bitwise identical for
         every ``threads``.  Inside ``solve`` every OpenBLAS build in the
         process runs on one thread (process-wide, inherited by the forked
         workers), and its thread count is put back on return, so results do
@@ -375,8 +381,11 @@ def solve(
         If a dataset's weights are not one value c > 0 off the diagonal and
         their graph is disconnected; checked, naming the dataset, before
         the warm start and the restarts.
+    DegenerateInput
+        If the squares of the dissimilarities overflow or underflow (see ``smacof``).
     NumericalFailure
-        Only if every restart fails; a failing restart is otherwise skipped.
+        If the shared initial runs fail, as every restart then would, or if
+        every restart fails; a failing restart is otherwise skipped.
     """
     cfg.validate()
     if threads < 1:
@@ -395,23 +404,28 @@ def solve(
     # would compete with them for the same cores; workers forked inside this
     # scope inherit the one-thread setting
     with _blas.single_threaded():
-        gw_coupling, gw_at_budget, classical = None, 0, None
+        gw_coupling, gw_at_budget, starts = None, 0, None
         # the GW epsilon is 0 when every dissimilarity is 0, and then every
         # coupling is GW-optimal, or when their squares underflow
         gw_eps = _gw_epsilon(d1, d2) if cfg.gw_init else 0.0
+        if gw_eps == math.inf:
+            raise DegenerateInput("dissimilarities too large: squares overflow; rescale them")
         if gw_eps > 0:
             # deterministic in the inputs, hence shared across restarts
             gw_coupling, gw_info = entropic_gw(
                 d1, d2, Marginals.uniform(d1.shape[0], d2.shape[0]), gw_eps)
             gw_at_budget = gw_info["sinkhorn_at_budget"]
         else:
-            classical = (classical_embedding(d1, cfg.dim), classical_embedding(d2, cfg.dim))
+            # shared by the reflected restarts; the helper is gone before the fork
+            with ThreadPoolExecutor(max_workers=1) if threads > 1 else nullcontext() as helper:
+                z1, z2 = classical_embedding(d1, cfg.dim), classical_embedding(d2, cfg.dim)
+                starts = _smacof_pair(d1, d2, w1, w2, z1, z2, INIT_SMACOF_MAX_ITER, helper)
 
         # at most `workers` restarts run at once; each gets a one-worker helper
-        # for the second row block of its Guttman steps when the threads allow
+        # for the second dataset when the threads allow
         workers = min(threads, cfg.restarts) if _CAN_FORK else 1
         split = threads >= 2 * workers
-        inputs = (d1, d2, w1, w2, cfg, gw_coupling, classical, split)
+        inputs = (d1, d2, w1, w2, cfg, gw_coupling, starts, split)
         if workers > 1:
             outcomes = _run_forked(workers, inputs, cfg.restarts, on_outer)
         else:

@@ -74,24 +74,15 @@ through scratch arrays allocated once per run on the calling thread, so
 each chunk stays in cache across the divide, the row sums and the product
 with Z, and no step allocates an n x n distance array.
 
-A step over at least ``SPLIT_ROWS`` rows is computed as two fixed row
-blocks: the first and second half of the rows in ``smacof``, the two
-datasets' rows in ``joint_smacof`` (each block also takes half of the rows
-of P Z2 for the coupling term).  Each block computes its rows of B(Z) Z,
-its share of the stress terms and its rows of the V^+ (or V~^+) product;
-the Schur solve splits each of its two products with P into halves of
-their rows, and centring stays whole.  The solver hands the second block
-to a helper thread; without one the blocks run in turn.  The partition
-depends only on the row counts, never on whether a helper runs, so the
-bits of every result are the same with or without one.  A split step
-matches the one-block step to roundoff, since sums are taken in another
-order and BLAS rounds a product of fewer rows differently.  A smaller
-step is one block; in ``joint_smacof`` it evaluates the two datasets in
-turn, then solves for the next configuration.
-
-The split is there for the helper.  On a 2-core Xeon (one BLAS thread,
-n = 1000-2000), two blocks run in turn cost a step from 2% more to 9%
-less than one block, and a helper takes 20-33% off a ``smacof`` step.
+A ``joint_smacof`` step evaluates the two datasets as two blocks (each
+also takes half of the rows of P Z2 for the coupling term).  A step over at
+least ``SPLIT_ROWS`` rows also solves in two fixed row blocks: the two
+datasets' rows of the V~^+ product, or halves of the rows of each of the
+Schur solve's two products with P; centring stays whole.  The caller may
+hand the second block of each pair to a helper thread.  The blocks depend
+only on the row counts, so every result has the same bits with or without
+one; a split solve matches the one-block solve to roundoff.  ``smacof``
+runs are never split: a spare core runs the second dataset's run instead.
 """
 
 from __future__ import annotations
@@ -130,8 +121,8 @@ FULL_MATRIX_FACTOR = 2.0
 DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_ITER = 300
 
-# a Guttman step over at least this many rows runs as two fixed row blocks,
-# the second on a helper thread when the solver has one (see the module docstring)
+# a joint_smacof step over at least this many rows solves in two fixed row
+# blocks, the second on the caller's helper thread (see the module docstring)
 SPLIT_ROWS = 725
 # bytes of distances a block computes at a time (whole rows): half of
 # a 4 MiB L2; with a helper, the fastest chunk tried (32 rows up to a whole
@@ -332,14 +323,13 @@ def v_matrix_pinv(w: np.ndarray) -> np.ndarray:
 
 
 class _Evaluator:
-    """Stress terms and B(Z) Z of one dataset, one block of rows at a time.
+    """Stress and B(Z) Z of one dataset.
 
     The stress is eta_d^2 + eta^2(Z) - 2 <Z, B(Z) Z>, exact for any d and w
     because B(Z) is built from sym(w * d), the part of w * d the distances
     see.  With s the mean of w's row and column sums,
     eta^2(Z) = sum_i s_i ||z_i||^2 - <Z, W Z>, which drops w's diagonal as
-    the stress does.  Both terms and B(Z) Z split over the rows of Z, so
-    blocks of rows can be computed apart and summed.
+    the stress does.
 
     With one weight ``c`` off the diagonal every term is c times its
     unit-weight value: B(Z) Z comes from sym(d), which is d itself when d
@@ -360,6 +350,9 @@ class _Evaluator:
             wd *= 0.5
             self.wd, self.w = wd, w
             self.s = 0.5 * (w.sum(axis=0) + w.sum(axis=1))
+        if not np.isfinite(self.eta_d):
+            raise DegenerateInput("dissimilarities too large: their weighted sum of squares "
+                                  "overflows; rescale them")
         if (self.eta_d < np.finfo(float).tiny
                 and np.count_nonzero(self.wd > 0) > np.count_nonzero(np.diagonal(self.wd) > 0)):
             # the stress terms would be subnormal or zero: the steps stall or
@@ -367,24 +360,25 @@ class _Evaluator:
             raise DegenerateInput(
                 f"dissimilarities too small: their weighted sum of squares {self.eta_d:.3g} "
                 "is below the smallest normal float; rescale them")
+        n = d.shape[0]
+        self.scratch = np.empty((min(n, max(1, CHUNK_BYTES // (8 * n))), n))
 
-    def rows(self, r0: int, r1: int, offset: float, z: np.ndarray, bz: np.ndarray,
-             scratch: np.ndarray) -> float:
-        """Rows r0:r1 of B(Z) Z into ``bz``; returns ``offset`` plus their share of eta^2 - 2 rho.
+    def evaluate(self, z: np.ndarray, bz: np.ndarray) -> float:
+        """B(Z) Z into ``bz``; returns the stress of ``z``, eta_d^2 + eta^2 - 2 rho.
 
         b_ij = -wd_ij / ||z_i - z_j|| off the diagonal, 0 where the embedded
         points coincide, and each row of B sums to zero.  The rows go c at a
-        time through the c x n ``scratch`` (see ``_chunk_scratch``), so each
-        chunk stays in cache across the passes over its distances and no
+        time through the c x n ``scratch``, up to ``CHUNK_BYTES`` of them, so
+        each chunk stays in cache across the passes over its distances and no
         step allocates a distance array.
         """
         eta = rho = 0.0
-        size = scratch.shape[0]
+        size = self.scratch.shape[0]
         total = None if self.c is None else z.sum(axis=0)
-        for c0 in range(r0, r1, size):
-            c1 = min(c0 + size, r1)
+        for c0 in range(0, len(z), size):
+            c1 = min(c0 + size, len(z))
             zc, out = z[c0:c1], bz[c0:c1]
-            ratio = cdist(zc, z, out=scratch[:c1 - c0])
+            ratio = cdist(zc, z, out=self.scratch[:c1 - c0])
             # the chunk's part of the diagonal: entries (k, c0 + k)
             np.fill_diagonal(ratio[:, c0:c1], np.inf)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -402,7 +396,7 @@ class _Evaluator:
                 out *= self.c
                 eta += self.c * (len(z) * np.vdot(zc, zc) - zc.sum(axis=0) @ total)
             rho += np.vdot(zc, out)
-        return float(offset + eta - 2.0 * rho)
+        return float(self.eta_d + eta - 2.0 * rho)
 
 
 def _squared_norms(z: np.ndarray) -> np.ndarray:
@@ -415,7 +409,7 @@ def _run_blocks(helper, tasks: list) -> list:
     An exception from either is raised only once both have finished, so no
     block still writes into shared scratch when the caller sees it.
     """
-    if helper is None or len(tasks) == 1:
+    if helper is None:
         return [task() for task in tasks]
     first, second = tasks
     future = helper.submit(second)
@@ -424,11 +418,6 @@ def _run_blocks(helper, tasks: list) -> list:
     finally:
         futures.wait([future])
     return [result, future.result()]
-
-
-def _chunk_scratch(rows: int, n: int) -> np.ndarray:
-    """Distance scratch of a block of ``rows`` rows: up to ``CHUNK_BYTES`` of them."""
-    return np.empty((min(rows, max(1, CHUNK_BYTES // (8 * n))), n))
 
 
 def _check_stop(rtol: float, max_iter: int) -> None:
@@ -520,17 +509,16 @@ class _SchurStep:
 def _majorize(blocks, step, z, max_iter: int, rtol: float, helper=None):
     """Guttman steps from ``z`` until the stress drop falls below rtol * start stress.
 
-    ``blocks`` lists one or two callables over a partition of the rows of
-    Z: ``block(z, bz)`` writes its rows of B(Z) Z into ``bz`` and returns
-    their share of the stress of ``z``.  ``step(bz, helper)`` returns the
-    Guttman transform G(Z) = V^+ B(Z) Z (or V~^+ B(Z) Z), and the next
-    configuration is Z + ``RELAXATION`` (G(Z) - Z), which covers every kind
-    of step alike.  The
-    second block, and any second block of the step, runs on ``helper`` when
-    one is given; the blocks, and so the bits of every result, are the same
-    either way.  The stop compares the values as computed; the trajectory
-    clamps them at 0, below which only roundoff of the identity can take
-    them.
+    ``blocks`` lists one callable per dataset, one in ``smacof`` and two in
+    ``joint_smacof``: ``block(z, bz)`` writes its dataset's rows of B(Z) Z
+    into ``bz`` and returns its share of the stress of ``z``.
+    ``step(bz, helper)`` returns the Guttman transform G(Z) = V^+ B(Z) Z (or
+    V~^+ B(Z) Z), and the next configuration is Z + ``RELAXATION`` (G(Z) - Z),
+    which covers every kind of step alike.  The second block, and the second
+    row block of a split step, runs on ``helper`` when one is given; the
+    blocks, and so the bits of every result, are the same either way.  The
+    stop compares the values as computed; the trajectory clamps them at 0,
+    below which only roundoff of the identity can take them.
     """
     bz = np.empty(z.shape)
 
@@ -558,8 +546,6 @@ def smacof(
     z0: np.ndarray,
     rtol: float = DEFAULT_RTOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    *,
-    _helper=None,
 ) -> tuple[np.ndarray, StressReport]:
     """Guttman steps from ``z0`` until one lowers the stress by less than ``rtol`` of its start.
 
@@ -591,6 +577,9 @@ def smacof(
     InvalidInput
         On mismatched shapes, invalid stopping parameters, or a non-finite
         or negative weight.
+    DegenerateInput
+        If the weighted sum of squared dissimilarities overflows, or is
+        subnormal or zero while a weighted dissimilarity is positive.
     DegenerateWeights
         If the weights are not one value c > 0 off the diagonal and their
         graph is disconnected.
@@ -601,16 +590,11 @@ def smacof(
     z, d, w = _check_shapes(z0, d, w)
     c = _check_weights(w, "weight matrix")
     ev, n = _Evaluator(d, w, c), z.shape[0]
-    bounds = _row_blocks(n, n >= SPLIT_ROWS)
     if c is not None:
         step = partial(_centred_step, c * n)
     else:
-        step = partial(_blocked_product, v_matrix_pinv(w), bounds)
-    # eta_d^2 is counted once, in the first block
-    blocks = [partial(ev.rows, r0, r1, ev.eta_d if r0 == 0 else 0.0,
-                      scratch=_chunk_scratch(r1 - r0, n))
-              for r0, r1 in bounds]
-    return _majorize(blocks, step, z, max_iter, rtol, _helper)
+        step = partial(_blocked_product, v_matrix_pinv(w), [(0, n)])
+    return _majorize([ev.evaluate], step, z, max_iter, rtol)
 
 
 def joint_smacof(
@@ -669,6 +653,8 @@ def joint_smacof(
     InvalidInput
         On mismatched shapes, ``lam <= 0``, a non-finite or negative weight,
         or a negative or zero coupling.
+    DegenerateInput
+        As in ``smacof``, for either dataset.
     NumericalFailure
         If V~ + J/n (or the Schur complement) is not numerically positive
         definite.
@@ -712,20 +698,19 @@ def joint_smacof(
     # <P, C(z1, z2)> = a . ||z1||^2 + b . ||z2||^2 - 2 <Z1, P Z2>, so no
     # n1 x n2 cost matrix; each dataset's part takes half of the rows of P Z2
     h = n1 // 2
-    scratch1, scratch2 = _chunk_scratch(n1, n1), _chunk_scratch(n2, n2)
 
     def first(z, bz):
         z1, z2 = z[:n1], z[n1:]
         cross = a @ _squared_norms(z1) - 2.0 * np.vdot(z1[:h], np.matmul(p[:h], z2, out=pz[:h]))
-        return ev1.rows(0, n1, ev1.eta_d, z1, bz[:n1], scratch1) + lam * float(cross)
+        return ev1.evaluate(z1, bz[:n1]) + lam * float(cross)
 
     def second(z, bz):
         z1, z2 = z[:n1], z[n1:]
         cross = b @ _squared_norms(z2) - 2.0 * np.vdot(z1[h:], np.matmul(p[h:], z2, out=pz[h:]))
-        return ev2.rows(0, n2, ev2.eta_d, z2, bz[n1:], scratch2) + lam * float(cross)
+        return ev2.evaluate(z2, bz[n1:]) + lam * float(cross)
 
-    blocks = [first, second] if split else [lambda z, bz: first(z, bz) + second(z, bz)]
-    z, report = _majorize(blocks, step, np.vstack([z1, z2]), max_iter, rtol, _helper)
+    z, report = _majorize([first, second], step, np.vstack([z1, z2]), max_iter, rtol,
+                          _helper if split else None)
     return z[:n1], z[n1:], report
 
 

@@ -2,6 +2,9 @@ import functools
 import importlib
 import multiprocessing
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -148,10 +151,10 @@ class TestSolve:
 
         # replayed under the one-thread BLAS that solve runs, for the same bits
         with _blas.single_threaded():
-            classical = (classical_embedding(d1, 2), classical_embedding(d2, 2))
-            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, 0, classical)
-            z1, _ = smacof(d1, w1, z1, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
-            z2, _ = smacof(d2, w2, z2, max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            z1, _ = smacof(d1, w1, classical_embedding(d1, 2),
+                           max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            z2, _ = smacof(d2, w2, classical_embedding(d2, 2),
+                           max_iter=jointmds.INIT_SMACOF_MAX_ITER)
             m = Marginals.uniform(25, 20)
             eps = max(cfg.epsilon0,
                       jointmds.EPSILON_FLOOR_FRACTION * float(np.mean(cost_matrix(z1, z2))))
@@ -205,30 +208,56 @@ class TestSolve:
             assert np.array_equal(getattr(serial, name), getattr(helped, name)), name
         assert serial.objective_trace == helped.objective_trace
 
+    @pytest.mark.parametrize("weights", ["uniform", "1/d^4"])
+    def test_side_by_side_runs_give_the_serial_bits(self, weights):
+        # both runs read the same d and w, and the threads switch often, so a
+        # run writing into what the other reads shows
+        rng = np.random.default_rng(14)
+        d = pairwise_euclidean(rng.standard_normal((40, 3)))
+        w = uniform_weight_matrix(40) if weights == "uniform" else power_weight_matrix(d, 4.0)
+        z1, z2 = rng.standard_normal((40, 2)), rng.standard_normal((40, 2))
+        serial = jointmds._smacof_pair(d, d, w, w, z1, z2, 60, None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=1) as helper:
+                helped = jointmds._smacof_pair(d, d, w, w, z1, z2, 60, helper)
+        finally:
+            sys.setswitchinterval(interval)
+        for (z, report), (z_helped, report_helped) in zip(serial, helped):
+            assert np.array_equal(z, z_helped)
+            assert report.per_iteration == report_helped.per_iteration
+
     @pytest.mark.parametrize("threads,restarts,helped", [
         (1, 1, False), (2, 1, True), (2, 2, False), (3, 2, False), (4, 2, True),
         (3, 1, True), (8, 3, True), (5, 3, False),
     ])
     def test_helper_only_with_a_spare_thread_per_restart(self, monkeypatch, fork_log, threads,
                                                          restarts, helped):
-        # the calls run in the worker processes when restarts run on a pool,
-        # so whether each got a helper is recorded through a file
-        def recording(real):
-            def call(*args, _helper=None, **kwargs):
-                fork_log.append(_helper is not None)
-                return real(*args, _helper=_helper, **kwargs)
-            return call
+        # the shared initial runs put the second dataset's run on a helper
+        # whenever there is a second thread; the joint passes run in the
+        # worker processes when restarts run on a pool, so whether each got a
+        # helper is recorded through a file
+        def on_main_thread(*args, **kwargs):
+            fork_log.append(["smacof", threading.current_thread() is threading.main_thread()])
+            return real_smacof(*args, **kwargs)
 
-        for name in ("smacof", "joint_smacof"):
-            monkeypatch.setattr(jointmds, name, recording(getattr(jointmds, name)))
+        def joint(*args, _helper=None, **kwargs):
+            fork_log.append(["joint", _helper is not None])
+            return real_joint(*args, _helper=_helper, **kwargs)
+
+        real_smacof, real_joint = jointmds.smacof, jointmds.joint_smacof
+        monkeypatch.setattr(jointmds, "smacof", on_main_thread)
+        monkeypatch.setattr(jointmds, "joint_smacof", joint)
         d = pairwise_euclidean(np.random.default_rng(12).standard_normal((10, 2)))
         w = uniform_weight_matrix(10)
         solve(d, d, w, w, JointConfig(outer_iters=2, restarts=restarts, seed=0),
               threads=threads)
         seen = fork_log.read()
-        # two initial runs and two joint passes per restart
-        assert len(seen) == 4 * restarts
-        assert all(has_helper == helped for has_helper in seen)
+        # two initial runs per solve and two joint passes per restart
+        assert sorted(main for kind, main in seen if kind == "smacof") == [threads == 1, True]
+        assert [has_helper for kind, has_helper in seen if kind == "joint"] == (
+            [helped] * 2 * restarts)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one_rejected(self, threads):
@@ -443,9 +472,9 @@ class TestSolve:
         assert np.array_equal(res.z1, plain.z1) and np.array_equal(res.z2, plain.z2)
 
     def test_weight_connectivity_checked_once_per_initial_smacof_run(self, monkeypatch):
-        # solve checks each dataset once up front and each restart's two
-        # initial smacof runs check it again; the joint passes need no
-        # connectivity check of their own
+        # solve checks each dataset once up front and the two initial smacof
+        # runs, which the restarts share, check it again; the joint passes
+        # need no connectivity check of their own
         calls = []
 
         def counting(*args, **kwargs):
@@ -458,7 +487,7 @@ class TestSolve:
         w = power_weight_matrix(d, 4.0)
         cfg = JointConfig(outer_iters=5, restarts=2, seed=0)
         solve(d, d, w, w, cfg, threads=1)
-        assert len(calls) == 2 + 2 * cfg.restarts
+        assert len(calls) == 2 + 2
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_disconnected_weights_are_degenerate(self, monkeypatch, threads):
@@ -524,10 +553,10 @@ def failing_restart(bad: set):
     """``_initial_embeddings`` that raises ``NumericalFailure`` for the restarts in ``bad``."""
     real = jointmds._initial_embeddings
 
-    def initial(d1, d2, cfg, restart, *args):
+    def initial(d1, d2, w1, w2, cfg, restart, *args):
         if restart in bad:
             raise NumericalFailure(f"planted failure of restart {restart}")
-        return real(d1, d2, cfg, restart, *args)
+        return real(d1, d2, w1, w2, cfg, restart, *args)
     return initial
 
 
@@ -611,6 +640,23 @@ class TestRestartPool:
             solve(*instance, cfg, threads=2)
         assert multiprocessing.active_children() == []
 
+    def test_no_other_thread_alive_at_the_fork(self, instance):
+        # the helper of the shared initial runs is shut down before the pool
+        # forks; the hook stays registered, so it records only during the solve
+        counts, recording = [], [True]
+        os.register_at_fork(
+            before=lambda: recording[0] and counts.append(threading.active_count()))
+        before = threading.active_count()
+        try:
+            solve(*instance, JointConfig(outer_iters=2, restarts=2, seed=0), threads=2)
+        finally:
+            recording[0] = False
+        forks = 2 if jointmds._CAN_FORK else 0
+        # before Python 3.11 the pool forks its second worker on demand, after
+        # its own manager thread has started
+        quiet = forks if sys.version_info >= (3, 11) else min(forks, 1)
+        assert len(counts) == forks and counts[:quiet] == [before] * quiet
+
     def test_serial_in_the_calling_thread_without_fork(self, monkeypatch, instance):
         # without fork the restarts run one after another in the caller, and
         # a spare thread still gives each a helper
@@ -640,32 +686,40 @@ class TestStarts:
         rng = np.random.default_rng(30)
         d1 = pairwise_euclidean(rng.standard_normal((9, 3)))
         d2 = pairwise_euclidean(rng.standard_normal((7, 3)))
-        classical = (classical_embedding(d1, dim), classical_embedding(d2, dim))
+        w1, w2 = uniform_weight_matrix(9), uniform_weight_matrix(7)
+        starts = [smacof(d, w, classical_embedding(d, dim), max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+                  for d, w in ((d1, w1), (d2, w2))]
         cfg = JointConfig(dim=dim, seed=5)
         for r in range(2**dim):
-            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, r, classical)
+            (z1, r1), (z2, r2) = jointmds._initial_embeddings(d1, d2, w1, w2, cfg, r, starts,
+                                                              None)
             signs = np.array([-1.0 if r >> k & 1 else 1.0 for k in range(dim)])
-            assert np.array_equal(z1, classical[0])
-            assert np.array_equal(z2, classical[1] * signs)
-        # past the 2^dim reflections, and without classical starts, the seed draws
-        for r, given in ((2**dim, classical), (2**dim + 3, classical), (0, None), (1, None)):
-            z1, z2 = jointmds._initial_embeddings(d1, d2, cfg, r, given)
+            assert np.array_equal(z1, starts[0][0]) and r1 is starts[0][1]
+            assert np.array_equal(z2, starts[1][0] * signs) and r2 is starts[1][1]
+        # past the 2^dim reflections, and without shared starts, the seed draws
+        for r, given in ((2**dim, starts), (2**dim + 3, starts), (0, None), (1, None)):
+            (z1, r1), (z2, r2) = jointmds._initial_embeddings(d1, d2, w1, w2, cfg, r, given,
+                                                              None)
             z = random_embedding(16, dim, 5 + r, jointmds._init_scale(d1, d2))
-            assert np.array_equal(z1, z[:9]) and np.array_equal(z2, z[9:])
+            y1, q1 = smacof(d1, w1, z[:9], max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            y2, q2 = smacof(d2, w2, z[9:], max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            assert np.array_equal(z1, y1) and np.array_equal(z2, y2)
+            assert r1.per_iteration == q1.per_iteration and r2.per_iteration == q2.per_iteration
 
     @pytest.mark.parametrize("gw_init", [False, True])
     def test_classical_embedding_computed_once_per_solve(self, monkeypatch, fork_log, gw_init):
-        # each dataset's classical scaling is computed in the caller, and the
-        # forked workers inherit it; a warm start keeps the seeded starts
+        # each dataset's classical scaling and its initial run are computed
+        # in the caller, and the forked workers inherit them; a warm start
+        # keeps the seeded starts
         calls = []
 
         def counting(d, dim):
             calls.append(d.shape[0])
             return classical_embedding(d, dim)
 
-        def recording(d1, d2, cfg, restart, classical=None):
-            fork_log.append([restart, classical is not None])
-            return real(d1, d2, cfg, restart, classical)
+        def recording(d1, d2, w1, w2, cfg, restart, starts, helper):
+            fork_log.append([restart, starts is not None])
+            return real(d1, d2, w1, w2, cfg, restart, starts, helper)
 
         real = jointmds._initial_embeddings
         monkeypatch.setattr(jointmds, "classical_embedding", counting)
@@ -677,6 +731,53 @@ class TestStarts:
         solve(d1, d2, uniform_weight_matrix(12), uniform_weight_matrix(10), cfg, threads=2)
         assert calls == ([] if gw_init else [12, 10])
         assert sorted(fork_log.read()) == [[r, not gw_init] for r in range(3)]
+
+    @pytest.mark.parametrize("gw_init", [False, True])
+    def test_initial_runs_shared_by_the_reflected_restarts(self, monkeypatch, fork_log,
+                                                           gw_init):
+        # criterion 6's 4 restarts in 2 dimensions: 2 initial smacof runs per
+        # solve, not 8; after a warm start every restart makes its own 2
+        def counting(*args, **kwargs):
+            fork_log.append(os.getpid())
+            return real(*args, **kwargs)
+
+        real = jointmds.smacof
+        monkeypatch.setattr(jointmds, "smacof", counting)
+        rng = np.random.default_rng(34)
+        d1 = pairwise_euclidean(rng.standard_normal((12, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((10, 2)))
+        cfg = JointConfig(dim=2, outer_iters=2, restarts=4, seed=0, gw_init=gw_init)
+        solve(d1, d2, uniform_weight_matrix(12), uniform_weight_matrix(10), cfg, threads=2)
+        assert len(fork_log.read()) == (8 if gw_init else 2)
+
+    @pytest.mark.parametrize("weights", ["uniform", "1/d^4"])
+    def test_shared_start_is_the_run_from_the_reflected_start(self, monkeypatch, weights):
+        rng = np.random.default_rng(36)
+        d1 = pairwise_euclidean(rng.standard_normal((12, 2)))
+        d2 = pairwise_euclidean(rng.standard_normal((10, 2)))
+        if weights == "uniform":
+            w1, w2 = uniform_weight_matrix(12), uniform_weight_matrix(10)
+        else:
+            w1, w2 = power_weight_matrix(d1, 4.0), power_weight_matrix(d2, 4.0)
+        seen, real = {}, jointmds._initial_embeddings
+
+        def recording(d1, d2, w1, w2, cfg, restart, *args):
+            seen[restart] = real(d1, d2, w1, w2, cfg, restart, *args)
+            return seen[restart]
+
+        monkeypatch.setattr(jointmds, "_initial_embeddings", recording)
+        solve(d1, d2, w1, w2, JointConfig(dim=2, outer_iters=1, restarts=4, seed=0))
+        # replayed under the one-thread BLAS that solve runs, for the same bits
+        with _blas.single_threaded():
+            own1 = smacof(d1, w1, classical_embedding(d1, 2),
+                          max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+            for r in range(4):
+                signs = np.array([-1.0 if r >> k & 1 else 1.0 for k in range(2)])
+                own2 = smacof(d2, w2, classical_embedding(d2, 2) * signs,
+                              max_iter=jointmds.INIT_SMACOF_MAX_ITER)
+                for (z, report), (z_own, report_own) in zip(seen[r], (own1, own2)):
+                    assert np.array_equal(z, z_own)
+                    assert report.per_iteration == report_own.per_iteration
 
     @pytest.mark.parametrize("dim,restarts,gw_init,zero,expected", [
         (2, 4, False, False, 0), (2, 6, False, False, 2), (1, 3, False, False, 1),
@@ -720,6 +821,34 @@ class TestStarts:
             cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=gw_init)
             with pytest.raises(DegenerateInput, match="dissimilarities too small"):
                 solve(d, d, w, w, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scale", [1e150, 1e154, 1e155, 1e160])
+@pytest.mark.parametrize("run", ["smacof", "solve", "solve, gw_init"])
+def test_dissimilarities_too_large_fail_by_name(monkeypatch, run, scale):
+    # from about 1e154 on their squares overflow: smacof and solve fail by
+    # name before the first step, and solve with a warm start before the warm
+    # start; 1e150 still solves
+    d = scale * pairwise_euclidean(np.random.default_rng(0).standard_normal((6, 2)))
+    w = uniform_weight_matrix(6)
+    if run == "smacof":
+        def call():
+            return smacof(d, w, classical_embedding(d, 2))[1].per_iteration[-1]
+    else:
+        def call():
+            cfg = JointConfig(outer_iters=3, restarts=2, seed=0, gw_init=run != "solve")
+            return solve(d, d, w, w, cfg).final_objective
+    if scale < 1e154:
+        assert np.isfinite(call())
+        return
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warm start run on overflowing dissimilarities")
+
+    monkeypatch.setattr(jointmds, "entropic_gw", forbidden)
+    with pytest.raises(DegenerateInput, match="dissimilarities too large.*rescale them"):
+        call()
 
 
 def edge_case(kind: str):

@@ -580,14 +580,12 @@ class TestSplitStep:
         split_at(2)
         monkeypatch.setattr(smacof_module, "CHUNK_BYTES", 500)
         d1, d2, w1, w2, p, z1, z2 = coupled_instance(10)
-        # one weight per dataset: centred steps, and Schur solves eliminating
-        # the first dataset (n1 > n2) or the second
+        # one weight per dataset: Schur solves eliminating the first dataset
+        # (n1 > n2) or the second
         u1, u2, uw1, uw2, up, uz1, uz2 = uniform_instance(10)
         runs = {
-            "smacof": lambda helper: smacof(d1, w1, z1, 0.0, 20, _helper=helper),
             "joint": lambda helper: joint_smacof(d1, d2, w1, w2, p, 0.3, z1, z2, 0.0, 20,
                                                  _helper=helper),
-            "uniform smacof": lambda helper: smacof(u1, uw1, uz1, 0.0, 20, _helper=helper),
             "uniform joint": lambda helper: joint_smacof(u1, u2, uw1, uw2, up, 0.3, uz1, uz2,
                                                          0.0, 20, _helper=helper),
             "uniform joint, n1 < n2": lambda helper: joint_smacof(
@@ -659,9 +657,7 @@ class TestUniformWeights:
 
     @pytest.mark.parametrize("n", [2, 31, 40])
     @pytest.mark.parametrize("c", [1.0, None])
-    def test_smacof_closed_form_matches_product(self, split_at, n, c):
-        # n = 40 runs as two row blocks
-        split_at(35)
+    def test_smacof_closed_form_matches_product(self, n, c):
         rng = np.random.default_rng(n)
         d = pairwise_euclidean(rng.standard_normal((n, 3)))
         w = np.full((n, n), 1.0 / n**2 if c is None else c)
@@ -849,19 +845,13 @@ class TestReflections:
     """
 
     @pytest.mark.parametrize("signs", [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0)])
-    @pytest.mark.parametrize("kind", ["closed form", "V+ product", "split with helper"])
-    def test_smacof(self, split_at, kind, signs):
+    @pytest.mark.parametrize("kind", ["closed form", "V+ product"])
+    def test_smacof(self, kind, signs):
         s = np.array(signs)
         make = uniform_instance if kind == "closed form" else coupled_instance
         d, _, w, _, _, z0, _ = make(41)
-        if kind == "split with helper":
-            split_at(2)
-            with ThreadPoolExecutor(max_workers=1) as helper:
-                z, report = smacof(d, w, z0, 0.0, 30, _helper=helper)
-                flipped, flipped_report = smacof(d, w, z0 * s, 0.0, 30, _helper=helper)
-        else:
-            z, report = smacof(d, w, z0, 0.0, 30)
-            flipped, flipped_report = smacof(d, w, z0 * s, 0.0, 30)
+        z, report = smacof(d, w, z0, 0.0, 30)
+        flipped, flipped_report = smacof(d, w, z0 * s, 0.0, 30)
         assert np.array_equal(flipped, z * s)
         assert flipped_report.per_iteration == report.per_iteration
 
